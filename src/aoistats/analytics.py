@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .servicedist import ServiceTimeModel, subset_mixture
+from .servicedist import ServiceTimeModel
 
 __all__ = [
     "SystemSpec",
@@ -44,6 +44,9 @@ __all__ = [
     "cc_lower_bound",
     "aoi_statistics",
     "marginal_aoi_cdf",
+    "joint_laplace_label",
+    "distinct_s_rows",
+    "analytic_quantities",
     "DEFAULT_PERMUTATION_CAP",
     "TALBOT_NODES",
     "INVERSION_RESIDUAL_TOL",
@@ -381,6 +384,49 @@ def aoi_statistics(spec: SystemSpec) -> AoIStatistics:
         covariance[0, 1] = covariance[1, 0] = cov
         correlation[0, 1] = correlation[1, 0] = cc
     return AoIStatistics(mean, variance, cv, covariance, correlation, provenance="analytic")
+
+
+def joint_laplace_label(s_row) -> str:
+    """Report label of the joint transform at `s_row`, e.g. `joint_laplace(0.5,1)`."""
+    return "joint_laplace(" + ",".join(f"{v:g}" for v in s_row) + ")"
+
+
+def distinct_s_rows(s_grid) -> tuple[tuple[float, ...], ...]:
+    """`s_grid` as float tuples without repeats; ValueError if two differ but share a label."""
+    rows = tuple(dict.fromkeys(tuple(float(v) for v in row) for row in s_grid))
+    seen: dict[str, tuple[float, ...]] = {}
+    for row in rows:
+        label = joint_laplace_label(row)
+        if seen.setdefault(label, row) != row:
+            raise ValueError(f"argument vectors {seen[label]} and {row} share the label {label}")
+    return rows
+
+
+def analytic_quantities(spec: SystemSpec, s_grid) -> dict[str, float]:
+    """Every closed-form quantity the reports show, by label, in report order:
+    per source (1-based) the age mean, variance and cv, update share and rate,
+    delay and peak means; departure and pushout rates; the age covariance and
+    correlation (two sources only); the joint transform per distinct s-row.
+    """
+    stats = aoi_statistics(spec)
+    out: dict[str, float] = {}
+    for k in range(spec.num_sources):
+        pm = palm_means(spec, k)
+        out[f"aoi_mean[{k + 1}]"] = float(stats.mean[k])
+        out[f"aoi_variance[{k + 1}]"] = float(stats.variance[k])
+        out[f"aoi_cv[{k + 1}]"] = float(stats.cv[k])
+        out[f"update_share[{k + 1}]"] = source_update_share(spec, k)
+        out[f"update_rate[{k + 1}]"] = pm.update_rate
+        out[f"delay_mean[{k + 1}]"] = pm.delay_mean
+        out[f"peak_mean[{k + 1}]"] = pm.peak_mean
+    out["departure_rate"] = departure_rate(spec)
+    out["pushout_rate"] = pushout_rate(spec)
+    if spec.num_sources == 2:
+        out["aoi_covariance"] = float(stats.covariance[0, 1])
+        out["aoi_correlation"] = float(stats.correlation[0, 1])
+    for row in distinct_s_rows(s_grid):
+        out[joint_laplace_label(row)] = joint_aoi_laplace(spec, row)
+    return out
 
 
 # ---------------------------------------------------------------------------

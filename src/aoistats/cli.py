@@ -10,7 +10,6 @@ codes: 0 success, 1 usage/validation error, 2 comparison gate failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -71,6 +70,8 @@ def _load_config(args) -> RunConfig:
         if not 0 <= args.burn_in < cfg.horizon:
             raise ConfigError([f"--burn-in must lie in [0, horizon), got {args.burn_in}"])
         cfg.burn_in = args.burn_in
+    if args.workers < 1:
+        raise ConfigError([f"--workers must be at least 1, got {args.workers}"])
     return cfg
 
 
@@ -95,78 +96,13 @@ def _fmt(v: float) -> str:
 
 def _cmd_analytic(cfg: RunConfig) -> int:
     spec = _require_spec(cfg, "analytic")
-    K = spec.num_sources
-    stats = analytics.aoi_statistics(spec)
-    rows = []
-    quantities: list[tuple[str, float]] = []
-    for k in range(K):
-        pm = analytics.palm_means(spec, k)
-        quantities += [
-            (f"aoi_mean[{k + 1}]", float(stats.mean[k])),
-            (f"aoi_variance[{k + 1}]", float(stats.variance[k])),
-            (f"aoi_cv[{k + 1}]", float(stats.cv[k])),
-            (f"update_share[{k + 1}]", analytics.source_update_share(spec, k)),
-            (f"update_rate[{k + 1}]", pm.update_rate),
-            (f"delay_mean[{k + 1}]", pm.delay_mean),
-            (f"peak_mean[{k + 1}]", pm.peak_mean),
-        ]
-    quantities += [
-        ("departure_rate", analytics.departure_rate(spec)),
-        ("pushout_rate", analytics.pushout_rate(spec)),
-    ]
-    if K == 2:
-        quantities += [
-            ("aoi_covariance", analytics.aoi_covariance(spec)),
-            ("aoi_correlation", analytics.aoi_correlation(spec)),
-        ]
-    for s_row in cfg.s_grid:
-        label = "(" + ",".join(f"{v:g}" for v in s_row) + ")"
-        quantities.append((f"joint_laplace{label}", analytics.joint_aoi_laplace(spec, s_row)))
-    rows = [(name, _fmt(value)) for name, value in quantities]
-    _print_table(("quantity", "value"), rows, sys.stdout)
+    header = ("quantity", "value")
+    rows = analytics.analytic_quantities(spec, cfg.s_grid).items()
+    _print_table(header, [(name, _fmt(value)) for name, value in rows], sys.stdout)
     if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "value"])
-            for name, value in quantities:
-                writer.writerow([name, repr(float(value))])
+        experiments.write_csv(cfg.output, header, rows)
         print(f"wrote {cfg.output}", file=sys.stdout)
     return 0
-
-
-def _report_quantities(report) -> list[tuple[str, simulator.Estimate]]:
-    K = report.spec.num_sources
-    out = []
-    for s_row, est in report.joint_laplace.items():
-        label = "(" + ",".join(f"{v:g}" for v in s_row) + ")"
-        out.append((f"joint_laplace{label}", est))
-    for s_row, est in report.palm_joint_laplace.items():
-        label = "(" + ",".join(f"{v:g}" for v in s_row) + ")"
-        out.append((f"palm_joint_laplace{label}", est))
-    stats = report.statistics
-    for k in range(K):
-        out.append(
-            (f"aoi_mean[{k + 1}]",
-             simulator.Estimate(float(stats.mean[k]), float(stats.mean_stderr[k]), report.replications))
-        )
-        out.append(
-            (f"aoi_variance[{k + 1}]",
-             simulator.Estimate(float(stats.variance[k]), float(stats.variance_stderr[k]), report.replications))
-        )
-    if K == 2:
-        out.append(
-            ("aoi_correlation",
-             simulator.Estimate(float(stats.correlation[0, 1]),
-                                float(stats.correlation_stderr[0, 1]), report.replications))
-        )
-    out.append(("departure_rate", report.departure_rate))
-    out.append(("pushout_rate", report.pushout_rate))
-    for k in range(K):
-        out.append((f"update_share[{k + 1}]", report.palm.update_share[k]))
-        out.append((f"update_rate[{k + 1}]", report.palm.update_rate[k]))
-        out.append((f"delay_mean[{k + 1}]", report.palm.delay_mean[k]))
-        out.append((f"peak_mean[{k + 1}]", report.palm.peak_mean[k]))
-    return out
 
 
 def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
@@ -192,17 +128,13 @@ def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
         f"simulated {report.replications} replications, horizon {report.horizon:g}, "
         f"burn-in {report.burn_in:g}, seed {report.seed}"
     )
-    quantities = _report_quantities(report)
-    rows = [(name, _fmt(est.value), _fmt(est.stderr)) for name, est in quantities]
-    _print_table(("quantity", "value", "stderr"), rows, sys.stdout)
+    header = ("quantity", "value", "stderr")
+    rows = [(name, est.value, est.stderr) for name, est in simulator.simulated_quantities(report).items()]
+    _print_table(header, [(name, _fmt(v), _fmt(se)) for name, v, se in rows], sys.stdout)
     for flag in report.flags:
         print(f"note: {flag}", file=sys.stderr)
     if cfg.output:
-        with open(cfg.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quantity", "value", "stderr"])
-            for name, est in quantities:
-                writer.writerow([name, repr(float(est.value)), repr(float(est.stderr))])
+        experiments.write_csv(cfg.output, header, rows)
         print(f"wrote {cfg.output}")
     return 0
 
@@ -253,14 +185,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         own = [p for p in points if p.family == family]
         best = min(own, key=lambda p: p.cc)
         print(f"{family}: min cc {best.cc:.6g} at {axis} {best.param:.6g} over {len(own)} points")
+    experiments.write_sweep_csv(points, cfg.output or sys.stdout)
     if cfg.output:
-        experiments.write_sweep_csv(points, cfg.output)
         print(f"wrote {cfg.output}")
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["param", "family", "cc"])
-        for p in points:
-            writer.writerow([repr(float(p.param)), p.family, repr(float(p.cc))])
     return 0
 
 

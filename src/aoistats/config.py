@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import SystemSpec
+from .analytics import SystemSpec, distinct_s_rows
+from .experiments import family_model
 from .servicedist import format_service, parse_service
 from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED
 
@@ -211,6 +212,10 @@ def parse_config(text: str) -> RunConfig:
         cfg.output = scalars["output"]
     if "s_grid" in scalars:
         cfg.s_grid = _parse_s_grid(scalars["s_grid"], errors)
+        try:
+            distinct_s_rows(cfg.s_grid)
+        except ValueError as exc:
+            errors.append(f"s_grid: {exc}")
 
     if rates and len(rates) == len(source_lines):
         try:
@@ -253,8 +258,6 @@ def parse_config(text: str) -> RunConfig:
         families: tuple[str, ...] = ()
         if "sweep_families" in scalars:
             families = tuple(f.strip() for f in scalars["sweep_families"].split(",") if f.strip())
-            from .experiments import family_model
-
             for fam in families:
                 try:
                     family_model(fam, 1.0)

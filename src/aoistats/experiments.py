@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ __all__ = [
     "family_model",
     "sweep_cc_vs_lambda2",
     "sweep_cc_vs_service_rate",
+    "write_csv",
     "write_sweep_csv",
     "compare",
     "comparison_passed",
@@ -123,13 +125,25 @@ def sweep_cc_vs_service_rate(
     return points
 
 
+def write_csv(target, header, rows) -> None:
+    """Write `header` and `rows` as CSV to a path or an open text stream.
+
+    Strings are written as they are and numbers as `repr(float(x))`, so
+    reading them back gives the exact values.
+    """
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", newline="") as fh:
+            write_csv(fh, header, rows)
+        return
+    writer = csv.writer(target)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else repr(float(c)) for c in row])
+
+
 def write_sweep_csv(points, path) -> None:
-    """Write sweep points as `param,family,cc` with shortest-round-trip floats."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "family", "cc"])
-        for p in points:
-            writer.writerow([repr(float(p.param)), p.family, repr(float(p.cc))])
+    """Write sweep points as `param,family,cc` to a path or an open text stream."""
+    write_csv(path, ("param", "family", "cc"), ((p.param, p.family, p.cc) for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +175,6 @@ def _row(quantity: str, analytic_value: float, est: simulator.Estimate, threshol
     return ComparisonRow(quantity, analytic_value, est.value, est.stderr, z, abs(z) <= threshold)
 
 
-def _fmt_s(row: tuple[float, ...]) -> str:
-    return "(" + ",".join(f"{v:g}" for v in row) + ")"
-
-
 def compare(
     spec: SystemSpec,
     horizon: float,
@@ -192,55 +202,11 @@ def compare(
         s_grid=s_grid,
         workers=workers,
     )
-    K = spec.num_sources
-    rows: list[ComparisonRow] = []
-    for s_row, est in report.joint_laplace.items():
-        value = analytics.joint_aoi_laplace(spec, s_row)
-        rows.append(_row(f"joint_laplace{_fmt_s(s_row)}", value, est, z_threshold))
-    for s_row, est in report.palm_joint_laplace.items():
-        value = analytics.joint_aoi_laplace(spec, s_row)
-        rows.append(_row(f"palm_joint_laplace{_fmt_s(s_row)}", value, est, z_threshold))
-    stats = report.statistics
-    for k in range(K):
-        mom = analytics.marginal_aoi_moments(spec, k)
-        rows.append(
-            _row(
-                f"aoi_mean[{k + 1}]",
-                mom.mean,
-                simulator.Estimate(float(stats.mean[k]), float(stats.mean_stderr[k]), replications),
-                z_threshold,
-            )
-        )
-        rows.append(
-            _row(
-                f"aoi_variance[{k + 1}]",
-                mom.variance,
-                simulator.Estimate(float(stats.variance[k]), float(stats.variance_stderr[k]), replications),
-                z_threshold,
-            )
-        )
-    if K == 2:
-        rows.append(
-            _row(
-                "aoi_correlation",
-                analytics.aoi_correlation(spec),
-                simulator.Estimate(
-                    float(stats.correlation[0, 1]), float(stats.correlation_stderr[0, 1]), replications
-                ),
-                z_threshold,
-            )
-        )
-    rows.append(_row("departure_rate", analytics.departure_rate(spec), report.departure_rate, z_threshold))
-    rows.append(_row("pushout_rate", analytics.pushout_rate(spec), report.pushout_rate, z_threshold))
-    for k in range(K):
-        pm = analytics.palm_means(spec, k)
-        rows.append(
-            _row(f"update_share[{k + 1}]", analytics.source_update_share(spec, k), report.palm.update_share[k], z_threshold)
-        )
-        rows.append(_row(f"update_rate[{k + 1}]", pm.update_rate, report.palm.update_rate[k], z_threshold))
-        rows.append(_row(f"delay_mean[{k + 1}]", pm.delay_mean, report.palm.delay_mean[k], z_threshold))
-        rows.append(_row(f"peak_mean[{k + 1}]", pm.peak_mean, report.palm.peak_mean[k], z_threshold))
-    return rows
+    analytic = analytics.analytic_quantities(spec, report.s_grid)
+    return [
+        _row(label, analytic[label.removeprefix("palm_")], est, z_threshold)
+        for label, est in simulator.simulated_quantities(report).items()
+    ]
 
 
 def comparison_passed(rows) -> bool:
@@ -288,17 +254,6 @@ def compare_with_retry(
 
 def write_comparison_csv(rows, path) -> None:
     """Write rows as `quantity,analytic,simulated,stderr,z,pass`."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["quantity", "analytic", "simulated", "stderr", "z", "pass"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.quantity,
-                    repr(float(r.analytic)),
-                    repr(float(r.simulated)),
-                    repr(float(r.stderr)),
-                    repr(float(r.z)),
-                    "true" if r.passed else "false",
-                ]
-            )
+    header = ("quantity", "analytic", "simulated", "stderr", "z", "pass")
+    cells = ((r.quantity, r.analytic, r.simulated, r.stderr, r.z, "true" if r.passed else "false") for r in rows)
+    write_csv(path, header, cells)

@@ -25,7 +25,6 @@ __all__ = [
     "Gamma",
     "Deterministic",
     "Mixture",
-    "subset_mixture",
     "parse_service",
     "format_service",
 ]
@@ -245,39 +244,6 @@ class Mixture(ServiceTimeModel):
             if n:
                 out[mask] = comp.sample(rng, n)
         return out
-
-
-def subset_mixture(rates, models, subset) -> ServiceTimeModel:
-    """Service law of a packet whose source is known to lie in `subset`.
-
-    Component weights are the arrival-rate shares lambda_k over the subset
-    total.  A singleton subset returns that source's own model.  Mixture
-    sources are flattened so the result stays one level deep.
-    """
-    rates = [float(r) for r in rates]
-    if len(rates) != len(models):
-        raise ValueError(f"got {len(rates)} rates for {len(models)} models")
-    idx = sorted(set(int(k) for k in subset))
-    if not idx:
-        raise ValueError("subset must be nonempty")
-    for k in idx:
-        if not 0 <= k < len(rates):
-            raise IndexError(f"source index {k} out of range for {len(rates)} sources")
-    if len(idx) == 1:
-        return models[idx[0]]
-    total = math.fsum(rates[k] for k in idx)
-    flat_w: list[float] = []
-    flat_c: list[ServiceTimeModel] = []
-    for k in idx:
-        share = rates[k] / total
-        model = models[k]
-        if isinstance(model, Mixture):
-            flat_w.extend(share * w for w in model.weights)
-            flat_c.extend(model.components)
-        else:
-            flat_w.append(share)
-            flat_c.append(model)
-    return Mixture(tuple(flat_w), tuple(flat_c))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -35,7 +36,6 @@ from .analytics import AoIStatistics, SystemSpec
 __all__ = [
     "DEFAULT_SEED",
     "DEFAULT_REPLICATIONS",
-    "AoISnapshot",
     "PathAccumulator",
     "PalmRecords",
     "ReplicationCounts",
@@ -46,10 +46,9 @@ __all__ = [
     "replication_rng",
     "default_burn_in",
     "default_s_grid",
-    "segment_integral_exponential",
-    "segment_integral_moments",
     "run_replication",
     "simulate",
+    "simulated_quantities",
     "estimate_joint_laplace",
     "estimate_joint_laplace_palm",
     "estimate_statistics",
@@ -109,55 +108,6 @@ def default_s_grid(num_sources: int) -> tuple[tuple[float, ...], ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True)
-class AoISnapshot:
-    """Per-source (last update epoch, delay) state; age is delay + t - epoch."""
-
-    update_epochs: np.ndarray
-    delays: np.ndarray
-
-    def ages(self, t: float) -> np.ndarray:
-        return self.delays + (t - self.update_epochs)
-
-
-def segment_integral_exponential(snapshot: AoISnapshot, t0: float, t1: float, s) -> float:
-    """Exact integral of exp(-sum_k s_k A_k(t)) over [t0, t1).
-
-    All ages grow with slope one on the segment, so the integral is
-    exp(-s . a) * (1 - exp(-sbar L)) / sbar with a the ages at t0,
-    sbar = sum(s) and L the segment length; plain L when sbar == 0.
-    """
-    if not t1 > t0:
-        raise ValueError(f"segment must have positive length, got [{t0}, {t1})")
-    s = np.asarray(s, dtype=float)
-    a = snapshot.ages(t0)
-    if s.shape != a.shape:
-        raise ValueError(f"argument vector has shape {s.shape}, expected {a.shape}")
-    if np.any(s < 0):
-        raise ValueError("transform arguments must be nonnegative")
-    L = t1 - t0
-    sbar = float(s.sum())
-    if sbar == 0.0:
-        return L
-    return math.exp(-float(s @ a)) * (-math.expm1(-sbar * L)) / sbar
-
-
-def segment_integral_moments(snapshot: AoISnapshot, t0: float, t1: float):
-    """Exact integrals of A_k, A_k^2, and A_j A_k over [t0, t1).
-
-    Returns (age (K,), age_sq (K,), cross (K, K)); the cross diagonal
-    equals age_sq.
-    """
-    if not t1 > t0:
-        raise ValueError(f"segment must have positive length, got [{t0}, {t1})")
-    a = snapshot.ages(t0)
-    L = t1 - t0
-    age = a * L + L**2 / 2.0
-    age_sq = a**2 * L + a * L**2 + L**3 / 3.0
-    cross = np.outer(a, a) * L + (a[:, None] + a[None, :]) * (L**2 / 2.0) + L**3 / 3.0
-    return age, age_sq, cross
-
-
 @dataclass
 class PathAccumulator:
     """Closed-form path integrals over one or more replications.
@@ -165,8 +115,7 @@ class PathAccumulator:
     Tracks, per requested argument vector, the integral of
     exp(-s . A(t)); per source the integrals of A_k and A_k^2; all
     pairwise integrals of A_j A_k; optionally, per source, the occupancy
-    time below each level of `cdf_grid`.  Accumulators with identical
-    layout merge by component-wise addition.
+    time below each level of `cdf_grid`.
     """
 
     s_grid: tuple[tuple[float, ...], ...]
@@ -199,20 +148,6 @@ class PathAccumulator:
             self.cdf_occupancy = np.zeros((K, self.cdf_grid.size))
         else:
             self.cdf_occupancy = None
-
-    def add_segment(self, snapshot: AoISnapshot, t0: float, t1: float) -> None:
-        """Accumulate one constant-snapshot segment via the segment integrals."""
-        for j, row in enumerate(self.s_grid):
-            self.exp_integrals[j] += segment_integral_exponential(snapshot, t0, t1, row)
-        age, age_sq, cross = segment_integral_moments(snapshot, t0, t1)
-        self.age_integrals += age
-        self.age_sq_integrals += age_sq
-        self.cross_integrals += cross
-        if self.cdf_grid is not None:
-            a = snapshot.ages(t0)
-            L = t1 - t0
-            self.cdf_occupancy += np.clip(self.cdf_grid[None, :] - a[:, None], 0.0, L)
-        self.elapsed += t1 - t0
 
     def add_segments(self, ages: np.ndarray, lengths: np.ndarray) -> None:
         """Vectorized bulk accumulation; rows of `ages` are segment starts."""
@@ -253,23 +188,6 @@ class PathAccumulator:
                     occ = np.clip(x[None, :] - a[:, k][:, None], 0.0, Lb)
                     self.cdf_occupancy[k] += occ.sum(axis=0)
         self.elapsed += total
-
-    def merge(self, other: "PathAccumulator") -> "PathAccumulator":
-        """Add another accumulator with the same layout into this one."""
-        if other.s_grid != self.s_grid or other.num_sources != self.num_sources:
-            raise ValueError("cannot merge accumulators with different layouts")
-        if (self.cdf_grid is None) != (other.cdf_grid is None):
-            raise ValueError("cannot merge accumulators with different CDF grids")
-        if self.cdf_grid is not None and not np.array_equal(self.cdf_grid, other.cdf_grid):
-            raise ValueError("cannot merge accumulators with different CDF grids")
-        self.elapsed += other.elapsed
-        self.exp_integrals += other.exp_integrals
-        self.age_integrals += other.age_integrals
-        self.age_sq_integrals += other.age_sq_integrals
-        self.cross_integrals += other.cross_integrals
-        if self.cdf_occupancy is not None:
-            self.cdf_occupancy += other.cdf_occupancy
-        return self
 
 
 @dataclass
@@ -766,13 +684,18 @@ def run_replications(
     workers: int = 1,
 ) -> list[ReplicationResult]:
     """Run independent replications (optionally in parallel processes);
-    results are always ordered by replication index."""
+    results are always ordered by replication index.
+
+    At most min(workers, replications, CPU count) processes start; results
+    do not depend on how many do.
+    """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
     args = [
         (spec, horizon, burn_in, seed, rep, tuple(s_grid), cdf_grid)
         for rep in range(replications)
     ]
+    workers = min(workers, replications, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, args))
@@ -798,7 +721,7 @@ def simulate(
             )
     if s_grid is None:
         s_grid = default_s_grid(spec.num_sources)
-    s_grid = tuple(tuple(float(v) for v in row) for row in s_grid)
+    s_grid = analytics.distinct_s_rows(s_grid)
     results = run_replications(spec, horizon, burn_in, replications, seed, s_grid, workers=workers)
 
     joint = {row: estimate_joint_laplace(results, row) for row in s_grid}
@@ -836,3 +759,35 @@ def simulate(
         pushout_rate=estimate_pushout_rate(results),
         flags=flags,
     )
+
+
+def simulated_quantities(report: SimulationReport) -> dict[str, Estimate]:
+    """Every estimate in `report`, by label, in report order.
+
+    A label names the same quantity as in `analytics.analytic_quantities`;
+    the delivery-sampled transform rows add a `palm_` prefix to it.
+    """
+    K = report.spec.num_sources
+    stats = report.statistics
+
+    def batch(value, stderr) -> Estimate:
+        return Estimate(float(value), float(stderr), report.replications)
+
+    out: dict[str, Estimate] = {}
+    for row, est in report.joint_laplace.items():
+        out[analytics.joint_laplace_label(row)] = est
+    for row, est in report.palm_joint_laplace.items():
+        out["palm_" + analytics.joint_laplace_label(row)] = est
+    for k in range(K):
+        out[f"aoi_mean[{k + 1}]"] = batch(stats.mean[k], stats.mean_stderr[k])
+        out[f"aoi_variance[{k + 1}]"] = batch(stats.variance[k], stats.variance_stderr[k])
+    if K == 2:
+        out["aoi_correlation"] = batch(stats.correlation[0, 1], stats.correlation_stderr[0, 1])
+    out["departure_rate"] = report.departure_rate
+    out["pushout_rate"] = report.pushout_rate
+    for k in range(K):
+        out[f"update_share[{k + 1}]"] = report.palm.update_share[k]
+        out[f"update_rate[{k + 1}]"] = report.palm.update_rate[k]
+        out[f"delay_mean[{k + 1}]"] = report.palm.delay_mean[k]
+        out[f"peak_mean[{k + 1}]"] = report.palm.peak_mean[k]
+    return out

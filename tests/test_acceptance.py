@@ -29,7 +29,6 @@ from aoistats.analytics import (
 from aoistats.experiments import sweep_cc_vs_lambda2, sweep_cc_vs_service_rate
 from aoistats.servicedist import Deterministic, Exponential, Gamma
 from aoistats.simulator import (
-    AoISnapshot,
     default_s_grid,
     estimate_departure_rate,
     estimate_joint_laplace,
@@ -39,9 +38,8 @@ from aoistats.simulator import (
     estimate_pushout_rate,
     estimate_statistics,
     run_replications,
-    segment_integral_exponential,
-    segment_integral_moments,
 )
+from segment_oracles import AoISnapshot, segment_integral_exponential, segment_integral_moments
 
 ANCHOR = SystemSpec(rates=(3.0, 3.0), services=(Exponential(6.0), Exponential(6.0)))
 DET_SYM = SystemSpec(rates=(3.0, 3.0), services=(Deterministic(1 / 6), Deterministic(1 / 6)))

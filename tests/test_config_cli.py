@@ -1,6 +1,8 @@
 import csv
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ seed = 42
 s_grid = 0.5, 0.5; 1, 2
 output = out.csv
 """
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SWEEP_CONFIG = """
 command = sweep
@@ -105,6 +109,10 @@ def test_parse_collects_every_error():
             "hi > lo",
         ),
         (SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "3, 2, 1"), "strictly increasing"),
+        (
+            FULL_CONFIG.replace("s_grid = 0.5, 0.5; 1, 2", "s_grid = 0.1234567, 0; 0.1234568, 0"),
+            "share the label joint_laplace(0.123457,0)",
+        ),
     ],
 )
 def test_parse_rejects(text, needle):
@@ -284,6 +292,8 @@ def test_cli_sweep_csv_is_reproducible(tmp_path, capsys):
         ["simulate", "--config", "CFG", "--replications", "1"],
         ["simulate", "--config", "CFG", "--horizon", "-5"],
         ["simulate", "--config", "CFG", "--burn-in", "1e9"],
+        ["simulate", "--config", "CFG", "--workers", "0"],
+        ["compare", "--config", "CFG", "--workers", "-1"],
     ],
 )
 def test_cli_usage_errors_exit_1(argv, tmp_path, capsys):
@@ -306,15 +316,22 @@ def test_cli_sweep_without_settings_exits_1(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+def console_script_commands(name="aoistats"):
+    """Ways to run console script `name`: its `[project.scripts]` target from
+    pyproject.toml in a fresh interpreter, plus the installed binary when on PATH."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"][name]
+    module, func = target.split(":")
+    call = f"import sys; from {module} import {func}; sys.exit({func}())"
+    commands = [[sys.executable, "-c", call]]
+    if shutil.which(name):
+        commands.append([name])
+    return commands
+
+
 def test_console_script_and_module_entry(tmp_path):
     cfgfile = write_config(tmp_path, ANALYTIC_CFG)
-    ran = subprocess.run(
-        ["aoistats", "analytic", "--config", str(cfgfile)],
-        capture_output=True,
-        text=True,
-    )
-    assert ran.returncode == 0
-    assert "aoi_mean[1]" in ran.stdout
     ran = subprocess.run(
         [sys.executable, "-m", "aoistats", "analytic", "--config", str(cfgfile)],
         capture_output=True,
@@ -322,3 +339,34 @@ def test_console_script_and_module_entry(tmp_path):
     )
     assert ran.returncode == 0
     assert "aoi_mean[1]" in ran.stdout
+    for command in console_script_commands():
+        ran = subprocess.run(
+            [*command, "analytic", "--config", str(cfgfile)],
+            capture_output=True,
+            text=True,
+        )
+        assert ran.returncode == 0, ran.stderr
+        assert "aoi_mean[1]" in ran.stdout
+
+
+S_GRID_CFG = SIM_CFG + "s_grid = {}\n"
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
+def test_cli_identical_s_rows_collapse(command, tmp_path, capsys):
+    cfgfile = write_config(tmp_path, S_GRID_CFG.format("1, 1; 0.5, 2; 1, 1"))
+    assert main([command, "--config", str(cfgfile)]) in (0, 2)  # 2: a gate miss at this short horizon
+    labels = [line.split()[0] for line in capsys.readouterr().out.splitlines() if "joint_laplace(" in line]
+    assert sorted(labels) == sorted(set(labels))
+    assert "joint_laplace(1,1)" in labels and "joint_laplace(0.5,2)" in labels
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
+def test_cli_colliding_s_row_labels_exit_1(command, tmp_path, capsys):
+    cfgfile = write_config(tmp_path, S_GRID_CFG.format("0.1234567, 0; 0.1234568, 0; 1, 1; 1, 1"))
+    trace = tmp_path / "trace.csv"
+    assert main([command, "--config", str(cfgfile), "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert "share the label joint_laplace(0.123457,0)" in captured.err
+    assert captured.out == ""
+    assert not trace.exists()

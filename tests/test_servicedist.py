@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoistats.servicedist import (
@@ -12,7 +12,6 @@ from aoistats.servicedist import (
     Mixture,
     format_service,
     parse_service,
-    subset_mixture,
 )
 
 FD_REL_TOL = 1e-6
@@ -71,24 +70,6 @@ def test_mixture_anchor_values():
     assert m.mean() == 0.375
     assert m.laplace(0.0) == pytest.approx(1.0, abs=1e-15)
     assert m.laplace(2.0) == pytest.approx(0.5 * 0.5 + 0.5 * (4.0 / 6.0), rel=1e-15)
-
-
-def test_subset_mixture_anchor_value():
-    mixed = subset_mixture((1.0, 2.0), (Exponential(6.0), Exponential(3.0)), {0, 1})
-    assert mixed.laplace(3.0) == pytest.approx(5.0 / 9.0, rel=1e-15)
-
-
-def test_subset_mixture_singleton_and_flattening():
-    inner = Mixture((0.25, 0.75), (Exponential(2.0), Deterministic(0.5)))
-    models_ = (inner, Gamma(2.0, 8.0))
-    assert subset_mixture((1.0, 3.0), models_, {1}) is models_[1]
-    flat = subset_mixture((1.0, 3.0), models_, {0, 1})
-    assert all(not isinstance(c, Mixture) for c in flat.components)
-    assert math.fsum(flat.weights) == pytest.approx(1.0, abs=1e-12)
-    # flattened transform equals the rate-weighted combination
-    for s in (0.0, 1.0, 4.0):
-        direct = 0.25 * inner.laplace(s) + 0.75 * models_[1].laplace(s)
-        assert flat.laplace(s) == pytest.approx(direct, rel=1e-14)
 
 
 # --- validation --------------------------------------------------------------
@@ -161,10 +142,14 @@ def test_peak_bound_attained_by_matched_point_mass():
 
 
 @given(models(), st.floats(min_value=0.1, max_value=20.0))
+@example(Deterministic(5.960464477539063e-08), 1.0)
 @settings(max_examples=60)
 def test_first_derivative_matches_finite_difference(model, s):
-    h = 1e-6 * max(1.0, s)
-    fd = (model.laplace(s + h) - model.laplace(s - h)) / (2.0 * h)
+    # complex-step derivative: Im L(s + ih) / h has no subtractive
+    # cancellation, so it stays accurate where a central difference of a
+    # nearly flat transform (tiny point mass) loses every digit
+    h = 1e-20
+    fd = model.laplace_complex(complex(s, h)).imag / h
     exact = model.laplace_derivative(s)
     assert fd == pytest.approx(exact, rel=FD_REL_TOL, abs=1e-12)
 

@@ -14,9 +14,9 @@ from aoistats.analytics import (
     pushout_rate,
     source_update_share,
 )
+from aoistats import simulator
 from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture
 from aoistats.simulator import (
-    AoISnapshot,
     Estimate,
     PathAccumulator,
     default_burn_in,
@@ -32,6 +32,12 @@ from aoistats.simulator import (
     run_replication,
     run_replications,
     simulate,
+)
+from segment_oracles import (
+    AoISnapshot,
+    add_segment,
+    segment_integral_exponential,
+    segment_integral_moments,
 )
 
 SYMMETRIC = SystemSpec(rates=(3.0, 3.0), services=(Exponential(6.0), Exponential(6.0)))
@@ -91,16 +97,13 @@ def test_default_burn_in_and_grid():
 def test_segment_integral_exponential_anchor():
     snap = AoISnapshot(np.zeros(2), np.zeros(2))
     # zero starting ages, s = (1, 1), length ln 2: (1 - 1/4) / 2
-    value = __import__("aoistats.simulator", fromlist=["segment_integral_exponential"])
-    got = value.segment_integral_exponential(snap, 0.0, math.log(2.0), (1.0, 1.0))
+    got = segment_integral_exponential(snap, 0.0, math.log(2.0), (1.0, 1.0))
     assert got == pytest.approx(0.375, rel=1e-15)
     # s = 0 degenerates to the segment length
-    assert value.segment_integral_exponential(snap, 0.0, 2.5, (0.0, 0.0)) == 2.5
+    assert segment_integral_exponential(snap, 0.0, 2.5, (0.0, 0.0)) == 2.5
 
 
 def test_segment_integral_moments_anchor():
-    from aoistats.simulator import segment_integral_moments
-
     snap = AoISnapshot(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     age, age_sq, cross = segment_integral_moments(snap, 0.0, 1.0)
     assert age == pytest.approx([1.5, 2.5], rel=1e-15)
@@ -111,8 +114,6 @@ def test_segment_integral_moments_anchor():
 
 
 def test_segment_integrals_are_additive():
-    from aoistats.simulator import segment_integral_exponential, segment_integral_moments
-
     snap = AoISnapshot(np.array([-1.0, 0.5]), np.array([0.3, 0.0]))
     s = (0.7, 1.3)
     whole = segment_integral_exponential(snap, 1.0, 3.0, s)
@@ -128,8 +129,6 @@ def test_segment_integrals_are_additive():
 
 
 def test_segment_integral_validation():
-    from aoistats.simulator import segment_integral_exponential
-
     snap = AoISnapshot(np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         segment_integral_exponential(snap, 1.0, 1.0, (1.0, 1.0))
@@ -159,7 +158,7 @@ def test_bulk_accumulation_matches_scalar():
     t = 0.0
     for a, L in zip(ages, lengths):
         snap = AoISnapshot(np.full(3, t), a)  # ages a at time t
-        scalar.add_segment(snap, t, t + L)
+        add_segment(scalar, snap, t, t + L)
         t += L
     assert bulk.exp_integrals == pytest.approx(scalar.exp_integrals, rel=1e-12)
     assert bulk.age_integrals == pytest.approx(scalar.age_integrals, rel=1e-12)
@@ -167,28 +166,6 @@ def test_bulk_accumulation_matches_scalar():
     assert bulk.cross_integrals == pytest.approx(scalar.cross_integrals, rel=1e-12)
     assert bulk.cdf_occupancy == pytest.approx(scalar.cdf_occupancy, rel=1e-12)
     assert bulk.elapsed == pytest.approx(scalar.elapsed, rel=1e-12)
-
-
-def test_accumulator_merge_commutes():
-    rng = np.random.default_rng(12)
-    grid = ((0.5, 0.5),)
-
-    def filled():
-        acc = PathAccumulator(s_grid=grid, num_sources=2)
-        acc.add_segments(*random_path(rng, 50, 2))
-        return acc
-
-    a1, a2 = filled(), filled()
-    b1 = PathAccumulator(s_grid=grid, num_sources=2)
-    b2 = PathAccumulator(s_grid=grid, num_sources=2)
-    for src, dst in ((a1, b1), (a2, b2)):
-        dst.merge(src)
-    ab = b1.merge(b2)
-    ba_1 = PathAccumulator(s_grid=grid, num_sources=2).merge(a2).merge(a1)
-    # float addition commutes, so the two orders agree bit for bit
-    assert np.array_equal(ab.exp_integrals, ba_1.exp_integrals)
-    assert np.array_equal(ab.cross_integrals, ba_1.cross_integrals)
-    assert ab.elapsed == ba_1.elapsed
 
 
 def test_accumulator_layout_checks():
@@ -201,8 +178,6 @@ def test_accumulator_layout_checks():
         acc.add_segments(np.zeros((3, 1)), np.ones(3))
     with pytest.raises(ValueError):
         acc.add_segments(np.zeros((3, 2)), np.ones(4))
-    with pytest.raises(ValueError):
-        acc.merge(PathAccumulator(s_grid=((2.0, 2.0),), num_sources=2))
 
 
 # --- single replication ------------------------------------------------------
@@ -499,3 +474,26 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.statistics.mean, parallel.statistics.mean)
     for s in serial.joint_laplace:
         assert serial.joint_laplace[s].value == parallel.joint_laplace[s].value
+
+
+def test_worker_pool_is_capped(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    for workers, replications in ((8, 2), (8, 5), (2, 5), (1, 5)):
+        run_replications(SYMMETRIC, 50.0, 5.0, replications, 1, ((1.0, 1.0),), workers=workers)
+    assert started == [2, 3, 2]
