@@ -14,7 +14,6 @@ source k.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -47,12 +46,12 @@ __all__ = [
     "joint_laplace_label",
     "distinct_s_rows",
     "analytic_quantities",
-    "DEFAULT_PERMUTATION_CAP",
+    "DEFAULT_MAX_SOURCES",
     "TALBOT_NODES",
     "INVERSION_RESIDUAL_TOL",
 ]
 
-DEFAULT_PERMUTATION_CAP = 8
+DEFAULT_MAX_SOURCES = 16
 TALBOT_NODES = 64
 INVERSION_RESIDUAL_TOL = 1e-6
 
@@ -208,18 +207,18 @@ def palm_means(spec: SystemSpec, k: int) -> SourcePalmMeans:
     return SourcePalmMeans(delay_mean, delay_mean + 1.0 / update_rate, update_rate)
 
 
-def joint_aoi_laplace(spec: SystemSpec, s, max_sources: int = DEFAULT_PERMUTATION_CAP) -> float:
+def joint_aoi_laplace(spec: SystemSpec, s, max_sources: int = DEFAULT_MAX_SOURCES) -> float:
     """Joint transform E[exp(-sum_k s_k A_k)] of all K stationary ages.
 
-    Evaluated as a sum over the K! orderings of the sources by update
-    recency; the term for ordering (j_1, ..., j_K) is a product over
-    positions of L_{j_m}(sbar + lambda) / (sbar + lbar * L_H(sbar + lambda))
-    where H is the suffix {j_m, ..., j_K}, sbar and lbar are the suffix
-    sums of s and of the rates, and L_H is the rate-weighted suffix
-    mixture transform.  Suffix quantities are memoized per subset and the
-    permutation sum is accumulated exactly with math.fsum.
+    The closed form sums over the K! recency orderings of the sources; its
+    terms factor over recency suffixes, so it is F(all sources) of the
+    recursion over subsets H, with sbar_H the sum of s over H and F({}) = 1:
 
-    Cost grows as K!; refuses K above `max_sources` (default 8).
+        F(H) = sum_{k in H} lambda_k L_k(sbar_H + lambda) F(H - {k})
+               / (sbar_H + sum_{j in H} lambda_j L_j(sbar_H + lambda)).
+
+    Every F(H) lies in [0, 1], so rescaling time cannot overflow it.  Cost
+    grows as K 2^K; refuses K above `max_sources` (default 16).
     """
     K = spec.num_sources
     svec = [float(v) for v in np.asarray(s, dtype=float).reshape(-1)]
@@ -230,42 +229,26 @@ def joint_aoi_laplace(spec: SystemSpec, s, max_sources: int = DEFAULT_PERMUTATIO
             raise ValueError(f"transform arguments must be nonnegative and finite, got {v}")
     if K > max_sources:
         raise ValueError(
-            f"{K} sources need {math.factorial(K)} permutation terms, above the cap "
-            f"of {max_sources}! = {math.factorial(max_sources)}; raise max_sources to override"
+            f"{K} sources are above the cap of {max_sources}; raise max_sources to override"
         )
     lam = spec.total_rate
     nmask = 1 << K
-    # per-subset suffix tables; index = bitmask over sources
+    # per-subset tables indexed by bitmask; a mask's subsets come before it
     sbar = [0.0] * nmask
-    lbar = [0.0] * nmask
-    denom = [0.0] * nmask
-    numer = [[0.0] * nmask for _ in range(K)]
+    F = [1.0] + [0.0] * (nmask - 1)
     for mask in range(1, nmask):
         low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        sbar[mask] = sbar[rest] + svec[low]
-        lbar[mask] = lbar[rest] + spec.rates[low]
+        sbar[mask] = sbar[mask & (mask - 1)] + svec[low]
         arg = sbar[mask] + lam
+        rate_sum = 0.0
         acc = 0.0
         for k in range(K):
             if mask >> k & 1:
-                val = spec.services[k].laplace(arg)
-                numer[k][mask] = val
-                acc += spec.rates[k] * val
-        denom[mask] = sbar[mask] + acc  # sbar + lbar * L_H since lbar * L_H = acc
-    full = nmask - 1
-    terms = []
-    for perm in itertools.permutations(range(K)):
-        mask = full
-        prod = 1.0
-        for k in perm:
-            prod *= numer[k][mask] / denom[mask]
-            mask &= ~(1 << k)
-        terms.append(prod)
-    prefactor = 1.0
-    for r in spec.rates:
-        prefactor *= r
-    return prefactor * math.fsum(terms)
+                val = spec.rates[k] * spec.services[k].laplace(arg)
+                rate_sum += val
+                acc += val * F[mask ^ (1 << k)]
+        F[mask] = acc / (sbar[mask] + rate_sum)
+    return F[nmask - 1]
 
 
 def joint_aoi_laplace_two_source(spec: SystemSpec, s1: float, s2: float) -> float:

@@ -23,6 +23,7 @@ standard deviation across batches divided by sqrt(batches).
 from __future__ import annotations
 
 import csv
+import heapq
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -197,10 +198,10 @@ class PalmRecords:
     peak is NaN when the previous update of the source is the artificial
     start state (nothing real to peak against); gap is NaN for the final
     record when the next departure lies beyond the generated path.
-    last_update/last_delay hold, per record, every source's latest update
-    epoch and delay just after the departure (the departing source's own
-    row included); covered marks records where every source has had at
-    least one real update.
+    age, of shape (n, K), holds every source's age just after the
+    departure, A_k(t+) = D_k + t - U_k for the latest update epoch U_k and
+    its delay D_k (the departing source's age is its own delay); covered
+    marks records where every source has had at least one real update.
     """
 
     epoch: np.ndarray
@@ -208,8 +209,7 @@ class PalmRecords:
     delay: np.ndarray
     peak: np.ndarray
     gap: np.ndarray
-    last_update: np.ndarray
-    last_delay: np.ndarray
+    age: np.ndarray
     covered: np.ndarray
 
     def __len__(self) -> int:
@@ -358,38 +358,33 @@ def run_replication(
             pk[0] = np.nan  # first-ever update peaks against the start state
             peak[own] = pk
 
-    # exact path integrals over (burn_in, horizon]
-    interior = (dep_epoch > burn_in) & (dep_epoch < horizon)
-    starts = np.concatenate([[burn_in], dep_epoch[interior]])
-    bounds = np.append(starts[1:], horizon)
-    lengths = bounds - starts
-    ages = np.empty((starts.size, K))
-    for k in range(K):
-        j = np.searchsorted(own_U[k], starts, side="right") - 1
-        ages[:, k] = own_D[k][j] + (starts - own_U[k][j])
-    accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
-    accumulator.add_segments(ages, lengths)
-
-    # per-delivery records over the window
+    # ages just after burn-in and after every window departure
     in_window = dep_epoch > burn_in
     w_epoch = dep_epoch[in_window]
-    last_update = np.empty((w_epoch.size, K))
-    last_delay = np.empty((w_epoch.size, K))
-    covered = np.ones(w_epoch.size, dtype=bool)
+    points = np.concatenate([[burn_in], w_epoch])
+    ages = np.empty((points.size, K))
+    covered = np.ones(points.size, dtype=bool)
     for k in range(K):
-        j = np.searchsorted(own_U[k], w_epoch, side="right") - 1
-        last_update[:, k] = own_U[k][j]
-        last_delay[:, k] = own_D[k][j]
+        j = np.searchsorted(own_U[k], points, side="right") - 1
+        ages[:, k] = own_D[k][j] + (points - own_U[k][j])
         covered &= j >= 1
+
+    # exact path integrals over (burn_in, horizon]: a segment starts at
+    # burn-in and at each window departure before the horizon
+    starts_at = np.concatenate([[True], w_epoch < horizon])
+    starts = points[starts_at]
+    lengths = np.append(starts[1:], horizon) - starts
+    accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
+    accumulator.add_segments(ages[starts_at], lengths)
+
     records = PalmRecords(
         epoch=w_epoch,
         source=dep_src[in_window],
         delay=dep_delay[in_window],
         peak=peak[in_window],
         gap=dep_gap[in_window],
-        last_update=last_update,
-        last_delay=last_delay,
-        covered=covered,
+        age=ages[1:],
+        covered=covered[1:],
     )
 
     late = tuple(
@@ -400,15 +395,14 @@ def run_replication(
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "kind", "source", "value"])
-            ev_epoch = np.concatenate([epochs[:-1], dep_epoch])
-            ev_kind = ["arrival"] * n_packets + ["departure"] * dep_epoch.size
-            ev_src = np.concatenate([src, dep_src])
-            ev_val = np.concatenate([svc, dep_delay])
-            order = np.argsort(ev_epoch, kind="stable")
-            for i in order:
-                writer.writerow(
-                    [repr(float(ev_epoch[i])), ev_kind[int(i)], int(ev_src[i]) + 1, repr(float(ev_val[i]))]
-                )
+            # both event streams are in time order; at equal epochs the
+            # merge puts arrivals first
+            arrivals = zip(epochs[:-1].tolist(), ["arrival"] * n_packets, (src + 1).tolist(), svc.tolist())
+            departures = zip(
+                dep_epoch.tolist(), ["departure"] * dep_epoch.size, (dep_src + 1).tolist(), dep_delay.tolist()
+            )
+            for ev_epoch, kind, source, value in heapq.merge(arrivals, departures, key=lambda ev: ev[0]):
+                writer.writerow([repr(ev_epoch), kind, source, repr(value)])
 
     return ReplicationResult(
         accumulator=accumulator,
@@ -474,14 +468,15 @@ def estimate_joint_laplace(results, s) -> Estimate:
 
 
 def estimate_joint_laplace_palm(results, s) -> Estimate:
-    """Delivery-sampled product-form estimate of E[exp(-s . A)].
+    """Delivery-sampled estimate of E[exp(-s . A)].
 
-    Completely different route from estimate_joint_laplace: at each
-    departure, sort the sources by update recency and combine their
-    delays, the recency gaps, and the gap to the next departure into one
-    product term; the transform is (update rate) * mean(term) / sum(s).
-    Departures before every source has delivered at least once are
-    skipped and counted in the flag.
+    Completely different route from estimate_joint_laplace: each departure
+    at t contributes the integral of exp(-s . A) over the segment up to the
+    next departure, (1 - exp(-sbar * gap)) * exp(-s . A(t+)) / sbar with
+    sbar = sum(s), and the transform is the departure rate times the mean
+    contribution.  Departures before every source has delivered are skipped
+    and counted in the flag; the final one, whose gap is unknown, is
+    skipped uncounted.
     """
     results = _require_results(results)
     row, _ = _grid_index(results, s)
@@ -498,19 +493,7 @@ def estimate_joint_laplace_palm(results, s) -> Estimate:
         if not valid.any():
             values.append(np.nan)
             continue
-        lastU = rec.last_update[valid]
-        lastD = rec.last_delay[valid]
-        gap = rec.gap[valid]
-        order = np.argsort(-lastU, axis=1, kind="stable")
-        SU = np.take_along_axis(lastU, order, axis=1)
-        SD = np.take_along_axis(lastD, order, axis=1)
-        ss = svec[order]
-        # suffix sums of the sorted arguments: ssuf[:, m] = sum_{j >= m} ss[:, j]
-        ssuf = np.cumsum(ss[:, ::-1], axis=1)[:, ::-1]
-        expo = (ss * SD).sum(axis=1)
-        if SU.shape[1] > 1:
-            expo += (ssuf[:, 1:] * (-np.diff(SU, axis=1))).sum(axis=1)
-        term = -np.expm1(-sbar * gap) * np.exp(-expo)
+        term = -np.expm1(-sbar * rec.gap[valid]) * np.exp(-(rec.age[valid] @ svec))
         rate = rec.epoch.size / r.window_span
         values.append(rate * float(term.mean()) / sbar)
     flag = f"{skipped} warm-up departures skipped" if skipped else None

@@ -25,12 +25,30 @@ from aoistats.analytics import (
     source_update_share,
 )
 from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture
+from aoistats.simulator import default_s_grid
+from ordering_oracles import joint_laplace_permutation_sum
 
 # two identical exponential sources at rate 3 with mean service 1/6; all
 # closed forms are rational numbers for this system
 SYMMETRIC = SystemSpec(rates=(3.0, 3.0), services=(Exponential(6.0), Exponential(6.0)))
 
 DET_BOUND = -0.2909883534346632  # -1/(2(e-1))
+
+# the eight-source system of the benchmark's gate-k8-par workload, one
+# source of every service family
+EIGHT = SystemSpec(
+    rates=(1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.15),
+    services=(
+        Exponential(6.0),
+        Gamma(2.0, 12.0),
+        Deterministic(0.15),
+        Mixture((0.5, 0.5), (Exponential(10.0), Deterministic(0.1))),
+        Exponential(8.0),
+        Gamma(0.5, 3.0),
+        Deterministic(0.1),
+        Gamma(4.0, 24.0),
+    ),
+)
 
 
 def random_spec(rng, max_sources=4):
@@ -238,14 +256,54 @@ def test_joint_laplace_monotone_in_each_argument():
         assert joint_aoi_laplace(spec, s) < base
 
 
+def test_joint_laplace_matches_permutation_sum():
+    rng = np.random.default_rng(48)
+    specs = [random_spec(rng, max_sources=6) for _ in range(30)]
+    assert {spec.num_sources for spec in specs} == set(range(1, 7))
+    cases = [(spec, tuple(rng.uniform(0.0, 3.0, spec.num_sources))) for spec in specs]
+    cases += [(EIGHT, row) for row in default_s_grid(8)]
+    for spec, s in cases:
+        assert joint_aoi_laplace(spec, s) == pytest.approx(
+            joint_laplace_permutation_sum(spec, s), rel=1e-13, abs=0.0
+        )
+
+
+def _rescaled_model(model, c):
+    # the same service law on a time axis rescaled by 1/c
+    if isinstance(model, Exponential):
+        return Exponential(model.rate * c)
+    if isinstance(model, Gamma):
+        return Gamma(model.shape, model.rate * c)
+    if isinstance(model, Deterministic):
+        return Deterministic(model.value / c)
+    return Mixture(model.weights, tuple(_rescaled_model(m, c) for m in model.components))
+
+
+@pytest.mark.parametrize(
+    "spec, c",
+    [(EIGHT, 1e-40), (EIGHT, 1e40), (SYMMETRIC, 1e-160), (SYMMETRIC, 1e160)],
+)
+def test_joint_laplace_is_scale_invariant(spec, c):
+    scaled = SystemSpec(
+        rates=tuple(r * c for r in spec.rates),
+        services=tuple(_rescaled_model(m, c) for m in spec.services),
+    )
+    for row in default_s_grid(spec.num_sources):
+        value = joint_aoi_laplace(scaled, tuple(v * c for v in row))
+        assert math.isfinite(value)
+        assert value == pytest.approx(joint_aoi_laplace(spec, row), rel=1e-13, abs=0.0)
+
+
 def test_joint_laplace_argument_checks():
     with pytest.raises(ValueError):
         joint_aoi_laplace(SYMMETRIC, (1.0,))
     with pytest.raises(ValueError):
         joint_aoi_laplace(SYMMETRIC, (1.0, -1.0))
-    big = SystemSpec(rates=(1.0,) * 9, services=(Exponential(30.0),) * 9)
+    big = SystemSpec(rates=(1.0,) * 17, services=(Exponential(30.0),) * 17)
     with pytest.raises(ValueError):
-        joint_aoi_laplace(big, (0.1,) * 9)
+        joint_aoi_laplace(big, (0.1,) * 17)
+    sixteen = SystemSpec(rates=(1.0,) * 16, services=(Exponential(30.0),) * 16)
+    assert 0.0 < joint_aoi_laplace(sixteen, (0.1,) * 16) < 1.0
     # the cap is an override, not a hard limit
     five = SystemSpec(rates=(1.0,) * 5, services=(Exponential(20.0),) * 5)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import csv
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import aoistats
 from aoistats import experiments
 from aoistats.cli import main
 from aoistats.config import ConfigError, parse_config, render_config
@@ -332,10 +334,15 @@ def console_script_commands(name="aoistats"):
 
 def test_console_script_and_module_entry(tmp_path):
     cfgfile = write_config(tmp_path, ANALYTIC_CFG)
+    # the subprocesses import the package this test imported
+    package_parent = str(Path(aoistats.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
     ran = subprocess.run(
         [sys.executable, "-m", "aoistats", "analytic", "--config", str(cfgfile)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert ran.returncode == 0
     assert "aoi_mean[1]" in ran.stdout
@@ -344,6 +351,7 @@ def test_console_script_and_module_entry(tmp_path):
             [*command, "analytic", "--config", str(cfgfile)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert ran.returncode == 0, ran.stderr
         assert "aoi_mean[1]" in ran.stdout

@@ -33,6 +33,7 @@ from aoistats.simulator import (
     run_replications,
     simulate,
 )
+from ordering_oracles import sorted_palm_exponent
 from segment_oracles import (
     AoISnapshot,
     add_segment,
@@ -299,6 +300,34 @@ def test_peak_identity_from_trace(tmp_path):
             assert epoch not in expected
         else:
             assert peak == pytest.approx(expected[epoch], rel=1e-12)
+
+
+def test_palm_records_hold_ages_after_each_departure():
+    # walk the deliveries in epoch order from the start state (0, 0)
+    r = run_replication(MIXED3, 300.0, 0.0, 17, 0, ())
+    rec = r.records
+    assert rec.age.shape == (len(rec), 3) and rec.covered.shape == (len(rec),)
+    last = [(0.0, 0.0)] * 3
+    seen = set()
+    for i in range(len(rec)):
+        t = rec.epoch[i]
+        last[rec.source[i]] = (t, rec.delay[i])
+        seen.add(int(rec.source[i]))
+        assert [D + (t - U) for U, D in last] == list(rec.age[i])
+        assert rec.covered[i] == (len(seen) == 3)
+    assert not rec.covered[0] and rec.covered[-1]
+
+
+def test_palm_exponent_needs_no_recency_sort():
+    # sorting sources by recency and telescoping the gaps gives s . A(t+),
+    # where the departing source's update epoch t is the latest one
+    rng = np.random.default_rng(71)
+    for K in (1, 2, 3, 8):
+        U = rng.uniform(0.0, 50.0, (200, K))
+        D = rng.uniform(0.0, 2.0, (200, K))
+        s = rng.uniform(0.0, 3.0, K)
+        age = D + (U.max(axis=1, keepdims=True) - U)
+        assert np.allclose(sorted_palm_exponent(U, D, s), age @ s, rtol=1e-12, atol=0.0)
 
 
 def test_late_source_detection():
