@@ -97,7 +97,8 @@ def _fmt(v: float) -> str:
 def _cmd_analytic(cfg: RunConfig) -> int:
     spec = _require_spec(cfg, "analytic")
     header = ("quantity", "value")
-    rows = analytics.analytic_quantities(spec, cfg.s_grid).items()
+    s_grid = cfg.s_grid or simulator.default_s_grid(spec.num_sources)
+    rows = analytics.analytic_quantities(spec, s_grid).items()
     _print_table(header, [(name, _fmt(value)) for name, value in rows], sys.stdout)
     if cfg.output:
         experiments.write_csv(cfg.output, header, rows)

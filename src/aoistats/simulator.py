@@ -9,7 +9,10 @@ one categorical draw per arrival, and the departure set is a simple
 thinning.  Between departures every age grows with slope one, so all
 path integrals (exponential functionals for transforms, polynomial ones
 for moments, occupancy for empirical CDFs) are accumulated segment by
-segment in closed form; nothing is discretized.
+segment in closed form; nothing is discretized.  Occupancy below each
+level of a CDF grid is a cumulative sum, over the sorted grid, of each
+cell's overlap with the segments' age ranges: O(n log m) per source for
+n segments and m levels.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
@@ -116,7 +119,8 @@ class PathAccumulator:
     Tracks, per requested argument vector, the integral of
     exp(-s . A(t)); per source the integrals of A_k and A_k^2; all
     pairwise integrals of A_j A_k; optionally, per source, the occupancy
-    time below each level of `cdf_grid`.
+    time below each level of `cdf_grid` (a nonempty 1-D array of finite
+    levels, in any order).
     """
 
     s_grid: tuple[tuple[float, ...], ...]
@@ -145,13 +149,22 @@ class PathAccumulator:
         self.age_sq_integrals = np.zeros(K)
         self.cross_integrals = np.zeros((K, K))
         if self.cdf_grid is not None:
-            self.cdf_grid = np.asarray(self.cdf_grid, dtype=float)
-            self.cdf_occupancy = np.zeros((K, self.cdf_grid.size))
+            x = np.asarray(self.cdf_grid, dtype=float)
+            if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+                raise ValueError(f"CDF grid must be a nonempty 1-D array of finite levels, got {x!r}")
+            self.cdf_grid = x
+            self.cdf_occupancy = np.zeros((K, x.size))
         else:
             self.cdf_occupancy = None
 
     def add_segments(self, ages: np.ndarray, lengths: np.ndarray) -> None:
-        """Vectorized bulk accumulation; rows of `ages` are segment starts."""
+        """Vectorized bulk accumulation; rows of `ages` are segment starts.
+
+        A segment with start ages a and length L spends
+        clip(x - a_k, 0, L) time with source k's age at or below x; the
+        occupancy at every grid level is summed from per-cell overlaps in
+        O(n log m) per source (see `_occupancy`), never as an n-by-m array.
+        """
         ages = np.asarray(ages, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
         if ages.ndim != 2 or ages.shape[1] != self.num_sources:
@@ -180,15 +193,57 @@ class PathAccumulator:
             + float((L2 * L).sum()) / 3.0
         )
         if self.cdf_grid is not None:
-            x = self.cdf_grid
-            block = max(1, 4_000_000 // max(x.size, 1))
-            for lo in range(0, ages.shape[0], block):
-                a = ages[lo : lo + block]
-                Lb = L[lo : lo + block, None]
-                for k in range(self.num_sources):
-                    occ = np.clip(x[None, :] - a[:, k][:, None], 0.0, Lb)
-                    self.cdf_occupancy[k] += occ.sum(axis=0)
+            for k in range(self.num_sources):
+                self.cdf_occupancy[k] += _occupancy(self.cdf_grid, ages[:, k], L)
         self.elapsed += total
+
+
+def _occupancy(grid: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """sum_i clip(x - starts[i], 0, lengths[i]) at every x in `grid`.
+
+    Sorted, the grid splits the line into cells (x_{j-1}, x_j]; the result
+    is the cumulative sum of each cell's total overlap with the age ranges
+    [a_i, a_i + L_i].  A range contributes its part in the cell holding
+    its start, whole cells, and its part in the cell holding its end; the
+    whole cells are counted with a difference array.  Every increment is
+    a sum of nonnegative terms, so the result never decreases along the
+    sorted grid, and it is zero exactly where every clip term is.  Costs
+    O(n log m + m) for n ranges and m grid points.
+    """
+    order = np.argsort(grid)
+    xs = grid[order]
+    m, n = xs.size, starts.size
+    ends = starts + lengths
+    # a range starting at a grid point adds nothing at that point, so its
+    # first cell is the one right of it
+    first = np.searchsorted(xs, starts, side="right")
+    last = np.searchsorted(xs, ends, side="left")
+    spans = last > first  # some grid point lies in (a_i, a_i + L_i)
+    inside = ~spans
+
+    # bincount adds a cell's values one after another, so many equal ones
+    # (a deterministic source's deliveries all start at the same age) drift
+    # by up to one rounding each.  Summing runs of about m consecutive
+    # ranges apart and then the runs pairwise keeps that drift to about m
+    # roundings, in a table of about n + m entries.
+    runs = max(1, n // (m + 1))
+    run = np.arange(n) * runs // max(n, 1)
+
+    def cell_sums(sel, cells, weights):
+        table = np.bincount(cells * runs + run[sel], weights, minlength=(m + 1) * runs)
+        return table.reshape(m + 1, runs).sum(axis=1)
+
+    f, l = first[spans], last[spans]
+    inc = np.zeros(m + 1)  # bincount of no values returns integers
+    inc += cell_sums(inside, first[inside], lengths[inside])
+    inc += cell_sums(spans, f, xs[f] - starts[spans])
+    inc += cell_sums(spans, l, ends[spans] - xs[l - 1])
+    # ranges covering cell j whole: first < j < last
+    covering = np.cumsum(np.bincount(f + 1, minlength=m + 1) - np.bincount(l, minlength=m + 1))
+    inc[1:m] += covering[1:m] * np.diff(xs)
+    occ = np.empty(m)
+    occ[order] = np.cumsum(inc[:m])
+    return occ
 
 
 @dataclass
@@ -470,13 +525,18 @@ def estimate_joint_laplace(results, s) -> Estimate:
 def estimate_joint_laplace_palm(results, s) -> Estimate:
     """Delivery-sampled estimate of E[exp(-s . A)].
 
-    Completely different route from estimate_joint_laplace: each departure
-    at t contributes the integral of exp(-s . A) over the segment up to the
-    next departure, (1 - exp(-sbar * gap)) * exp(-s . A(t+)) / sbar with
-    sbar = sum(s), and the transform is the departure rate times the mean
-    contribution.  Departures before every source has delivered are skipped
-    and counted in the flag; the final one, whose gap is unknown, is
-    skipped uncounted.
+    Each departure at t contributes the exact integral of exp(-s . A) over
+    the segment up to the next departure, (1 - exp(-sbar * gap)) *
+    exp(-s . A(t+)) / sbar with sbar = sum(s), and the transform is the
+    departure rate times the mean contribution.  Departures before every
+    source has delivered are skipped and counted in the flag; the final
+    one, whose gap is unknown, is skipped uncounted.
+
+    This is not an independent route: the terms are pieces of the same
+    path integral that estimate_joint_laplace divides by the elapsed time.
+    With N window departures of which N_valid are used, the estimate is
+    the time average over the covered segments rescaled by N / N_valid, so
+    it agrees with estimate_joint_laplace far inside either stderr.
     """
     results = _require_results(results)
     row, _ = _grid_index(results, s)

@@ -1,8 +1,9 @@
-"""Scalar reference forms of the simulator's path integrals.
+"""Reference forms of the simulator's path integrals.
 
 The simulator accumulates whole paths at once with
-`PathAccumulator.add_segments`; these one-segment-at-a-time versions are
-the oracles the tests check it against.
+`PathAccumulator.add_segments`; these one-segment-at-a-time versions, and
+the clip sum over every (segment, level) pair for CDF occupancy, are the
+oracles the tests check it against.
 """
 
 import math
@@ -73,3 +74,13 @@ def add_segment(acc, snapshot: AoISnapshot, t0: float, t1: float) -> None:
         L = t1 - t0
         acc.cdf_occupancy += np.clip(acc.cdf_grid[None, :] - a[:, None], 0.0, L)
     acc.elapsed += t1 - t0
+
+
+def clip_occupancy(grid, ages: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Occupancy (K, m) of segments with start ages `ages` (n, K) and
+    `lengths` (n,): sum_i clip(x - ages[i, k], 0, lengths[i]) at every x
+    in `grid`, as one n-by-m array per source."""
+    x = np.asarray(grid, dtype=float)
+    L = np.asarray(lengths, dtype=float)[:, None]
+    columns = np.asarray(ages, dtype=float).T
+    return np.array([np.clip(x[None, :] - a[:, None], 0.0, L).sum(axis=0) for a in columns])

@@ -378,3 +378,17 @@ def test_cli_colliding_s_row_labels_exit_1(command, tmp_path, capsys):
     assert "share the label joint_laplace(0.123457,0)" in captured.err
     assert captured.out == ""
     assert not trace.exists()
+
+
+def test_cli_analytic_falls_back_to_default_s_grid(tmp_path, capsys):
+    cfg = "source = 1 exp(6)\nsource = 2 gamma(2, 12)\nsource = 3 det(0.1)\n"
+    cfgfile = write_config(tmp_path, cfg + "horizon = 300\nburn_in = 20\nreplications = 4\nseed = 1\n")
+
+    def joint_labels(command):
+        assert main([command, "--config", str(cfgfile)]) in (0, 2)  # 2: a gate miss at this short horizon
+        out = capsys.readouterr().out
+        return [line.split()[0] for line in out.splitlines() if line.startswith("joint_laplace(")]
+
+    labels = joint_labels("analytic")
+    assert len(labels) == 6 and "joint_laplace(0.5,1,2)" in labels
+    assert joint_labels("compare") == labels

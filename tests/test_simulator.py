@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aoistats.analytics import (
     SystemSpec,
@@ -37,6 +39,7 @@ from ordering_oracles import sorted_palm_exponent
 from segment_oracles import (
     AoISnapshot,
     add_segment,
+    clip_occupancy,
     segment_integral_exponential,
     segment_integral_moments,
 )
@@ -179,6 +182,52 @@ def test_accumulator_layout_checks():
         acc.add_segments(np.zeros((3, 1)), np.ones(3))
     with pytest.raises(ValueError):
         acc.add_segments(np.zeros((3, 2)), np.ones(4))
+    for bad in ([], [[0.5, 1.0]], [0.5, np.nan], [np.inf], [0.5, -np.inf]):
+        with pytest.raises(ValueError, match="CDF grid"):
+            PathAccumulator(s_grid=(), num_sources=2, cdf_grid=bad)
+
+
+# levels that are exact in binary, so that segment starts, ends and grid
+# points coincide exactly
+_LEVELS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+@st.composite
+def occupancy_cases(draw):
+    """Segments (ages (n, K), lengths (n,)) and an unsorted CDF grid.
+
+    Lengths are 0 or at least 1e-2: below about 1e-4 of the ages, the
+    rounding of a + L alone moves a segment's share by more than 1e-12 of
+    it, in the clip oracle too.
+    """
+    K = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 12))
+    level = st.sampled_from(_LEVELS)
+    age = st.one_of(level, st.floats(0.0, 4.0))
+    length = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(1e-2, 2.0))
+    ages = np.array(draw(st.lists(age, min_size=n * K, max_size=n * K))).reshape(n, K)
+    lengths = np.array(draw(st.lists(length, min_size=n, max_size=n)), dtype=float)
+    # grid points below every age, above every end, and on starts and ends
+    seen = list(_LEVELS) + ages.ravel().tolist() + (ages + lengths[:, None]).ravel().tolist()
+    point = st.one_of(st.sampled_from(seen), st.floats(-1.0, 7.0))
+    grid = np.array(draw(st.lists(point, min_size=1, max_size=10)))
+    return ages, lengths, grid
+
+
+@given(occupancy_cases())
+@example((np.array([[0.5], [1.0], [1.0]]), np.array([0.0, 0.5, 0.0]), np.array([1.5, 0.5, 1.0, 1.0, -1.0])))
+@example((np.array([[2.0, 0.25], [0.5, 3.0]]), np.array([1.0, 0.25]), np.array([0.1, 6.0, 0.2])))
+@example((np.zeros((0, 3)), np.zeros(0), np.array([1.0, 0.0])))
+@example((np.array([[1.0]]), np.array([1e-17]), np.array([2.0, 1.0])))  # 1.0 + 1e-17 == 1.0
+def test_occupancy_matches_clip_sum(case):
+    ages, lengths, grid = case
+    acc = PathAccumulator(s_grid=(), num_sources=ages.shape[1], cdf_grid=grid)
+    acc.add_segments(ages, lengths)
+    occ = acc.cdf_occupancy
+    # relative only: a level no segment reaches must read exactly 0
+    np.testing.assert_allclose(occ, clip_occupancy(grid, ages, lengths), rtol=1e-12, atol=0.0)
+    assert np.all(occ >= 0.0)
+    assert np.all(np.diff(occ[:, np.argsort(grid)], axis=1) >= 0.0)
 
 
 # --- single replication ------------------------------------------------------
