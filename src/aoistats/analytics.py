@@ -455,7 +455,10 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x, nodes: int = TALBOT_NODES):
     contour with `nodes` nodes and clamps the result to [0, 1].  The same
     inversion at 3/4 of the node count serves as a residual estimate;
     residuals above INVERSION_RESIDUAL_TOL raise an
-    InversionAccuracyWarning but still return the value.
+    InversionAccuracyWarning but still return the value.  An age is at
+    least the delay of the last delivered update, so at or below the lower
+    end of source k's service support the result is exactly 0, with no
+    inversion.
 
     `x` may be a scalar or an array of thresholds; arrays invert point by
     point and return an array of the same shape.
@@ -468,7 +471,7 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x, nodes: int = TALBOT_NODES):
     x = float(x)
     if not (math.isfinite(x) and x >= 0):
         raise ValueError(f"age threshold must be nonnegative and finite, got {x}")
-    if x == 0.0:
+    if x <= spec.services[k].support_min:
         return 0.0
 
     def lt(z: complex) -> complex:

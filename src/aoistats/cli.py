@@ -108,14 +108,6 @@ def _cmd_analytic(cfg: RunConfig) -> int:
 
 def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
     spec = _require_spec(cfg, "simulate")
-    if trace is not None:
-        burn = cfg.burn_in if cfg.burn_in is not None else simulator.default_burn_in(spec)
-        simulator.run_replication(
-            spec, cfg.horizon, burn, cfg.seed, 0,
-            cfg.s_grid or simulator.default_s_grid(spec.num_sources),
-            trace_path=trace,
-        )
-        print(f"wrote event trace {trace}")
     report = simulator.simulate(
         spec,
         horizon=cfg.horizon,
@@ -124,7 +116,10 @@ def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
         seed=cfg.seed,
         s_grid=cfg.s_grid or None,
         workers=workers,
+        trace_path=trace,
     )
+    if trace is not None:
+        print(f"wrote event trace {trace}")
     print(
         f"simulated {report.replications} replications, horizon {report.horizon:g}, "
         f"burn-in {report.burn_in:g}, seed {report.seed}"

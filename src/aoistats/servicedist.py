@@ -72,6 +72,11 @@ class ServiceTimeModel:
         """Exact E[S]; equals -laplace_derivative(0.0)."""
         raise NotImplementedError
 
+    @property
+    def support_min(self) -> float:
+        """Smallest possible service time, the lower end of the support."""
+        return 0.0
+
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Exact draw(s); a float when size is None, else a float ndarray."""
         raise NotImplementedError
@@ -178,6 +183,10 @@ class Deterministic(ServiceTimeModel):
     def mean(self):
         return self.value
 
+    @property
+    def support_min(self):
+        return self.value
+
     def sample(self, rng, size=None):
         if size is None:
             return self.value
@@ -229,6 +238,10 @@ class Mixture(ServiceTimeModel):
 
     def mean(self):
         return math.fsum(w * c.mean() for w, c in zip(self.weights, self.components))
+
+    @property
+    def support_min(self):
+        return min(c.support_min for c in self.components)
 
     def sample(self, rng, size=None):
         cum = np.cumsum(self.weights)

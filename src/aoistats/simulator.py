@@ -29,6 +29,7 @@ import csv
 import heapq
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -105,11 +106,7 @@ def default_s_grid(num_sources: int) -> tuple[tuple[float, ...], ...]:
         tuple(cyc[i % 3] for i in range(K)),
         (3.0,) * K,
     ]
-    seen: list[tuple[float, ...]] = []
-    for row in rows:
-        if row not in seen:
-            seen.append(row)
-    return tuple(seen)
+    return tuple(dict.fromkeys(rows))
 
 
 @dataclass
@@ -252,11 +249,9 @@ class PalmRecords:
 
     peak is NaN when the previous update of the source is the artificial
     start state (nothing real to peak against); gap is NaN for the final
-    record when the next departure lies beyond the generated path.
-    age, of shape (n, K), holds every source's age just after the
-    departure, A_k(t+) = D_k + t - U_k for the latest update epoch U_k and
-    its delay D_k (the departing source's age is its own delay); covered
-    marks records where every source has had at least one real update.
+    record when the next departure lies beyond the generated path;
+    covered marks records where every source has had at least one real
+    update.  The estimators read the sums on ReplicationResult instead.
     """
 
     epoch: np.ndarray
@@ -264,7 +259,6 @@ class PalmRecords:
     delay: np.ndarray
     peak: np.ndarray
     gap: np.ndarray
-    age: np.ndarray
     covered: np.ndarray
 
     def __len__(self) -> int:
@@ -291,12 +285,28 @@ class ReplicationCounts:
 
 @dataclass
 class ReplicationResult:
+    """One replication, reduced where it ran to fixed-size sums.
+
+    The estimators read `accumulator`, `counts`, the window and these sums
+    over the window departures: palm_terms[j], for row j of the
+    accumulator's s-grid, sums -expm1(-sbar * gap) * exp(-s . A(t+)),
+    sbar = sum(s), over the palm_valid covered records with a known gap
+    (palm_skipped records are not covered); source_sums, of shape (4, K),
+    holds per source the deliveries, their delay sum, and the sum and
+    count of their finite peaks.  `records` keeps the per-delivery arrays
+    for event-level checks.
+    """
+
     accumulator: PathAccumulator
     records: PalmRecords
     counts: ReplicationCounts
     horizon: float
     burn_in: float
     late_sources: tuple[int, ...]
+    palm_terms: np.ndarray
+    palm_valid: int
+    palm_skipped: int
+    source_sums: np.ndarray
 
     @property
     def window_span(self) -> float:
@@ -342,7 +352,6 @@ def run_replication(
         raise ValueError(f"burn-in must satisfy 0 <= burn_in < horizon, got {burn_in}")
     K = spec.num_sources
     lam = spec.total_rate
-    s_grid = tuple(tuple(float(v) for v in row) for row in s_grid)
 
     rng_arr = replication_rng(seed, rep_index, _ROLE_INTERARRIVAL)
     rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
@@ -350,32 +359,23 @@ def run_replication(
 
     epochs = _generate_arrivals(lam, horizon, rng_arr)
     n_packets = epochs.size - 1  # the final epoch is past the horizon
-    if n_packets > 0:
-        shares = np.cumsum(np.array(spec.rates) / lam)
-        src = np.minimum(
-            np.searchsorted(shares, rng_src.random(n_packets), side="right"), K - 1
-        ).astype(np.int64)
-        svc = np.empty(n_packets)
-        for k in range(K):
-            mask = src == k
-            n = int(mask.sum())
-            if n:
-                svc[mask] = spec.services[k].sample(rng_svc, n)
-        gaps = np.diff(epochs)
-        completes = svc <= gaps  # a tie still departs
-        dep_epoch_all = epochs[:-1][completes] + svc[completes]
-        dep_src_all = src[completes]
-        dep_delay_all = svc[completes]
-        push_epochs = epochs[1:][~completes]
-        in_flight = int(epochs[-2] + svc[-1] > horizon) if n_packets else 0
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        svc = np.zeros(0)
-        dep_epoch_all = np.zeros(0)
-        dep_src_all = np.zeros(0, dtype=np.int64)
-        dep_delay_all = np.zeros(0)
-        push_epochs = np.zeros(0)
-        in_flight = 0
+    shares = np.cumsum(np.array(spec.rates) / lam)
+    src = np.minimum(
+        np.searchsorted(shares, rng_src.random(n_packets), side="right"), K - 1
+    ).astype(np.int64)
+    svc = np.empty(n_packets)
+    for k in range(K):
+        mask = src == k
+        n = int(mask.sum())
+        if n:
+            svc[mask] = spec.services[k].sample(rng_svc, n)
+    gaps = np.diff(epochs)
+    completes = svc <= gaps  # a tie still departs
+    dep_epoch_all = epochs[:-1][completes] + svc[completes]
+    dep_src_all = src[completes]
+    dep_delay_all = svc[completes]
+    push_epochs = epochs[1:][~completes]
+    in_flight = int(epochs[-2] + svc[-1] > horizon) if n_packets else 0
 
     # gap to the next departure, known for all but the last generated one
     gap_all = np.full(dep_epoch_all.size, np.nan)
@@ -398,20 +398,23 @@ def run_replication(
         window_pushouts=int(((push_epochs > burn_in) & (push_epochs <= horizon)).sum()),
     )
 
-    # per-source update sequences with the artificial start state prepended
+    # per-source update sequences with the artificial start state prepended,
+    # and the sums over each source's window deliveries
     own_U: list[np.ndarray] = []
     own_D: list[np.ndarray] = []
     peak = np.full(dep_epoch.size, np.nan)
+    source_sums = np.zeros((4, K))
     for k in range(K):
         own = np.flatnonzero(dep_src == k)
         Uk = np.concatenate([[0.0], dep_epoch[own]])
         Dk = np.concatenate([[0.0], dep_delay[own]])
         own_U.append(Uk)
         own_D.append(Dk)
-        if own.size:
-            pk = Dk[:-1] + np.diff(Uk)
-            pk[0] = np.nan  # first-ever update peaks against the start state
-            peak[own] = pk
+        pk = Dk[:-1] + np.diff(Uk)
+        pk[:1] = np.nan  # first-ever update peaks against the start state
+        peak[own] = pk
+        w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
+        source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
 
     # ages just after burn-in and after every window departure
     in_window = dep_epoch > burn_in
@@ -438,13 +441,19 @@ def run_replication(
         delay=dep_delay[in_window],
         peak=peak[in_window],
         gap=dep_gap[in_window],
-        age=ages[1:],
         covered=covered[1:],
     )
+    valid = records.covered & np.isfinite(records.gap)
+    palm_terms = np.zeros(len(accumulator.s_grid))
+    if accumulator.s_grid:  # without s-rows, skip gathering the valid rows
+        valid_gap, valid_age = records.gap[valid], ages[1:][valid]
+        for j, row in enumerate(accumulator.s_grid):
+            svec = np.array(row)
+            sbar = float(svec.sum())
+            if sbar != 0.0:
+                palm_terms[j] = (-np.expm1(-sbar * valid_gap) * np.exp(-(valid_age @ svec))).sum()
 
-    late = tuple(
-        k for k in range(K) if own_U[k].size < 2 or own_U[k][1] > burn_in
-    )
+    late = tuple(k for k in range(K) if own_U[k].size < 2 or own_U[k][1] > burn_in)
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
@@ -466,6 +475,10 @@ def run_replication(
         horizon=horizon,
         burn_in=burn_in,
         late_sources=late,
+        palm_terms=palm_terms,
+        palm_valid=int(valid.sum()),
+        palm_skipped=int((~records.covered).sum()),
+        source_sums=source_sums,
     )
 
 
@@ -539,27 +552,17 @@ def estimate_joint_laplace_palm(results, s) -> Estimate:
     it agrees with estimate_joint_laplace far inside either stderr.
     """
     results = _require_results(results)
-    row, _ = _grid_index(results, s)
-    svec = np.array(row)
-    sbar = float(svec.sum())
+    row, j = _grid_index(results, s)
+    sbar = float(np.sum(row))
     if sbar == 0.0:
         return Estimate(1.0, 0.0, len(results), flag="zero argument vector; value is the s -> 0 limit")
-    values = []
-    skipped = 0
-    for r in results:
-        rec = r.records
-        valid = rec.covered & np.isfinite(rec.gap)
-        skipped += int((~rec.covered).sum())
-        if not valid.any():
-            values.append(np.nan)
-            continue
-        term = -np.expm1(-sbar * rec.gap[valid]) * np.exp(-(rec.age[valid] @ svec))
-        rate = rec.epoch.size / r.window_span
-        values.append(rate * float(term.mean()) / sbar)
-    flag = f"{skipped} warm-up departures skipped" if skipped else None
-    if any(not math.isfinite(v) for v in values):
+    if any(r.palm_valid == 0 for r in results):
         return Estimate(math.nan, math.nan, len(results), flag="a replication had no usable departures")
-    return _combine(values, flag=flag)
+    values = [
+        r.counts.window_departures / r.window_span * (r.palm_terms[j] / r.palm_valid) / sbar for r in results
+    ]
+    skipped = sum(r.palm_skipped for r in results)
+    return _combine(values, flag=f"{skipped} warm-up departures skipped" if skipped else None)
 
 
 def estimate_statistics(results) -> AoIStatistics:
@@ -569,7 +572,6 @@ def estimate_statistics(results) -> AoIStatistics:
     recompute the same statistic per replication and take the spread.
     """
     results = _require_results(results)
-    K = results[0].accumulator.num_sources
 
     def stats_from(accs):
         T = math.fsum(a.elapsed for a in accs)
@@ -649,22 +651,16 @@ def estimate_palm(results) -> PalmEstimates:
     """Delivery-averaged delay and peak means, update rates and shares."""
     results = _require_results(results)
     K = results[0].accumulator.num_sources
-    delay, peakm, urate, share = [], [], [], []
-    totals = np.array([len(r.records) for r in results], dtype=float)
+    counts, delays, peaks, peak_counts = np.stack([r.source_sums for r in results], axis=1)
     spans = np.array([r.window_span for r in results])
-    for k in range(K):
-        masks = [r.records.source == k for r in results]
-        counts = np.array([int(m.sum()) for m in masks], dtype=float)
-        delay_sums = [float(r.records.delay[m].sum()) for r, m in zip(results, masks)]
-        peaks = [r.records.peak[m] for r, m in zip(results, masks)]
-        peak_sums = [float(np.nansum(p)) for p in peaks]
-        peak_counts = [int(np.isfinite(p).sum()) for p in peaks]
-        label = f"deliveries for source {k + 1}"
-        delay.append(_ratio_estimate(delay_sums, counts, label))
-        peakm.append(_ratio_estimate(peak_sums, peak_counts, f"peaks for source {k + 1}"))
-        urate.append(_ratio_estimate(counts, spans, label))
-        share.append(_ratio_estimate(counts, totals, "deliveries"))
-    return PalmEstimates(delay_mean=delay, peak_mean=peakm, update_rate=urate, update_share=share)
+    totals = np.array([r.counts.window_departures for r in results], dtype=float)
+    label = [f"deliveries for source {k + 1}" for k in range(K)]
+    return PalmEstimates(
+        delay_mean=[_ratio_estimate(delays[:, k], counts[:, k], label[k]) for k in range(K)],
+        peak_mean=[_ratio_estimate(peaks[:, k], peak_counts[:, k], f"peaks for source {k + 1}") for k in range(K)],
+        update_rate=[_ratio_estimate(counts[:, k], spans, label[k]) for k in range(K)],
+        update_share=[_ratio_estimate(counts[:, k], totals, "deliveries") for k in range(K)],
+    )
 
 
 def estimate_departure_rate(results) -> Estimate:
@@ -712,8 +708,7 @@ class SimulationReport:
 
 
 def _run_one(args) -> ReplicationResult:
-    spec, horizon, burn_in, seed, rep, s_grid, cdf_grid = args
-    return run_replication(spec, horizon, burn_in, seed, rep, s_grid, cdf_grid)
+    return run_replication(*args)
 
 
 def run_replications(
@@ -725,17 +720,19 @@ def run_replications(
     s_grid,
     cdf_grid=None,
     workers: int = 1,
+    trace_path=None,
 ) -> list[ReplicationResult]:
     """Run independent replications (optionally in parallel processes);
     results are always ordered by replication index.
 
     At most min(workers, replications, CPU count) processes start; results
-    do not depend on how many do.
+    do not depend on how many do.  Replication 0 writes its event trace to
+    `trace_path` when one is given (see run_replication).
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
     args = [
-        (spec, horizon, burn_in, seed, rep, tuple(s_grid), cdf_grid)
+        (spec, horizon, burn_in, seed, rep, tuple(s_grid), cdf_grid, trace_path if rep == 0 else None)
         for rep in range(replications)
     ]
     workers = min(workers, replications, os.cpu_count() or 1)
@@ -753,8 +750,10 @@ def simulate(
     seed: int = DEFAULT_SEED,
     s_grid=None,
     workers: int = 1,
+    trace_path=None,
 ) -> SimulationReport:
-    """Simulate and estimate everything the analytic side can predict."""
+    """Simulate and estimate everything the analytic side can predict;
+    replication 0 writes its event trace to `trace_path` when one is given."""
     if burn_in is None:
         burn_in = default_burn_in(spec)
         if burn_in >= horizon:
@@ -765,7 +764,9 @@ def simulate(
     if s_grid is None:
         s_grid = default_s_grid(spec.num_sources)
     s_grid = analytics.distinct_s_rows(s_grid)
-    results = run_replications(spec, horizon, burn_in, replications, seed, s_grid, workers=workers)
+    results = run_replications(
+        spec, horizon, burn_in, replications, seed, s_grid, workers=workers, trace_path=trace_path
+    )
 
     joint = {row: estimate_joint_laplace(results, row) for row in s_grid}
     palm_joint = {row: estimate_joint_laplace_palm(results, row) for row in s_grid}
@@ -773,10 +774,7 @@ def simulate(
     palm = estimate_palm(results)
 
     flags: list[str] = []
-    late: dict[int, int] = {}
-    for r in results:
-        for k in r.late_sources:
-            late[k] = late.get(k, 0) + 1
+    late = Counter(k for r in results for k in r.late_sources)
     for k in sorted(late):
         flags.append(
             f"source {k + 1}: first delivery after burn-in in {late[k]} of "

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -476,12 +477,37 @@ def test_cdf_shape_properties():
 
 def test_cdf_warns_when_inversion_is_rough():
     # a point-mass service makes the age density kink at the service time;
-    # the contour method converges slowly there and must say so
+    # the contour method converges slowly just above it and must say so
     det = SystemSpec(rates=(3.0, 3.0), services=(Deterministic(1.0 / 6.0),) * 2)
     with pytest.warns(InversionAccuracyWarning):
-        value = marginal_aoi_cdf(det, 0, 1.0 / 6.0)
+        value = marginal_aoi_cdf(det, 0, 0.17)
     assert 0.0 <= value <= 1.0
-    # ages can never undershoot the service time, so the exact value just
-    # below the kink is zero; the method only gets close and must warn
-    with pytest.warns(InversionAccuracyWarning):
-        assert marginal_aoi_cdf(det, 0, 0.12) < 1e-3
+    # ages can never undershoot the service time, so up to the kink the
+    # value is exactly zero, with no inversion to warn about
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert marginal_aoi_cdf(det, 0, 0.12) == 0.0
+        assert marginal_aoi_cdf(det, 0, 1.0 / 6.0) == 0.0
+
+
+def test_cdf_is_zero_below_the_smallest_delay():
+    # the benchmark's cdf-long system: source 2's ages are never below 0.2
+    spec = SystemSpec(rates=(2.0, 1.0), services=(Gamma(2.0, 8.0), Deterministic(0.2)))
+    grid = np.linspace(0.05, 6.0, 200)
+    below = grid[grid < 0.2]
+    assert below.size == 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert marginal_aoi_cdf(spec, 1, below).tolist() == [0.0] * 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InversionAccuracyWarning)
+        values = marginal_aoi_cdf(spec, 1, grid[:20])
+    assert np.all(np.diff(values) >= 0.0) and values[6] > 0.0
+    # a mixture's smallest age is its smallest component's
+    mix = SystemSpec(rates=(3.0,), services=(Mixture((0.5, 0.5), (Deterministic(0.3), Deterministic(0.1))),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert marginal_aoi_cdf(mix, 0, [0.05, 0.1]).tolist() == [0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InversionAccuracyWarning)
+        assert marginal_aoi_cdf(mix, 0, 0.15) > 0.0

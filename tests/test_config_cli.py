@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import aoistats
-from aoistats import experiments
+from aoistats import experiments, simulator
 from aoistats.cli import main
 from aoistats.config import ConfigError, parse_config, render_config
 from aoistats.experiments import ComparisonRow
@@ -225,6 +225,51 @@ def test_cli_simulate_trace(tmp_path, capsys):
         assert reader.fieldnames == ["epoch", "kind", "source", "value"]
         kinds = {row["kind"] for row in reader}
     assert kinds == {"arrival", "departure"}
+
+
+class _InProcessPool:
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_simulate_trace_is_replication_0_of_the_run(workers, tmp_path, capsys, monkeypatch):
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    cfg = parse_config(SIM_CFG)
+    expected = tmp_path / "expected.csv"
+    simulator.run_replication(cfg.spec, cfg.horizon, cfg.burn_in, cfg.seed, rep_index=0, trace_path=expected)
+    trace = tmp_path / "trace.csv"
+    argv = ["simulate", "--config", str(cfgfile), "--trace", str(trace), "--workers", workers]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert first.startswith(f"wrote event trace {trace}\nsimulated 4 replications")
+    assert trace.read_bytes() == expected.read_bytes()
+
+    # the same run, with every replication in this process, runs each once
+    calls = []
+    run_replication = simulator.run_replication
+
+    def recording(*args, **kwargs):
+        calls.append(args[4])
+        return run_replication(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_replication", recording)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    trace.unlink()
+    assert main(argv) == 0
+    assert calls == list(range(cfg.replications))
+    assert capsys.readouterr().out == first
+    assert trace.read_bytes() == expected.read_bytes()
 
 
 def test_cli_compare_pass_and_fail(tmp_path, capsys, monkeypatch):

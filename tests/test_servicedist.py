@@ -200,6 +200,14 @@ def test_sample_mean_matches_analytic(model, sd):
     assert abs(z) < 4.0
 
 
+def test_support_min_is_the_smallest_draw():
+    assert Exponential(4.0).support_min == 0.0
+    assert Gamma(2.0, 3.0).support_min == 0.0
+    assert Deterministic(0.3).support_min == 0.3
+    assert Mixture((0.5, 0.5), (Deterministic(0.3), Deterministic(0.1))).support_min == 0.1
+    assert Mixture((0.5, 0.5), (Exponential(2.0), Deterministic(0.1))).support_min == 0.0
+
+
 def test_sample_scalar_and_deterministic():
     rng = np.random.default_rng(5)
     x = Exponential(2.0).sample(rng)

@@ -36,6 +36,7 @@ from aoistats.simulator import (
     simulate,
 )
 from ordering_oracles import sorted_palm_exponent
+from palm_oracles import palm_from_records, palm_transform_from_records, trace_ages
 from segment_oracles import (
     AoISnapshot,
     add_segment,
@@ -351,20 +352,83 @@ def test_peak_identity_from_trace(tmp_path):
             assert peak == pytest.approx(expected[epoch], rel=1e-12)
 
 
-def test_palm_records_hold_ages_after_each_departure():
-    # walk the deliveries in epoch order from the start state (0, 0)
-    r = run_replication(MIXED3, 300.0, 0.0, 17, 0, ())
+def test_palm_records_hold_ages_after_each_departure(tmp_path):
+    # walk the traced deliveries in epoch order from the start state (0, 0)
+    # and rebuild the replication's Palm sums term by term
+    trace = tmp_path / "trace.csv"
+    s_grid = ((0.0, 0.0, 0.0), (0.5, 1.0, 2.0), (3.0, 3.0, 3.0))
+    r = run_replication(MIXED3, 300.0, 0.0, 17, 0, s_grid, trace_path=trace)
     rec = r.records
-    assert rec.age.shape == (len(rec), 3) and rec.covered.shape == (len(rec),)
+    with open(trace) as fh:
+        deps = [row for row in csv.DictReader(fh) if row["kind"] == "departure"]
+    assert [float(d["epoch"]) for d in deps] == rec.epoch.tolist()
+    assert rec.covered.shape == (len(rec),)
+    assert np.array_equal(rec.gap[:-1], np.diff(rec.epoch))
     last = [(0.0, 0.0)] * 3
     seen = set()
-    for i in range(len(rec)):
-        t = rec.epoch[i]
-        last[rec.source[i]] = (t, rec.delay[i])
-        seen.add(int(rec.source[i]))
-        assert [D + (t - U) for U, D in last] == list(rec.age[i])
+    terms = [[] for _ in s_grid]
+    for i, dep in enumerate(deps):
+        t, k = float(dep["epoch"]), int(dep["source"]) - 1
+        last[k] = (t, float(dep["value"]))
+        seen.add(k)
         assert rec.covered[i] == (len(seen) == 3)
+        if rec.covered[i] and math.isfinite(rec.gap[i]):
+            age = [D + (t - U) for U, D in last]
+            for j, s in enumerate(s_grid):
+                exponent = math.fsum(a * b for a, b in zip(s, age))
+                terms[j].append(-math.expm1(-sum(s) * rec.gap[i]) * math.exp(-exponent))
     assert not rec.covered[0] and rec.covered[-1]
+    assert r.palm_valid == len(terms[0])
+    assert r.palm_skipped == len(rec) - int(rec.covered.sum()) > 0
+    assert r.palm_terms.tolist() == pytest.approx([math.fsum(t) for t in terms], rel=1e-12)
+    deliveries, delay_sums, peak_sums, peak_counts = r.source_sums
+    for k in range(3):
+        mine = rec.source == k
+        assert deliveries[k] == mine.sum()
+        assert delay_sums[k] == pytest.approx(math.fsum(rec.delay[mine]), rel=1e-12)
+        peaks = rec.peak[mine][np.isfinite(rec.peak[mine])]
+        assert peak_counts[k] == peaks.size == mine.sum() - 1
+        assert peak_sums[k] == pytest.approx(math.fsum(peaks), rel=1e-12)
+
+
+def _same_estimate(a, b) -> bool:
+    if (a.batches, a.flag) != (b.batches, b.flag):
+        return False
+    return all(
+        (math.isnan(x) and math.isnan(y)) or x == pytest.approx(y, rel=1e-12, abs=0.0)
+        for x, y in ((a.value, b.value), (a.stderr, b.stderr))
+    )
+
+
+LATE = SystemSpec(rates=(3.0, 0.05), services=(Exponential(6.0), Exponential(6.0)))
+
+
+@pytest.mark.parametrize(
+    "spec, horizon, burn_in, replications, seed, flag",
+    [
+        (SYMMETRIC, 400.0, 0.0, 4, 3, "11 warm-up departures skipped"),
+        (MIXED3, 600.0, 0.0, 3, 11, "20 warm-up departures skipped"),
+        (MIXED3, 600.0, 30.0, 3, 12, None),
+        (LATE, 50.0, 2.0, 4, 31, "143 warm-up departures skipped"),
+        (LATE, 5.0, 0.5, 3, 2, "a replication had no usable departures"),
+    ],
+)
+def test_palm_estimators_match_record_oracles(spec, horizon, burn_in, replications, seed, flag, tmp_path):
+    K = spec.num_sources
+    s_grid = ((0.0,) * K, (1.0,) * K, tuple(0.5 * (k + 1) for k in range(K)), (3.0,) * K)
+    results, ages = [], []
+    for rep in range(replications):
+        trace = tmp_path / f"rep{rep}.csv"
+        results.append(run_replication(spec, horizon, burn_in, seed, rep, s_grid, trace_path=trace))
+        ages.append(trace_ages(trace, burn_in, K))
+    for s in s_grid:
+        got = estimate_joint_laplace_palm(results, s)
+        assert _same_estimate(got, palm_transform_from_records(results, ages, s)), s
+    assert estimate_joint_laplace_palm(results, (1.0,) * K).flag == flag
+    got, want = estimate_palm(results), palm_from_records(results)
+    for field in ("delay_mean", "peak_mean", "update_rate", "update_share"):
+        for a, b in zip(getattr(got, field), getattr(want, field)):
+            assert _same_estimate(a, b), field
 
 
 def test_palm_exponent_needs_no_recency_sort():
@@ -552,6 +616,11 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.statistics.mean, parallel.statistics.mean)
     for s in serial.joint_laplace:
         assert serial.joint_laplace[s].value == parallel.joint_laplace[s].value
+    # the Palm sums are reduced in the workers
+    assert serial.palm_joint_laplace == parallel.palm_joint_laplace
+    assert serial.palm == parallel.palm
+    assert serial.departure_rate == parallel.departure_rate
+    assert serial.pushout_rate == parallel.pushout_rate
 
 
 def test_worker_pool_is_capped(monkeypatch):
