@@ -37,7 +37,6 @@ __all__ = [
     "marginal_aoi_moments",
     "palm_means",
     "joint_aoi_laplace",
-    "joint_aoi_laplace_two_source",
     "aoi_covariance",
     "aoi_correlation",
     "cc_lower_bound",
@@ -249,30 +248,6 @@ def joint_aoi_laplace(spec: SystemSpec, s, max_sources: int = DEFAULT_MAX_SOURCE
                 acc += val * F[mask ^ (1 << k)]
         F[mask] = acc / (sbar[mask] + rate_sum)
     return F[nmask - 1]
-
-
-def joint_aoi_laplace_two_source(spec: SystemSpec, s1: float, s2: float) -> float:
-    """Two-source joint transform in its reduced closed form.
-
-    Algebraically equal to joint_aoi_laplace for K = 2; kept separate as
-    an independent route for cross-checking.
-    """
-    if spec.num_sources != 2:
-        raise ValueError(f"two-source form needs exactly 2 sources, got {spec.num_sources}")
-    s1 = float(s1)
-    s2 = float(s2)
-    for v in (s1, s2):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"transform arguments must be nonnegative and finite, got {v}")
-    lam = spec.total_rate
-    sbar = s1 + s2
-    l1, l2 = spec.rates
-    m1, m2 = spec.services
-    ls_sbar = aggregate_service_laplace(spec, sbar + lam)
-    outer = l1 * l2 / (sbar + lam * ls_sbar)
-    term1 = m1.laplace(s1 + lam) * m2.laplace(sbar + lam) / (s1 + l1 * m1.laplace(s1 + lam))
-    term2 = m2.laplace(s2 + lam) * m1.laplace(sbar + lam) / (s2 + l2 * m2.laplace(s2 + lam))
-    return outer * (term1 + term2)
 
 
 def aoi_covariance(spec: SystemSpec) -> float:

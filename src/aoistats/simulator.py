@@ -55,7 +55,6 @@ __all__ = [
     "simulate",
     "simulated_quantities",
     "estimate_joint_laplace",
-    "estimate_joint_laplace_palm",
     "estimate_statistics",
     "estimate_palm",
     "estimate_departure_rate",
@@ -251,7 +250,7 @@ class PalmRecords:
     start state (nothing real to peak against); gap is NaN for the final
     record when the next departure lies beyond the generated path;
     covered marks records where every source has had at least one real
-    update.  The estimators read the sums on ReplicationResult instead.
+    update.  No estimator reads them: they are kept for event-level checks.
     """
 
     epoch: np.ndarray
@@ -287,14 +286,10 @@ class ReplicationCounts:
 class ReplicationResult:
     """One replication, reduced where it ran to fixed-size sums.
 
-    The estimators read `accumulator`, `counts`, the window and these sums
-    over the window departures: palm_terms[j], for row j of the
-    accumulator's s-grid, sums -expm1(-sbar * gap) * exp(-s . A(t+)),
-    sbar = sum(s), over the palm_valid covered records with a known gap
-    (palm_skipped records are not covered); source_sums, of shape (4, K),
-    holds per source the deliveries, their delay sum, and the sum and
-    count of their finite peaks.  `records` keeps the per-delivery arrays
-    for event-level checks.
+    The estimators read `accumulator`, `counts`, the window and
+    `source_sums`, of shape (4, K): per source the window deliveries,
+    their delay sum, and the sum and count of their finite peaks.
+    `records` keeps the per-delivery arrays for event-level checks.
     """
 
     accumulator: PathAccumulator
@@ -303,9 +298,6 @@ class ReplicationResult:
     horizon: float
     burn_in: float
     late_sources: tuple[int, ...]
-    palm_terms: np.ndarray
-    palm_valid: int
-    palm_skipped: int
     source_sums: np.ndarray
 
     @property
@@ -443,15 +435,6 @@ def run_replication(
         gap=dep_gap[in_window],
         covered=covered[1:],
     )
-    valid = records.covered & np.isfinite(records.gap)
-    palm_terms = np.zeros(len(accumulator.s_grid))
-    if accumulator.s_grid:  # without s-rows, skip gathering the valid rows
-        valid_gap, valid_age = records.gap[valid], ages[1:][valid]
-        for j, row in enumerate(accumulator.s_grid):
-            svec = np.array(row)
-            sbar = float(svec.sum())
-            if sbar != 0.0:
-                palm_terms[j] = (-np.expm1(-sbar * valid_gap) * np.exp(-(valid_age @ svec))).sum()
 
     late = tuple(k for k in range(K) if own_U[k].size < 2 or own_U[k][1] > burn_in)
 
@@ -475,9 +458,6 @@ def run_replication(
         horizon=horizon,
         burn_in=burn_in,
         late_sources=late,
-        palm_terms=palm_terms,
-        palm_valid=int(valid.sum()),
-        palm_skipped=int((~records.covered).sum()),
         source_sums=source_sums,
     )
 
@@ -496,7 +476,7 @@ class Estimate:
     flag: str | None = None
 
 
-def _combine(values, flag: str | None = None) -> Estimate:
+def _combine(values) -> Estimate:
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise ValueError(f"need at least 2 batches for a standard error, got {arr.size}")
@@ -504,7 +484,6 @@ def _combine(values, flag: str | None = None) -> Estimate:
         value=float(arr.mean()),
         stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)),
         batches=int(arr.size),
-        flag=flag,
     )
 
 
@@ -515,14 +494,14 @@ def _require_results(results) -> list[ReplicationResult]:
     return results
 
 
-def _grid_index(results, s) -> tuple[tuple[float, ...], int]:
+def _grid_index(results, s) -> int:
     row = tuple(float(v) for v in np.asarray(s, dtype=float).reshape(-1))
     grid = results[0].accumulator.s_grid
     for r in results:
         if r.accumulator.s_grid != grid:
             raise ValueError("replications were run with different argument grids")
     try:
-        return row, grid.index(row)
+        return grid.index(row)
     except ValueError:
         raise ValueError(f"argument vector {row} was not simulated; grid is {grid}") from None
 
@@ -530,39 +509,9 @@ def _grid_index(results, s) -> tuple[tuple[float, ...], int]:
 def estimate_joint_laplace(results, s) -> Estimate:
     """Time-average estimate of E[exp(-s . A)] from the path integrals."""
     results = _require_results(results)
-    _, j = _grid_index(results, s)
+    j = _grid_index(results, s)
     values = [r.accumulator.exp_integrals[j] / r.accumulator.elapsed for r in results]
     return _combine(values)
-
-
-def estimate_joint_laplace_palm(results, s) -> Estimate:
-    """Delivery-sampled estimate of E[exp(-s . A)].
-
-    Each departure at t contributes the exact integral of exp(-s . A) over
-    the segment up to the next departure, (1 - exp(-sbar * gap)) *
-    exp(-s . A(t+)) / sbar with sbar = sum(s), and the transform is the
-    departure rate times the mean contribution.  Departures before every
-    source has delivered are skipped and counted in the flag; the final
-    one, whose gap is unknown, is skipped uncounted.
-
-    This is not an independent route: the terms are pieces of the same
-    path integral that estimate_joint_laplace divides by the elapsed time.
-    With N window departures of which N_valid are used, the estimate is
-    the time average over the covered segments rescaled by N / N_valid, so
-    it agrees with estimate_joint_laplace far inside either stderr.
-    """
-    results = _require_results(results)
-    row, j = _grid_index(results, s)
-    sbar = float(np.sum(row))
-    if sbar == 0.0:
-        return Estimate(1.0, 0.0, len(results), flag="zero argument vector; value is the s -> 0 limit")
-    if any(r.palm_valid == 0 for r in results):
-        return Estimate(math.nan, math.nan, len(results), flag="a replication had no usable departures")
-    values = [
-        r.counts.window_departures / r.window_span * (r.palm_terms[j] / r.palm_valid) / sbar for r in results
-    ]
-    skipped = sum(r.palm_skipped for r in results)
-    return _combine(values, flag=f"{skipped} warm-up departures skipped" if skipped else None)
 
 
 def estimate_statistics(results) -> AoIStatistics:
@@ -699,7 +648,6 @@ class SimulationReport:
     seed: int
     s_grid: tuple[tuple[float, ...], ...]
     joint_laplace: dict[tuple[float, ...], Estimate]
-    palm_joint_laplace: dict[tuple[float, ...], Estimate]
     statistics: AoIStatistics
     palm: PalmEstimates
     departure_rate: Estimate
@@ -769,21 +717,15 @@ def simulate(
     )
 
     joint = {row: estimate_joint_laplace(results, row) for row in s_grid}
-    palm_joint = {row: estimate_joint_laplace_palm(results, row) for row in s_grid}
     stats = estimate_statistics(results)
     palm = estimate_palm(results)
 
-    flags: list[str] = []
     late = Counter(k for r in results for k in r.late_sources)
-    for k in sorted(late):
-        flags.append(
-            f"source {k + 1}: first delivery after burn-in in {late[k]} of "
-            f"{len(results)} replications; its time averages include start-up ramp"
-        )
-    for row, est in palm_joint.items():
-        if est.flag and "warm-up" in est.flag:
-            flags.append(f"palm transform at s={row}: {est.flag}")
-            break
+    flags = [
+        f"source {k + 1}: first delivery after burn-in in {late[k]} of "
+        f"{len(results)} replications; its time averages include start-up ramp"
+        for k in sorted(late)
+    ]
 
     return SimulationReport(
         spec=spec,
@@ -793,7 +735,6 @@ def simulate(
         seed=int(seed),
         s_grid=s_grid,
         joint_laplace=joint,
-        palm_joint_laplace=palm_joint,
         statistics=stats,
         palm=palm,
         departure_rate=estimate_departure_rate(results),
@@ -805,8 +746,8 @@ def simulate(
 def simulated_quantities(report: SimulationReport) -> dict[str, Estimate]:
     """Every estimate in `report`, by label, in report order.
 
-    A label names the same quantity as in `analytics.analytic_quantities`;
-    the delivery-sampled transform rows add a `palm_` prefix to it.
+    Each label names the same quantity as in
+    `analytics.analytic_quantities`.
     """
     K = report.spec.num_sources
     stats = report.statistics
@@ -817,8 +758,6 @@ def simulated_quantities(report: SimulationReport) -> dict[str, Estimate]:
     out: dict[str, Estimate] = {}
     for row, est in report.joint_laplace.items():
         out[analytics.joint_laplace_label(row)] = est
-    for row, est in report.palm_joint_laplace.items():
-        out["palm_" + analytics.joint_laplace_label(row)] = est
     for k in range(K):
         out[f"aoi_mean[{k + 1}]"] = batch(stats.mean[k], stats.mean_stderr[k])
         out[f"aoi_variance[{k + 1}]"] = batch(stats.variance[k], stats.variance_stderr[k])

@@ -1,10 +1,9 @@
-"""Reference evaluations that walk the sources' recency orderings.
+"""Reference forms of the joint age transform E[exp(-s . A)].
 
-The library evaluates the joint transform by a subset recursion and the
-delivery-sampled (Palm) exponent as s . A(t+), neither of which orders
-the sources.  These are the literal ordered forms they replace: the K!
-permutation sum of the closed form, and the sorted, telescoped exponent
-of one departure's Palm term.
+The library evaluates the joint transform by a subset recursion, which
+never orders the sources.  These are independent forms to check it
+against: the K! permutation sum over the sources' recency orderings, and
+the reduced closed form for two sources.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
+from aoistats.analytics import aggregate_service_laplace
 
 
 def joint_laplace_permutation_sum(spec, s) -> float:
@@ -53,20 +52,21 @@ def joint_laplace_permutation_sum(spec, s) -> float:
     return math.prod(spec.rates) * math.fsum(terms)
 
 
-def sorted_palm_exponent(last_update, last_delay, s) -> np.ndarray:
-    """Per-row exponent of the Palm term, by sorting sources by recency.
+def joint_aoi_laplace_two_source(spec, s1: float, s2: float) -> float:
+    """Two-source joint transform in its reduced closed form.
 
-    With the sources of a row sorted by decreasing update epoch U_(m), the
-    exponent is sum_m s_(m) D_(m) + sum_{m >= 1} ssuf_m (U_(m-1) - U_(m)),
-    where ssuf_m is the sum of the sorted arguments from position m on.
+    With sbar = s1 + s2 and L_S the rate-weighted mixture transform,
+    lambda_1 lambda_2 / (sbar + lambda L_S(sbar + lambda)) times the sum
+    over k of L_k(s_k + lambda) L_j(sbar + lambda) / (s_k + lambda_k
+    L_k(s_k + lambda)), j the other source.
     """
-    svec = np.asarray(s, dtype=float)
-    order = np.argsort(-last_update, axis=1, kind="stable")
-    SU = np.take_along_axis(last_update, order, axis=1)
-    SD = np.take_along_axis(last_delay, order, axis=1)
-    ss = svec[order]
-    ssuf = np.cumsum(ss[:, ::-1], axis=1)[:, ::-1]
-    expo = (ss * SD).sum(axis=1)
-    if SU.shape[1] > 1:
-        expo += (ssuf[:, 1:] * (-np.diff(SU, axis=1))).sum(axis=1)
-    return expo
+    if spec.num_sources != 2:
+        raise ValueError(f"two-source form needs exactly 2 sources, got {spec.num_sources}")
+    lam = spec.total_rate
+    sbar = s1 + s2
+    l1, l2 = spec.rates
+    m1, m2 = spec.services
+    outer = l1 * l2 / (sbar + lam * aggregate_service_laplace(spec, sbar + lam))
+    term1 = m1.laplace(s1 + lam) * m2.laplace(sbar + lam) / (s1 + l1 * m1.laplace(s1 + lam))
+    term2 = m2.laplace(s2 + lam) * m1.laplace(sbar + lam) / (s2 + l2 * m2.laplace(s2 + lam))
+    return outer * (term1 + term2)

@@ -32,7 +32,6 @@ from aoistats.simulator import (
     default_s_grid,
     estimate_departure_rate,
     estimate_joint_laplace,
-    estimate_joint_laplace_palm,
     estimate_marginal_cdf,
     estimate_palm,
     estimate_pushout_rate,
@@ -139,26 +138,6 @@ def test_acceptance_3_joint_transform_vs_simulation(mixed2_run, mixed3_run):
         "joint transform, 2 and 3 mixed-service sources",
         ok,
         f"{tested} s-vectors, worst |z|={worst:.2f}",
-    )
-
-
-def test_acceptance_4_two_estimation_routes_agree(anchor_run, mixed3_run):
-    ok = True
-    worst = 0.0
-    for spec, results in ((ANCHOR, anchor_run[0]), (MIXED3, mixed3_run)):
-        for s in default_s_grid(spec.num_sources):
-            ta = estimate_joint_laplace(results, s)
-            pa = estimate_joint_laplace_palm(results, s)
-            combined = math.hypot(ta.stderr, pa.stderr)
-            diff = abs(ta.value - pa.value)
-            ok = ok and diff <= 3.0 * combined
-            if combined > 0.0:
-                worst = max(worst, diff / combined)
-    verdict(
-        4,
-        "time-average and delivery-sampled transforms",
-        ok,
-        f"worst |z|={worst:.2f}",
     )
 
 

@@ -17,7 +17,6 @@ from aoistats.analytics import (
     cc_lower_bound,
     departure_rate,
     joint_aoi_laplace,
-    joint_aoi_laplace_two_source,
     marginal_aoi_cdf,
     marginal_aoi_laplace,
     marginal_aoi_moments,
@@ -27,7 +26,7 @@ from aoistats.analytics import (
 )
 from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture
 from aoistats.simulator import default_s_grid
-from ordering_oracles import joint_laplace_permutation_sum
+from ordering_oracles import joint_aoi_laplace_two_source, joint_laplace_permutation_sum
 
 # two identical exponential sources at rate 3 with mean service 1/6; all
 # closed forms are rational numbers for this system

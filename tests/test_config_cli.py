@@ -184,7 +184,8 @@ def test_cli_simulate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "simulated 4 replications, horizon 500, burn-in 20, seed 1" in captured.out
-    assert "palm_joint_laplace(0,0)" in captured.out
+    assert "joint_laplace(0,0)" in captured.out
+    assert "palm_" not in captured.out
     with open(out) as fh:
         reader = csv.DictReader(fh)
         assert reader.fieldnames == ["quantity", "value", "stderr"]

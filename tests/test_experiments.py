@@ -167,11 +167,10 @@ def test_compare_gate_passes_on_anchor_system():
     rows, passed, attempts = compare_with_retry(spec, horizon=1e4, replications=32, seed=112358)
     assert passed and attempts == 1
     assert comparison_passed(rows)
-    assert len(rows) == 27
+    assert len(rows) == 21
     names = {r.quantity for r in rows}
     for expected in (
         "joint_laplace(0,0)",
-        "palm_joint_laplace(0.5,1)",
         "aoi_mean[1]",
         "aoi_variance[2]",
         "aoi_correlation",

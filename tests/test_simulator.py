@@ -25,7 +25,6 @@ from aoistats.simulator import (
     default_s_grid,
     estimate_departure_rate,
     estimate_joint_laplace,
-    estimate_joint_laplace_palm,
     estimate_marginal_cdf,
     estimate_palm,
     estimate_pushout_rate,
@@ -35,8 +34,7 @@ from aoistats.simulator import (
     run_replications,
     simulate,
 )
-from ordering_oracles import sorted_palm_exponent
-from palm_oracles import palm_from_records, palm_transform_from_records, trace_ages
+from palm_oracles import palm_from_records, warm_up_note
 from segment_oracles import (
     AoISnapshot,
     add_segment,
@@ -353,8 +351,8 @@ def test_peak_identity_from_trace(tmp_path):
 
 
 def test_palm_records_hold_ages_after_each_departure(tmp_path):
-    # walk the traced deliveries in epoch order from the start state (0, 0)
-    # and rebuild the replication's Palm sums term by term
+    # walk the traced deliveries in epoch order from the start state and
+    # rebuild the records' coverage and the replication's delivery sums
     trace = tmp_path / "trace.csv"
     s_grid = ((0.0, 0.0, 0.0), (0.5, 1.0, 2.0), (3.0, 3.0, 3.0))
     r = run_replication(MIXED3, 300.0, 0.0, 17, 0, s_grid, trace_path=trace)
@@ -364,23 +362,11 @@ def test_palm_records_hold_ages_after_each_departure(tmp_path):
     assert [float(d["epoch"]) for d in deps] == rec.epoch.tolist()
     assert rec.covered.shape == (len(rec),)
     assert np.array_equal(rec.gap[:-1], np.diff(rec.epoch))
-    last = [(0.0, 0.0)] * 3
     seen = set()
-    terms = [[] for _ in s_grid]
     for i, dep in enumerate(deps):
-        t, k = float(dep["epoch"]), int(dep["source"]) - 1
-        last[k] = (t, float(dep["value"]))
-        seen.add(k)
+        seen.add(int(dep["source"]) - 1)
         assert rec.covered[i] == (len(seen) == 3)
-        if rec.covered[i] and math.isfinite(rec.gap[i]):
-            age = [D + (t - U) for U, D in last]
-            for j, s in enumerate(s_grid):
-                exponent = math.fsum(a * b for a, b in zip(s, age))
-                terms[j].append(-math.expm1(-sum(s) * rec.gap[i]) * math.exp(-exponent))
     assert not rec.covered[0] and rec.covered[-1]
-    assert r.palm_valid == len(terms[0])
-    assert r.palm_skipped == len(rec) - int(rec.covered.sum()) > 0
-    assert r.palm_terms.tolist() == pytest.approx([math.fsum(t) for t in terms], rel=1e-12)
     deliveries, delay_sums, peak_sums, peak_counts = r.source_sums
     for k in range(3):
         mine = rec.source == k
@@ -402,45 +388,53 @@ def _same_estimate(a, b) -> bool:
 
 LATE = SystemSpec(rates=(3.0, 0.05), services=(Exponential(6.0), Exponential(6.0)))
 
+# (spec, horizon, burn_in, replications, seed, warm_up): warm_up is what
+# the records show of the start-up, in the words of warm_up_note
+RECORD_CASES = [
+    (SYMMETRIC, 400.0, 0.0, 4, 3, "11 warm-up departures skipped"),
+    (MIXED3, 600.0, 0.0, 3, 11, "20 warm-up departures skipped"),
+    (MIXED3, 600.0, 30.0, 3, 12, None),
+    (LATE, 50.0, 2.0, 4, 31, "143 warm-up departures skipped"),
+    (LATE, 5.0, 0.5, 3, 2, "a replication had no usable departures"),
+]
 
-@pytest.mark.parametrize(
-    "spec, horizon, burn_in, replications, seed, flag",
-    [
-        (SYMMETRIC, 400.0, 0.0, 4, 3, "11 warm-up departures skipped"),
-        (MIXED3, 600.0, 0.0, 3, 11, "20 warm-up departures skipped"),
-        (MIXED3, 600.0, 30.0, 3, 12, None),
-        (LATE, 50.0, 2.0, 4, 31, "143 warm-up departures skipped"),
-        (LATE, 5.0, 0.5, 3, 2, "a replication had no usable departures"),
-    ],
-)
-def test_palm_estimators_match_record_oracles(spec, horizon, burn_in, replications, seed, flag, tmp_path):
-    K = spec.num_sources
-    s_grid = ((0.0,) * K, (1.0,) * K, tuple(0.5 * (k + 1) for k in range(K)), (3.0,) * K)
-    results, ages = [], []
-    for rep in range(replications):
-        trace = tmp_path / f"rep{rep}.csv"
-        results.append(run_replication(spec, horizon, burn_in, seed, rep, s_grid, trace_path=trace))
-        ages.append(trace_ages(trace, burn_in, K))
-    for s in s_grid:
-        got = estimate_joint_laplace_palm(results, s)
-        assert _same_estimate(got, palm_transform_from_records(results, ages, s)), s
-    assert estimate_joint_laplace_palm(results, (1.0,) * K).flag == flag
+
+@pytest.mark.parametrize("spec, horizon, burn_in, replications, seed, warm_up", RECORD_CASES)
+def test_palm_estimators_match_record_oracles(spec, horizon, burn_in, replications, seed, warm_up):
+    results = [run_replication(spec, horizon, burn_in, seed, rep, ()) for rep in range(replications)]
+    assert warm_up_note(results) == warm_up
     got, want = estimate_palm(results), palm_from_records(results)
     for field in ("delay_mean", "peak_mean", "update_rate", "update_share"):
         for a, b in zip(getattr(got, field), getattr(want, field)):
             assert _same_estimate(a, b), field
 
 
-def test_palm_exponent_needs_no_recency_sort():
-    # sorting sources by recency and telescoping the gaps gives s . A(t+),
-    # where the departing source's update epoch t is the latest one
-    rng = np.random.default_rng(71)
-    for K in (1, 2, 3, 8):
-        U = rng.uniform(0.0, 50.0, (200, K))
-        D = rng.uniform(0.0, 2.0, (200, K))
-        s = rng.uniform(0.0, 3.0, K)
-        age = D + (U.max(axis=1, keepdims=True) - U)
-        assert np.allclose(sorted_palm_exponent(U, D, s), age @ s, rtol=1e-12, atol=0.0)
+@pytest.mark.parametrize("case", [c for c in RECORD_CASES if c[-1] and "skipped" in c[-1]])
+def test_late_source_note_covers_warm_up_departures(case, tmp_path):
+    # a window departure before every source has delivered leaves some
+    # source without an update after burn-in, so that source is late
+    spec, horizon, burn_in, replications, seed, _ = case
+    late_anywhere = set()
+    for rep in range(replications):
+        trace = tmp_path / f"rep{rep}.csv"
+        r = run_replication(spec, horizon, burn_in, seed, rep, (), trace_path=trace)
+        late_anywhere.update(r.late_sources)
+        with open(trace) as fh:
+            deps = [row for row in csv.DictReader(fh) if row["kind"] == "departure"]
+        seen = set()
+        window = 0
+        for dep in deps:
+            seen.add(int(dep["source"]) - 1)
+            if float(dep["epoch"]) <= burn_in:
+                continue
+            missing = set(range(spec.num_sources)) - seen
+            assert r.records.covered[window] == (not missing)
+            assert missing <= set(r.late_sources)
+            window += 1
+        assert window == len(r.records)
+    report = simulate(spec, horizon=horizon, burn_in=burn_in, replications=replications, seed=seed)
+    noted = {int(f.split(":")[0].removeprefix("source ")) - 1 for f in report.flags}
+    assert late_anywhere and noted == late_anywhere
 
 
 def test_late_source_detection():
@@ -464,26 +458,6 @@ def test_joint_laplace_estimates(symmetric_results):
             assert ta.value == 1.0 and ta.stderr == 0.0
             continue
         assert abs(zscore(ta, truth)) < Z_GATE
-
-
-def test_palm_route_agrees_with_analytics(mixed3_results):
-    for s in default_s_grid(3):
-        truth = joint_aoi_laplace(MIXED3, s)
-        pa = estimate_joint_laplace_palm(mixed3_results, s)
-        if sum(s) == 0.0:
-            assert pa.value == 1.0
-            assert pa.flag is not None
-            continue
-        assert abs(zscore(pa, truth)) < Z_GATE
-
-
-def test_two_transform_routes_track_each_other(symmetric_results):
-    # the time-average and delivery-sampled estimators share the sample
-    # paths, so they should sit much closer to each other than to truth
-    for s in ((1.0, 1.0), (2.0, 2.0)):
-        ta = estimate_joint_laplace(symmetric_results, s)
-        pa = estimate_joint_laplace_palm(symmetric_results, s)
-        assert ta.value == pytest.approx(pa.value, abs=3.0 * ta.stderr / 10.0)
 
 
 def test_unsimulated_vector_is_rejected(symmetric_results):
@@ -546,9 +520,7 @@ def test_single_source_palm_and_transform():
     results = run_replications(spec, 5e3, 50.0, 8, 17, ((1.5,),))
     truth = 8.0 / ((1.5 + 2.0) * (1.5 + 4.0))  # marginal transform closed form
     ta = estimate_joint_laplace(results, (1.5,))
-    pa = estimate_joint_laplace_palm(results, (1.5,))
     assert abs(zscore(ta, truth)) < Z_GATE
-    assert abs(zscore(pa, truth)) < Z_GATE
 
 
 def test_empirical_cdf():
@@ -592,7 +564,6 @@ def test_simulate_report_round_trip():
     assert report.replications == 8
     assert report.burn_in == 50.0
     assert set(report.joint_laplace) == set(default_s_grid(2))
-    assert set(report.palm_joint_laplace) == set(default_s_grid(2))
     for est in report.joint_laplace.values():
         assert est.batches == 8
         assert est.stderr >= 0.0
@@ -616,8 +587,7 @@ def test_worker_count_does_not_change_results():
     assert np.array_equal(serial.statistics.mean, parallel.statistics.mean)
     for s in serial.joint_laplace:
         assert serial.joint_laplace[s].value == parallel.joint_laplace[s].value
-    # the Palm sums are reduced in the workers
-    assert serial.palm_joint_laplace == parallel.palm_joint_laplace
+    # the delivery sums are reduced in the workers
     assert serial.palm == parallel.palm
     assert serial.departure_rate == parallel.departure_rate
     assert serial.pushout_rate == parallel.pushout_rate
