@@ -10,6 +10,7 @@ codes: 0 success, 1 usage/validation error, 2 comparison gate failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -59,8 +60,10 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.horizon is not None:
-        if args.horizon <= 0:
-            raise ConfigError([f"--horizon must be positive, got {args.horizon}"])
+        if not (math.isfinite(args.horizon) and args.horizon > 0):
+            raise ConfigError([f"--horizon must be positive and finite, got {args.horizon}"])
+        if args.burn_in is None and cfg.burn_in is not None and cfg.burn_in >= args.horizon:
+            raise ConfigError([f"--horizon must exceed the config's burn_in {cfg.burn_in:g}, got {args.horizon:g}"])
         cfg.horizon = args.horizon
     if args.replications is not None:
         if args.replications < 2:
@@ -125,7 +128,7 @@ def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
         f"burn-in {report.burn_in:g}, seed {report.seed}"
     )
     header = ("quantity", "value", "stderr")
-    rows = [(name, est.value, est.stderr) for name, est in simulator.simulated_quantities(report).items()]
+    rows = [(name, est.value, est.stderr) for name, est in report.quantities.items()]
     _print_table(header, [(name, _fmt(v), _fmt(se)) for name, v, se in rows], sys.stdout)
     for flag in report.flags:
         print(f"note: {flag}", file=sys.stderr)

@@ -203,10 +203,7 @@ def compare(
         workers=workers,
     )
     analytic = analytics.analytic_quantities(spec, report.s_grid)
-    return [
-        _row(label, analytic[label], est, z_threshold)
-        for label, est in simulator.simulated_quantities(report).items()
-    ]
+    return [_row(label, analytic[label], est, z_threshold) for label, est in report.quantities.items()]
 
 
 def comparison_passed(rows) -> bool:

@@ -46,14 +46,12 @@ __all__ = [
     "ReplicationCounts",
     "ReplicationResult",
     "Estimate",
-    "PalmEstimates",
     "SimulationReport",
     "replication_rng",
     "default_burn_in",
     "default_s_grid",
     "run_replication",
     "simulate",
-    "simulated_quantities",
     "estimate_joint_laplace",
     "estimate_statistics",
     "estimate_palm",
@@ -560,16 +558,6 @@ def estimate_statistics(results) -> AoIStatistics:
     )
 
 
-@dataclass
-class PalmEstimates:
-    """Per-source delivery statistics (lists indexed by source)."""
-
-    delay_mean: list[Estimate]
-    peak_mean: list[Estimate]
-    update_rate: list[Estimate]
-    update_share: list[Estimate]
-
-
 def _ratio_estimate(nums, dens, kind: str) -> Estimate:
     """Pooled-ratio estimate: value sums numerators over denominators,
     stderr comes from the per-replication ratios."""
@@ -596,20 +584,22 @@ def _ratio_estimate(nums, dens, kind: str) -> Estimate:
     )
 
 
-def estimate_palm(results) -> PalmEstimates:
-    """Delivery-averaged delay and peak means, update rates and shares."""
+def estimate_palm(results) -> dict[str, Estimate]:
+    """Per source (1-based) the update share and rate and the
+    delivery-averaged delay and peak means, by report label."""
     results = _require_results(results)
     K = results[0].accumulator.num_sources
     counts, delays, peaks, peak_counts = np.stack([r.source_sums for r in results], axis=1)
     spans = np.array([r.window_span for r in results])
     totals = np.array([r.counts.window_departures for r in results], dtype=float)
-    label = [f"deliveries for source {k + 1}" for k in range(K)]
-    return PalmEstimates(
-        delay_mean=[_ratio_estimate(delays[:, k], counts[:, k], label[k]) for k in range(K)],
-        peak_mean=[_ratio_estimate(peaks[:, k], peak_counts[:, k], f"peaks for source {k + 1}") for k in range(K)],
-        update_rate=[_ratio_estimate(counts[:, k], spans, label[k]) for k in range(K)],
-        update_share=[_ratio_estimate(counts[:, k], totals, "deliveries") for k in range(K)],
-    )
+    out: dict[str, Estimate] = {}
+    for k in range(K):
+        label = f"deliveries for source {k + 1}"
+        out[f"update_share[{k + 1}]"] = _ratio_estimate(counts[:, k], totals, "deliveries")
+        out[f"update_rate[{k + 1}]"] = _ratio_estimate(counts[:, k], spans, label)
+        out[f"delay_mean[{k + 1}]"] = _ratio_estimate(delays[:, k], counts[:, k], label)
+        out[f"peak_mean[{k + 1}]"] = _ratio_estimate(peaks[:, k], peak_counts[:, k], f"peaks for source {k + 1}")
+    return out
 
 
 def estimate_departure_rate(results) -> Estimate:
@@ -625,6 +615,9 @@ def estimate_pushout_rate(results) -> Estimate:
 def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical P(A_k <= x) on the accumulators' CDF grid."""
     results = _require_results(results)
+    K = results[0].accumulator.num_sources
+    if not 0 <= k < K:
+        raise IndexError(f"source index {k} out of range for {K} sources")
     grid = results[0].accumulator.cdf_grid
     if grid is None:
         raise ValueError("replications were run without a CDF grid")
@@ -639,7 +632,12 @@ def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SimulationReport:
-    """Everything `simulate` estimates, with config echo and flags."""
+    """Everything `simulate` estimates, with config echo and flags.
+
+    `quantities` holds every estimate by report label, in report order;
+    each label names the same quantity as in
+    `analytics.analytic_quantities`.
+    """
 
     spec: SystemSpec
     horizon: float
@@ -647,11 +645,7 @@ class SimulationReport:
     replications: int
     seed: int
     s_grid: tuple[tuple[float, ...], ...]
-    joint_laplace: dict[tuple[float, ...], Estimate]
-    statistics: AoIStatistics
-    palm: PalmEstimates
-    departure_rate: Estimate
-    pushout_rate: Estimate
+    quantities: dict[str, Estimate]
     flags: list[str]
 
 
@@ -701,7 +695,11 @@ def simulate(
     trace_path=None,
 ) -> SimulationReport:
     """Simulate and estimate everything the analytic side can predict;
-    replication 0 writes its event trace to `trace_path` when one is given."""
+    replication 0 writes its event trace to `trace_path` when one is given.
+
+    `flags` notes each source that first delivers after burn-in in some
+    replication, then each flagged estimate as "<label>: <flag>".
+    """
     if burn_in is None:
         burn_in = default_burn_in(spec)
         if burn_in >= horizon:
@@ -716,9 +714,21 @@ def simulate(
         spec, horizon, burn_in, replications, seed, s_grid, workers=workers, trace_path=trace_path
     )
 
-    joint = {row: estimate_joint_laplace(results, row) for row in s_grid}
+    K = spec.num_sources
     stats = estimate_statistics(results)
-    palm = estimate_palm(results)
+
+    def batch(value, stderr) -> Estimate:
+        return Estimate(float(value), float(stderr), len(results))
+
+    quantities = {analytics.joint_laplace_label(row): estimate_joint_laplace(results, row) for row in s_grid}
+    for k in range(K):
+        quantities[f"aoi_mean[{k + 1}]"] = batch(stats.mean[k], stats.mean_stderr[k])
+        quantities[f"aoi_variance[{k + 1}]"] = batch(stats.variance[k], stats.variance_stderr[k])
+    if K == 2:
+        quantities["aoi_correlation"] = batch(stats.correlation[0, 1], stats.correlation_stderr[0, 1])
+    quantities["departure_rate"] = estimate_departure_rate(results)
+    quantities["pushout_rate"] = estimate_pushout_rate(results)
+    quantities.update(estimate_palm(results))
 
     late = Counter(k for r in results for k in r.late_sources)
     flags = [
@@ -726,6 +736,7 @@ def simulate(
         f"{len(results)} replications; its time averages include start-up ramp"
         for k in sorted(late)
     ]
+    flags += [f"{label}: {est.flag}" for label, est in quantities.items() if est.flag]
 
     return SimulationReport(
         spec=spec,
@@ -734,40 +745,6 @@ def simulate(
         replications=int(replications),
         seed=int(seed),
         s_grid=s_grid,
-        joint_laplace=joint,
-        statistics=stats,
-        palm=palm,
-        departure_rate=estimate_departure_rate(results),
-        pushout_rate=estimate_pushout_rate(results),
+        quantities=quantities,
         flags=flags,
     )
-
-
-def simulated_quantities(report: SimulationReport) -> dict[str, Estimate]:
-    """Every estimate in `report`, by label, in report order.
-
-    Each label names the same quantity as in
-    `analytics.analytic_quantities`.
-    """
-    K = report.spec.num_sources
-    stats = report.statistics
-
-    def batch(value, stderr) -> Estimate:
-        return Estimate(float(value), float(stderr), report.replications)
-
-    out: dict[str, Estimate] = {}
-    for row, est in report.joint_laplace.items():
-        out[analytics.joint_laplace_label(row)] = est
-    for k in range(K):
-        out[f"aoi_mean[{k + 1}]"] = batch(stats.mean[k], stats.mean_stderr[k])
-        out[f"aoi_variance[{k + 1}]"] = batch(stats.variance[k], stats.variance_stderr[k])
-    if K == 2:
-        out["aoi_correlation"] = batch(stats.correlation[0, 1], stats.correlation_stderr[0, 1])
-    out["departure_rate"] = report.departure_rate
-    out["pushout_rate"] = report.pushout_rate
-    for k in range(K):
-        out[f"update_share[{k + 1}]"] = report.palm.update_share[k]
-        out[f"update_rate[{k + 1}]"] = report.palm.update_rate[k]
-        out[f"delay_mean[{k + 1}]"] = report.palm.delay_mean[k]
-        out[f"peak_mean[{k + 1}]"] = report.palm.peak_mean[k]
-    return out

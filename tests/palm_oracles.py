@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from aoistats.simulator import PalmEstimates, _ratio_estimate, _require_results
+from aoistats.simulator import Estimate, _ratio_estimate, _require_results
 
 
 def warm_up_note(results) -> str | None:
@@ -28,11 +28,11 @@ def warm_up_note(results) -> str | None:
     return f"{skipped} warm-up departures skipped" if skipped else None
 
 
-def palm_from_records(results) -> PalmEstimates:
+def palm_from_records(results) -> dict[str, Estimate]:
     """estimate_palm over the records."""
     results = _require_results(results)
     K = results[0].accumulator.num_sources
-    delay, peakm, urate, share = [], [], [], []
+    out: dict[str, Estimate] = {}
     totals = np.array([len(r.records) for r in results], dtype=float)
     spans = np.array([r.window_span for r in results])
     for k in range(K):
@@ -43,8 +43,8 @@ def palm_from_records(results) -> PalmEstimates:
         peak_sums = [float(np.nansum(p)) for p in peaks]
         peak_counts = [int(np.isfinite(p).sum()) for p in peaks]
         label = f"deliveries for source {k + 1}"
-        delay.append(_ratio_estimate(delay_sums, counts, label))
-        peakm.append(_ratio_estimate(peak_sums, peak_counts, f"peaks for source {k + 1}"))
-        urate.append(_ratio_estimate(counts, spans, label))
-        share.append(_ratio_estimate(counts, totals, "deliveries"))
-    return PalmEstimates(delay_mean=delay, peak_mean=peakm, update_rate=urate, update_share=share)
+        out[f"update_share[{k + 1}]"] = _ratio_estimate(counts, totals, "deliveries")
+        out[f"update_rate[{k + 1}]"] = _ratio_estimate(counts, spans, label)
+        out[f"delay_mean[{k + 1}]"] = _ratio_estimate(delay_sums, counts, label)
+        out[f"peak_mean[{k + 1}]"] = _ratio_estimate(peak_sums, peak_counts, f"peaks for source {k + 1}")
+    return out

@@ -151,7 +151,7 @@ def test_acceptance_5_rates_and_shares(anchor_run, mixed3_run):
         ]
         palm = estimate_palm(results)
         for k in range(spec.num_sources):
-            checks.append((palm.update_share[k], source_update_share(spec, k)))
+            checks.append((palm[f"update_share[{k + 1}]"], source_update_share(spec, k)))
         for est, truth in checks:
             z = (est.value - truth) / est.stderr
             worst = max(worst, abs(z))
@@ -184,7 +184,8 @@ def test_acceptance_6_peak_delay_identity(anchor_run, mixed3_run):
             gate = 3.0 * se + 3.0 * pm.peak_mean / min_count
             ok = ok and abs(diffs.mean()) <= gate
             worst = max(worst, abs(diffs.mean()) / gate)
-            z_peak = (palm.peak_mean[k].value - pm.peak_mean) / palm.peak_mean[k].stderr
+            peak = palm[f"peak_mean[{k + 1}]"]
+            z_peak = (peak.value - pm.peak_mean) / peak.stderr
             ok = ok and abs(z_peak) < 3.0
     verdict(
         6,

@@ -228,6 +228,30 @@ def test_cli_simulate_trace(tmp_path, capsys):
     assert kinds == {"arrival", "departure"}
 
 
+LATE_CFG = "source = 3 exp(6)\nsource = 0.05 exp(6)\nhorizon = 50\nburn_in = 2\nreplications = 4\nseed = 31\n"
+
+
+def test_cli_simulate_notes_flagged_estimates(tmp_path, capsys):
+    # source 2 delivers about once every 30 time units, so at most one
+    # replication sees a peak of it: its peak mean has no stderr
+    cfgfile = write_config(tmp_path, LATE_CFG)
+    out = tmp_path / "late.csv"
+    assert main(["simulate", "--config", str(cfgfile), "--output", str(out)]) == 0
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: ")]
+    assert notes[-1] == "note: peak_mean[2]: too few replications with peaks for source 2 for a stderr"
+    assert [n for n in notes if not n.startswith("note: source ")] == notes[-1:]
+    # the notes leave the CSV as the library reports it
+    cfg = parse_config(LATE_CFG)
+    report = simulator.simulate(
+        cfg.spec, horizon=cfg.horizon, burn_in=cfg.burn_in, replications=cfg.replications, seed=cfg.seed
+    )
+    with open(out) as fh:
+        rows = [tuple(row) for row in csv.reader(fh)]
+    assert rows[0] == ("quantity", "value", "stderr")
+    assert rows[1:] == [(name, repr(est.value), repr(est.stderr)) for name, est in report.quantities.items()]
+    assert dict((r[0], r[2]) for r in rows[1:])["peak_mean[2]"] == "nan"
+
+
 class _InProcessPool:
     def __init__(self, max_workers):
         pass
@@ -348,6 +372,19 @@ def test_cli_usage_errors_exit_1(argv, tmp_path, capsys):
     argv = [a if a != "CFG" else str(write_config(tmp_path, SIM_CFG)) for a in argv]
     assert main(argv) == 1
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("horizon", ["nan", "inf", "20", "5"])
+def test_cli_horizon_checked_before_running(command, horizon, tmp_path, capsys, monkeypatch):
+    # SIM_CFG sets burn_in = 20, so a horizon of 20 or less leaves no window
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(simulator, "run_replications", must_not_run)
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    assert main([command, "--config", str(cfgfile), "--horizon", horizon]) == 1
+    assert "--horizon" in capsys.readouterr().err
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):

@@ -7,7 +7,7 @@ from aoistats import simulator
 from aoistats.analytics import SystemSpec, analytic_quantities, distinct_s_rows
 from aoistats.experiments import compare
 from aoistats.servicedist import Deterministic, Exponential, Gamma
-from aoistats.simulator import simulate, simulated_quantities
+from aoistats.simulator import simulate
 
 K2 = SystemSpec(rates=(3.0, 3.0), services=(Exponential(6.0), Exponential(6.0)))
 K3 = SystemSpec(
@@ -59,7 +59,7 @@ SIMULATED_K3 = [
 def test_label_order_is_frozen_and_consistent(spec, grid, analytic, simulated):
     assert list(analytic_quantities(spec, grid)) == analytic
     report = simulate(spec, s_grid=grid, **RUN)
-    assert list(simulated_quantities(report)) == simulated
+    assert list(report.quantities) == simulated
     assert [row.quantity for row in compare(spec, s_grid=grid, **RUN)] == simulated
     # every simulated quantity has a closed form to be gated against
     assert set(simulated) <= set(analytic)

@@ -11,6 +11,7 @@ from aoistats.analytics import (
     aoi_correlation,
     departure_rate,
     joint_aoi_laplace,
+    joint_laplace_label,
     marginal_aoi_moments,
     palm_means,
     pushout_rate,
@@ -404,9 +405,9 @@ def test_palm_estimators_match_record_oracles(spec, horizon, burn_in, replicatio
     results = [run_replication(spec, horizon, burn_in, seed, rep, ()) for rep in range(replications)]
     assert warm_up_note(results) == warm_up
     got, want = estimate_palm(results), palm_from_records(results)
-    for field in ("delay_mean", "peak_mean", "update_rate", "update_share"):
-        for a, b in zip(getattr(got, field), getattr(want, field)):
-            assert _same_estimate(a, b), field
+    assert list(got) == list(want)
+    for label in got:
+        assert _same_estimate(got[label], want[label]), label
 
 
 @pytest.mark.parametrize("case", [c for c in RECORD_CASES if c[-1] and "skipped" in c[-1]])
@@ -433,7 +434,7 @@ def test_late_source_note_covers_warm_up_departures(case, tmp_path):
             window += 1
         assert window == len(r.records)
     report = simulate(spec, horizon=horizon, burn_in=burn_in, replications=replications, seed=seed)
-    noted = {int(f.split(":")[0].removeprefix("source ")) - 1 for f in report.flags}
+    noted = {int(f.split(":")[0].removeprefix("source ")) - 1 for f in report.flags if f.startswith("source ")}
     assert late_anywhere and noted == late_anywhere
 
 
@@ -498,9 +499,9 @@ def test_throughput_estimates(symmetric_results):
 
 def test_palm_estimates(mixed3_results):
     palm = estimate_palm(mixed3_results)
-    shares = [palm.update_share[k].value for k in range(3)]
+    shares = [palm[f"update_share[{k + 1}]"].value for k in range(3)]
     assert math.fsum(shares) == pytest.approx(1.0, abs=1e-12)
-    rate_total = math.fsum(palm.update_rate[k].value for k in range(3))
+    rate_total = math.fsum(palm[f"update_rate[{k + 1}]"].value for k in range(3))
     assert rate_total == pytest.approx(
         estimate_departure_rate(mixed3_results).value, rel=1e-12
     )
@@ -508,11 +509,11 @@ def test_palm_estimates(mixed3_results):
         pm = palm_means(MIXED3, k)
         # a deterministic service makes the delay stderr collapse to
         # rounding noise, so keep an absolute floor in the gate
-        est = palm.delay_mean[k]
+        est = palm[f"delay_mean[{k + 1}]"]
         assert abs(est.value - pm.delay_mean) < Z_GATE * est.stderr + 1e-12
-        assert abs(zscore(palm.peak_mean[k], pm.peak_mean)) < Z_GATE
-        assert abs(zscore(palm.update_rate[k], pm.update_rate)) < Z_GATE
-        assert abs(zscore(palm.update_share[k], source_update_share(MIXED3, k))) < Z_GATE
+        assert abs(zscore(palm[f"peak_mean[{k + 1}]"], pm.peak_mean)) < Z_GATE
+        assert abs(zscore(palm[f"update_rate[{k + 1}]"], pm.update_rate)) < Z_GATE
+        assert abs(zscore(palm[f"update_share[{k + 1}]"], source_update_share(MIXED3, k))) < Z_GATE
 
 
 def test_single_source_palm_and_transform():
@@ -533,6 +534,9 @@ def test_empirical_cdf():
     assert np.all((values >= 0.0) & (values <= 1.0))
     exact = 1.0 - 2.0 * np.exp(-2.0 * grid) + np.exp(-4.0 * grid)
     assert np.max(np.abs(values - exact)) < 0.01
+    for k in (-1, 1):
+        with pytest.raises(IndexError, match=f"source index {k} out of range for 1 sources"):
+            estimate_marginal_cdf(results, k)
     with pytest.raises(ValueError):
         estimate_marginal_cdf(run_replications(spec, 100.0, 1.0, 2, 0, ()), 0)
 
@@ -563,8 +567,9 @@ def test_simulate_report_round_trip():
     report = simulate(SYMMETRIC, horizon=2e3, burn_in=50.0, replications=8, seed=3)
     assert report.replications == 8
     assert report.burn_in == 50.0
-    assert set(report.joint_laplace) == set(default_s_grid(2))
-    for est in report.joint_laplace.values():
+    transforms = {label: est for label, est in report.quantities.items() if label.startswith("joint_laplace(")}
+    assert list(transforms) == [joint_laplace_label(row) for row in default_s_grid(2)]
+    for est in transforms.values():
         assert est.batches == 8
         assert est.stderr >= 0.0
     assert report.flags == []
@@ -584,13 +589,8 @@ def test_simulate_flags_slow_sources():
 def test_worker_count_does_not_change_results():
     serial = simulate(SYMMETRIC, horizon=2e3, burn_in=50.0, replications=4, seed=5, workers=1)
     parallel = simulate(SYMMETRIC, horizon=2e3, burn_in=50.0, replications=4, seed=5, workers=2)
-    assert np.array_equal(serial.statistics.mean, parallel.statistics.mean)
-    for s in serial.joint_laplace:
-        assert serial.joint_laplace[s].value == parallel.joint_laplace[s].value
     # the delivery sums are reduced in the workers
-    assert serial.palm == parallel.palm
-    assert serial.departure_rate == parallel.departure_rate
-    assert serial.pushout_rate == parallel.pushout_rate
+    assert serial.quantities == parallel.quantities
 
 
 def test_worker_pool_is_capped(monkeypatch):
