@@ -6,13 +6,16 @@ enters service immediately and departs iff its service fits in that gap
 (a tie counts as a departure).  Path generation therefore vectorizes:
 arrival epochs come from one superposed exponential clock, sources from
 one categorical draw per arrival, and the departure set is a simple
-thinning.  Between departures every age grows with slope one, so all
+thinning.  Between departures every age grows with slope one, so the
 path integrals (exponential functionals for transforms, polynomial ones
-for moments, occupancy for empirical CDFs) are accumulated segment by
-segment in closed form; nothing is discretized.  Occupancy below each
-level of a CDF grid is a cumulative sum, over the sorted grid, of each
-cell's overlap with the segments' age ranges: O(n log m) per source for
-n segments and m levels.
+for moments) are accumulated segment by segment in closed form; nothing
+is discretized.  Each source's age after every departure is read off
+its own update sequence by a running count of its deliveries, with no
+search.  For empirical CDFs a source's age is one ramp from each of its
+updates to the next, and occupancy below each level of a CDF grid is a
+cumulative sum, over the sorted grid, of each cell's overlap with the
+ramps: O(n_k log m) per source for its n_k window deliveries and m
+levels.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
@@ -114,7 +117,11 @@ class PathAccumulator:
     exp(-s . A(t)); per source the integrals of A_k and A_k^2; all
     pairwise integrals of A_j A_k; optionally, per source, the occupancy
     time below each level of `cdf_grid` (a nonempty 1-D array of finite
-    levels, in any order).
+    levels, in any order).  `add_segments` adds the joint path, one
+    segment per stretch between two departures of any source;
+    `add_ramps` adds one source's occupancy from its age ramps, one per
+    stretch between two of its own updates, which must cover the same
+    time.
     """
 
     s_grid: tuple[tuple[float, ...], ...]
@@ -152,12 +159,9 @@ class PathAccumulator:
             self.cdf_occupancy = None
 
     def add_segments(self, ages: np.ndarray, lengths: np.ndarray) -> None:
-        """Vectorized bulk accumulation; rows of `ages` are segment starts.
-
-        A segment with start ages a and length L spends
-        clip(x - a_k, 0, L) time with source k's age at or below x; the
-        occupancy at every grid level is summed from per-cell overlaps in
-        O(n log m) per source (see `_occupancy`), never as an n-by-m array.
+        """Vectorized bulk accumulation of the transform and moment
+        integrals and the elapsed time; rows of `ages` are segment starts.
+        Occupancy is added by `add_ramps`.
         """
         ages = np.asarray(ages, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
@@ -186,18 +190,38 @@ class PathAccumulator:
             + (colsum_L2[:, None] + colsum_L2[None, :]) / 2.0
             + float((L2 * L).sum()) / 3.0
         )
-        if self.cdf_grid is not None:
-            for k in range(self.num_sources):
-                self.cdf_occupancy[k] += _occupancy(self.cdf_grid, ages[:, k], L)
         self.elapsed += total
+
+    def add_ramps(self, k: int, starts: np.ndarray, lengths: np.ndarray) -> None:
+        """Add age ramps to source k's occupancy below every grid level.
+
+        A ramp is an age range [a, a + L] passed through at slope one; it
+        spends clip(x - a, 0, L) time with the age at or below x.  Between
+        two of its own updates a source's age is one ramp, however many
+        other sources deliver meanwhile, so n_k ramps cover the source on
+        a whole path.  Costs O(n_k log m) for m levels (see `_occupancy`),
+        never an n_k-by-m array.
+        """
+        if self.cdf_grid is None:
+            raise ValueError("accumulator has no CDF grid")
+        if not 0 <= k < self.num_sources:
+            raise IndexError(f"source index {k} out of range for {self.num_sources} sources")
+        starts = np.asarray(starts, dtype=float)
+        lengths = np.asarray(lengths, dtype=float)
+        if starts.ndim != 1 or lengths.shape != starts.shape:
+            raise ValueError(f"starts and lengths must be 1-D of one length, got {starts.shape} and {lengths.shape}")
+        if np.any(lengths < 0):
+            raise ValueError("ramp lengths must be nonnegative")
+        self.cdf_occupancy[k] += _occupancy(self.cdf_grid, starts, lengths)
 
 
 def _occupancy(grid: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """sum_i clip(x - starts[i], 0, lengths[i]) at every x in `grid`.
 
-    Sorted, the grid splits the line into cells (x_{j-1}, x_j]; the result
-    is the cumulative sum of each cell's total overlap with the age ranges
-    [a_i, a_i + L_i].  A range contributes its part in the cell holding
+    The ranges [a_i, a_i + L_i] are one source's age ramps, or any age
+    ranges.  Sorted, the grid splits the line into cells (x_{j-1}, x_j];
+    the result is the cumulative sum of each cell's total overlap with
+    the ranges.  A range contributes its part in the cell holding
     its start, whole cells, and its part in the cell holding its end; the
     whole cells are counted with a difference array.  Every increment is
     a sum of nonnegative terms, so the result never decreases along the
@@ -216,7 +240,7 @@ def _occupancy(grid: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     inside = ~spans
 
     # bincount adds a cell's values one after another, so many equal ones
-    # (a deterministic source's deliveries all start at the same age) drift
+    # (a deterministic source's ramps all start at the same age) drift
     # by up to one rounding each.  Summing runs of about m consecutive
     # ranges apart and then the runs pairwise keeps that drift to about m
     # roundings, in a table of about n + m entries.
@@ -392,6 +416,7 @@ def run_replication(
     # and the sums over each source's window deliveries
     own_U: list[np.ndarray] = []
     own_D: list[np.ndarray] = []
+    own_w: list[int] = []
     peak = np.full(dep_epoch.size, np.nan)
     source_sums = np.zeros((4, K))
     for k in range(K):
@@ -404,16 +429,19 @@ def run_replication(
         pk[:1] = np.nan  # first-ever update peaks against the start state
         peak[own] = pk
         w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
+        own_w.append(w)
         source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
 
-    # ages just after burn-in and after every window departure
+    # ages just after burn-in and after every window departure; source k's
+    # last update there is Uk[w - 1] moved on by each of its window deliveries
     in_window = dep_epoch > burn_in
     w_epoch = dep_epoch[in_window]
+    w_src = dep_src[in_window]
     points = np.concatenate([[burn_in], w_epoch])
     ages = np.empty((points.size, K))
     covered = np.ones(points.size, dtype=bool)
     for k in range(K):
-        j = np.searchsorted(own_U[k], points, side="right") - 1
+        j = own_w[k] - 1 + np.concatenate([[0], np.cumsum(w_src == k)])
         ages[:, k] = own_D[k][j] + (points - own_U[k][j])
         covered &= j >= 1
 
@@ -424,6 +452,14 @@ def run_replication(
     lengths = np.append(starts[1:], horizon) - starts
     accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
     accumulator.add_segments(ages[starts_at], lengths)
+    if accumulator.cdf_grid is not None:
+        # source k's age ramps from its value at burn-in, then from the
+        # delay of each of its window deliveries, to its next delivery or
+        # the horizon
+        for k in range(K):
+            w = own_w[k]
+            edges = np.concatenate([[burn_in], own_U[k][w:], [horizon]])
+            accumulator.add_ramps(k, np.concatenate([[ages[0, k]], own_D[k][w:]]), np.diff(edges))
 
     records = PalmRecords(
         epoch=w_epoch,
@@ -618,9 +654,12 @@ def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
     K = results[0].accumulator.num_sources
     if not 0 <= k < K:
         raise IndexError(f"source index {k} out of range for {K} sources")
-    grid = results[0].accumulator.cdf_grid
-    if grid is None:
+    grids = [r.accumulator.cdf_grid for r in results]
+    if all(g is None for g in grids):
         raise ValueError("replications were run without a CDF grid")
+    grid = grids[0]
+    if any(g is None or not np.array_equal(g, grid) for g in grids):
+        raise ValueError("replications were run with different CDF grids")
     occ = np.sum([r.accumulator.cdf_occupancy[k] for r in results], axis=0)
     T = math.fsum(r.accumulator.elapsed for r in results)
     return grid.copy(), occ / T

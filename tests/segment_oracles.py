@@ -1,9 +1,10 @@
 """Reference forms of the simulator's path integrals.
 
-The simulator accumulates whole paths at once with
-`PathAccumulator.add_segments`; these one-segment-at-a-time versions, and
-the clip sum over every (segment, level) pair for CDF occupancy, are the
-oracles the tests check it against.
+The simulator accumulates whole paths at once, with
+`PathAccumulator.add_segments` for the transform and moment integrals and
+`PathAccumulator.add_ramps` for each source's CDF occupancy; these
+one-segment-at-a-time versions, and the clip sum over every (segment,
+level) pair for CDF occupancy, are the oracles the tests check it against.
 """
 
 import math
@@ -62,7 +63,9 @@ def segment_integral_moments(snapshot: AoISnapshot, t0: float, t1: float):
 
 
 def add_segment(acc, snapshot: AoISnapshot, t0: float, t1: float) -> None:
-    """Accumulate one constant-snapshot segment into the PathAccumulator `acc`."""
+    """Accumulate one constant-snapshot segment into the PathAccumulator `acc`,
+    occupancy included: what `add_segments` and one `add_ramps` call per
+    source add for it together."""
     for j, row in enumerate(acc.s_grid):
         acc.exp_integrals[j] += segment_integral_exponential(snapshot, t0, t1, row)
     age, age_sq, cross = segment_integral_moments(snapshot, t0, t1)

@@ -49,6 +49,7 @@ MIXED3 = SystemSpec(
     rates=(1.0, 2.0, 3.0),
     services=(Exponential(6.0), Gamma(2.0, 12.0), Deterministic(0.1)),
 )
+LATE = SystemSpec(rates=(3.0, 0.05), services=(Exponential(6.0), Exponential(6.0)))
 Z_GATE = 3.0
 
 
@@ -158,6 +159,8 @@ def test_bulk_accumulation_matches_scalar():
     ages, lengths = random_path(rng, 200, 3)
     bulk = PathAccumulator(s_grid=grid, num_sources=3, cdf_grid=cdf_grid)
     bulk.add_segments(ages, lengths)
+    for k in range(3):  # any age ranges are a valid set of ramps
+        bulk.add_ramps(k, ages[:, k], lengths)
     scalar = PathAccumulator(s_grid=grid, num_sources=3, cdf_grid=cdf_grid)
     t = 0.0
     for a, L in zip(ages, lengths):
@@ -182,6 +185,17 @@ def test_accumulator_layout_checks():
         acc.add_segments(np.zeros((3, 1)), np.ones(3))
     with pytest.raises(ValueError):
         acc.add_segments(np.zeros((3, 2)), np.ones(4))
+    with pytest.raises(ValueError, match="no CDF grid"):
+        acc.add_ramps(0, np.zeros(3), np.ones(3))
+    acc = PathAccumulator(s_grid=(), num_sources=2, cdf_grid=[0.5, 1.0])
+    with pytest.raises(IndexError):
+        acc.add_ramps(2, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError):
+        acc.add_ramps(0, np.zeros(3), np.ones(4))
+    with pytest.raises(ValueError):
+        acc.add_ramps(0, np.zeros((3, 1)), np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        acc.add_ramps(0, np.zeros(3), np.array([1.0, -1.0, 1.0]))
     for bad in ([], [[0.5, 1.0]], [0.5, np.nan], [np.inf], [0.5, -np.inf]):
         with pytest.raises(ValueError, match="CDF grid"):
             PathAccumulator(s_grid=(), num_sources=2, cdf_grid=bad)
@@ -222,7 +236,8 @@ def occupancy_cases(draw):
 def test_occupancy_matches_clip_sum(case):
     ages, lengths, grid = case
     acc = PathAccumulator(s_grid=(), num_sources=ages.shape[1], cdf_grid=grid)
-    acc.add_segments(ages, lengths)
+    for k in range(ages.shape[1]):  # any age ranges are a valid set of ramps
+        acc.add_ramps(k, ages[:, k], lengths)
     occ = acc.cdf_occupancy
     # relative only: a level no segment reaches must read exactly 0
     np.testing.assert_allclose(occ, clip_occupancy(grid, ages, lengths), rtol=1e-12, atol=0.0)
@@ -325,6 +340,48 @@ def test_trace_replay_matches_accumulator(tmp_path):
     assert rep.accumulator.exp_integrals[0] == pytest.approx(acc, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec, horizon, burn, seed",
+    [
+        (MIXED3, 2e3, 0.0, 13),
+        (MIXED3, 2e3, 40.0, 13),
+        (LATE, 40.0, 20.0, 8),  # source 2 never delivers
+    ],
+)
+def test_trace_replay_matches_occupancy(spec, horizon, burn, seed, tmp_path):
+    # the occupancy must agree with the clip sum over the segment table a
+    # naive replay of the trace gives: ages at burn-in and after each
+    # window departure, held until the next departure or the horizon
+    trace = tmp_path / "trace.csv"
+    # unsorted, with a level below every delay and one on MIXED3's det(0.1) delay
+    grid = np.array([1.0, 0.1, 0.0, 0.3, 0.05, 2.5, 12.0, 25.0])
+    rep = run_replication(spec, horizon, burn, seed, 0, (), cdf_grid=grid, trace_path=trace)
+    with open(trace) as fh:
+        deps = [
+            (float(row["epoch"]), int(row["source"]) - 1, float(row["value"]))
+            for row in csv.DictReader(fh)
+            if row["kind"] == "departure"
+        ]
+    assert min(d[2] for d in deps) > 0.0
+    K = spec.num_sources
+    E = np.zeros(K)
+    D = np.zeros(K)
+    ages, lengths = [], []
+    t_prev = 0.0
+    for epoch, k, delay in deps + [(horizon, None, None)]:
+        t0, t1 = max(t_prev, burn), min(epoch, horizon)
+        if t1 > t0:
+            ages.append(D + (t0 - E))
+            lengths.append(t1 - t0)
+        if k is not None:
+            E[k], D[k] = epoch, delay
+        t_prev = epoch
+    if spec is LATE:
+        assert rep.late_sources == (1,) and not any(d[1] == 1 for d in deps)
+    want = clip_occupancy(grid, np.array(ages), np.array(lengths))
+    np.testing.assert_allclose(rep.accumulator.cdf_occupancy, want, rtol=1e-12, atol=0.0)
+
+
 def test_peak_identity_from_trace(tmp_path):
     # peak at a delivery = previous delay + time since the previous delivery
     # of the same source; the first-ever delivery has no true peak
@@ -386,8 +443,6 @@ def _same_estimate(a, b) -> bool:
         for x, y in ((a.value, b.value), (a.stderr, b.stderr))
     )
 
-
-LATE = SystemSpec(rates=(3.0, 0.05), services=(Exponential(6.0), Exponential(6.0)))
 
 # (spec, horizon, burn_in, replications, seed, warm_up): warm_up is what
 # the records show of the start-up, in the words of warm_up_note
@@ -541,6 +596,17 @@ def test_empirical_cdf():
         estimate_marginal_cdf(run_replications(spec, 100.0, 1.0, 2, 0, ()), 0)
 
 
+def test_empirical_cdf_needs_one_grid():
+    spec = SystemSpec(rates=(2.0,), services=(Exponential(4.0),))
+    grid = np.linspace(0.1, 2.0, 4)
+    same = run_replications(spec, 100.0, 1.0, 2, 0, (), cdf_grid=grid)
+    shifted = run_replication(spec, 100.0, 1.0, 0, 2, (), cdf_grid=grid + 0.1)
+    no_grid = run_replication(spec, 100.0, 1.0, 0, 2, ())
+    for results in (same + [shifted], same + [no_grid], [no_grid] + same):
+        with pytest.raises(ValueError, match="replications were run with different CDF grids"):
+            estimate_marginal_cdf(results, 0)
+
+
 def test_stderr_shrinks_with_horizon():
     # doubling the measured window should shrink the batch stderr by
     # roughly 1/sqrt(2); the seed is fixed so the ratio is reproducible
@@ -591,6 +657,14 @@ def test_worker_count_does_not_change_results():
     parallel = simulate(SYMMETRIC, horizon=2e3, burn_in=50.0, replications=4, seed=5, workers=2)
     # the delivery sums are reduced in the workers
     assert serial.quantities == parallel.quantities
+
+
+def test_worker_count_does_not_change_occupancy():
+    grid = np.linspace(0.05, 3.0, 9)
+    serial = run_replications(MIXED3, 1e3, 20.0, 3, 5, (), cdf_grid=grid, workers=1)
+    parallel = run_replications(MIXED3, 1e3, 20.0, 3, 5, (), cdf_grid=grid, workers=2)
+    for a, b in zip(serial, parallel, strict=True):
+        assert np.array_equal(a.accumulator.cdf_occupancy, b.accumulator.cdf_occupancy)
 
 
 def test_worker_pool_is_capped(monkeypatch):
