@@ -53,6 +53,7 @@ __all__ = [
 DEFAULT_MAX_SOURCES = 16
 TALBOT_NODES = 64
 INVERSION_RESIDUAL_TOL = 1e-6
+_CDF_CHUNK = 256  # thresholds inverted together by marginal_aoi_cdf
 
 
 class InversionAccuracyWarning(UserWarning):
@@ -391,36 +392,27 @@ def analytic_quantities(spec: SystemSpec, s_grid) -> dict[str, float]:
 # marginal age CDF by numerical transform inversion
 
 
-def _marginal_lt_complex(spec: SystemSpec, k: int, z: complex) -> complex:
-    lam = spec.total_rate
-    try:
-        w = spec.services[k].laplace_complex(z + lam)
-    except OverflowError:
-        # cmath raises instead of returning inf when the exponent is huge,
-        # which happens for point-mass components far left of the contour
-        return 1.0 + 0.0j
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-        # the transform blew up far left of the contour; the age transform
-        # ratio tends to 1 there and the node weight is negligible anyway
-        return 1.0 + 0.0j
-    num = spec.rates[k] * w
-    return num / (z + num)
-
-
-def _talbot_cdf(lt, x: float, nodes: int) -> float:
-    """Invert lt(z)/z at x on the fixed-Talbot contour with `nodes` nodes."""
+def _talbot_cdf(spec: SystemSpec, k: int, x: np.ndarray, nodes: int) -> np.ndarray:
+    """Invert source k's marginal transform over s at every threshold of
+    `x` (n,) on the fixed-Talbot contour with `nodes` nodes, evaluating
+    the service transform once for all n * nodes points."""
     M = int(nodes)
     r = 2.0 * M / (5.0 * x)
     theta = np.pi * np.arange(1, M) / M
     cot = np.cos(theta) / np.sin(theta)
-    p = r * theta * (cot + 1j)
+    p = (r[:, None] * theta) * (cot + 1j)
     sigma = theta + (theta * cot - 1.0) * cot
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        fp = np.array([lt(pk) / pk for pk in p], dtype=complex)
-        terms = np.exp(x * p) * fp * (1.0 + 1j * sigma)
+    z = np.column_stack([r, p])
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        w = spec.services[k].laplace_complex(z + spec.total_rate)
+        num = spec.rates[k] * w
+        # the transform can overflow far left of the contour; the age
+        # transform ratio tends to 1 there and the node weight is negligible
+        lt = np.where(np.isfinite(w), num / (z + num), 1.0)
+        terms = np.exp(x[:, None] * p) * (lt[:, 1:] / p) * (1.0 + 1j * sigma)
     terms = np.where(np.isfinite(terms), terms, 0.0)
-    head = 0.5 * math.exp(r * x) * (lt(complex(r, 0.0)) / r).real
-    return (2.0 / (5.0 * x)) * (head + float(terms.real.sum()))
+    head = 0.5 * np.exp(r * x) * (lt[:, 0] / r).real
+    return (2.0 / (5.0 * x)) * (head + terms.real.sum(axis=1))
 
 
 def marginal_aoi_cdf(spec: SystemSpec, k: int, x, nodes: int = TALBOT_NODES):
@@ -429,37 +421,37 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x, nodes: int = TALBOT_NODES):
     Inverts marginal_aoi_laplace(spec, k, .)/s at x on a fixed-Talbot
     contour with `nodes` nodes and clamps the result to [0, 1].  The same
     inversion at 3/4 of the node count serves as a residual estimate;
-    residuals above INVERSION_RESIDUAL_TOL raise an
-    InversionAccuracyWarning but still return the value.  An age is at
+    each threshold whose residual is above INVERSION_RESIDUAL_TOL raises
+    an InversionAccuracyWarning but still returns the value.  An age is at
     least the delay of the last delivered update, so at or below the lower
     end of source k's service support the result is exactly 0, with no
     inversion.
 
-    `x` may be a scalar or an array of thresholds; arrays invert point by
-    point and return an array of the same shape.
+    `x` may be a scalar or an array of thresholds of any shape; an array
+    returns an array of its shape.  Every threshold is checked before any
+    inversion runs.  The rest are inverted as arrays, on both contours,
+    in chunks of _CDF_CHUNK thresholds so that memory stays bounded; a
+    threshold's value does not depend on the others.
     """
     k = _check_source_index(spec, k)
-    if np.ndim(x) > 0:
-        flat = np.asarray(x, dtype=float).reshape(-1)
-        out = np.array([marginal_aoi_cdf(spec, k, xi, nodes) for xi in flat])
-        return out.reshape(np.shape(x))
-    x = float(x)
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"age threshold must be nonnegative and finite, got {x}")
-    if x <= spec.services[k].support_min:
-        return 0.0
-
-    def lt(z: complex) -> complex:
-        return _marginal_lt_complex(spec, k, z)
-
-    value = _talbot_cdf(lt, x, nodes)
-    check = _talbot_cdf(lt, x, max(3 * nodes // 4, 12))
-    residual = abs(value - check)
-    if residual > INVERSION_RESIDUAL_TOL:
-        warnings.warn(
-            f"CDF inversion residual {residual:.3e} above {INVERSION_RESIDUAL_TOL:g} "
-            f"at x={x:g} for source {k}",
-            InversionAccuracyWarning,
-            stacklevel=2,
-        )
-    return min(max(value, 0.0), 1.0)
+    xs = np.asarray(x, dtype=float)
+    flat = xs.reshape(-1)
+    bad = ~(np.isfinite(flat) & (flat >= 0))
+    if bad.any():
+        raise ValueError(f"age threshold must be nonnegative and finite, got {flat[bad][0]}")
+    out = np.zeros(flat.size)
+    live = np.flatnonzero(flat > spec.services[k].support_min)
+    for start in range(0, live.size, _CDF_CHUNK):
+        idx = live[start : start + _CDF_CHUNK]
+        value = _talbot_cdf(spec, k, flat[idx], nodes)
+        check = _talbot_cdf(spec, k, flat[idx], max(3 * nodes // 4, 12))
+        for xi, residual in zip(flat[idx], np.abs(value - check)):
+            if residual > INVERSION_RESIDUAL_TOL:
+                warnings.warn(
+                    f"CDF inversion residual {residual:.3e} above {INVERSION_RESIDUAL_TOL:g} "
+                    f"at x={xi:g} for source {k}",
+                    InversionAccuracyWarning,
+                    stacklevel=2,
+                )
+        out[idx] = np.clip(value, 0.0, 1.0)
+    return out.reshape(xs.shape) if xs.ndim else float(out[0])

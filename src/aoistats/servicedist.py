@@ -12,7 +12,6 @@ one-level finite mixtures of the former three.
 
 from __future__ import annotations
 
-import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -30,6 +29,17 @@ __all__ = [
 ]
 
 MIXTURE_WEIGHT_TOL = 1e-12
+
+
+def categorical(u, cum) -> np.ndarray:
+    """Category of each uniform `u` for cumulative shares `cum`: the number
+    of cum[:-1] at or below it, by len(cum) - 1 comparisons.  This is the
+    right-sided search of `cum` capped at its last index, so a share total
+    rounded below 1 never yields an index past the end."""
+    idx = np.zeros(np.shape(u), dtype=np.int64)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
 
 
 def _check_argument(s) -> None:
@@ -61,12 +71,14 @@ class ServiceTimeModel:
             raise ValueError(f"derivative order must be 1 or 2, got {order}")
         return self._derivative(float(s), order)
 
-    def laplace_complex(self, z: complex) -> complex:
-        """Analytic continuation of the transform.
+    def laplace_complex(self, z):
+        """Analytic continuation of the transform, elementwise over a
+        complex scalar or array `z`, returned in its shape.
 
-        Used internally by the numerical CDF inversion; no domain check.
+        Used internally by the numerical CDF inversion; no domain check,
+        and a value too large to represent comes back as inf.
         """
-        return self._laplace_complex(complex(z))
+        return self._laplace_complex(np.asarray(z, dtype=complex))
 
     def mean(self) -> float:
         """Exact E[S]; equals -laplace_derivative(0.0)."""
@@ -84,7 +96,7 @@ class ServiceTimeModel:
     def _laplace(self, s: float) -> float:
         raise NotImplementedError
 
-    def _laplace_complex(self, z: complex) -> complex:
+    def _laplace_complex(self, z: np.ndarray):
         raise NotImplementedError
 
     def _derivative(self, s: float, order: int) -> float:
@@ -173,7 +185,7 @@ class Deterministic(ServiceTimeModel):
         return math.exp(-s * self.value)
 
     def _laplace_complex(self, z):
-        return cmath.exp(-z * self.value)
+        return np.exp(-z * self.value)
 
     def _derivative(self, s, order):
         if order == 1:
@@ -246,16 +258,13 @@ class Mixture(ServiceTimeModel):
     def sample(self, rng, size=None):
         cum = np.cumsum(self.weights)
         if size is None:
-            idx = min(int(np.searchsorted(cum, rng.random(), side="right")), len(cum) - 1)
-            return self.components[idx].sample(rng)
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        idx = np.minimum(idx, len(cum) - 1)
+            return self.components[int(categorical(rng.random(), cum))].sample(rng)
+        idx = categorical(rng.random(size), cum)
         out = np.empty(size)
         for i, comp in enumerate(self.components):
-            mask = idx == i
-            n = int(mask.sum())
-            if n:
-                out[mask] = comp.sample(rng, n)
+            pick = np.flatnonzero(idx == i)
+            if pick.size:
+                out[pick] = comp.sample(rng, pick.size)
         return out
 
 

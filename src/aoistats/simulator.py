@@ -5,17 +5,21 @@ service requirement and the gap to the next arrival: an arrival always
 enters service immediately and departs iff its service fits in that gap
 (a tie counts as a departure).  Path generation therefore vectorizes:
 arrival epochs come from one superposed exponential clock, sources from
-one categorical draw per arrival, and the departure set is a simple
-thinning.  Between departures every age grows with slope one, so the
-path integrals (exponential functionals for transforms, polynomial ones
-for moments) are accumulated segment by segment in closed form; nothing
-is discretized.  Each source's age after every departure is read off
-its own update sequence by a running count of its deliveries, with no
-search.  For empirical CDFs a source's age is one ramp from each of its
-updates to the next, and occupancy below each level of a CDF grid is a
-cumulative sum, over the sorted grid, of each cell's overlap with the
-ramps: O(n_k log m) per source for its n_k window deliveries and m
-levels.
+one categorical draw per arrival (K - 1 comparisons with the cumulative
+shares), and the departure set is a thinning read by index and slice:
+service draws are scattered to each source's arrival indices, the
+departures are gathered once by theirs, and since departure epochs never
+decrease, the horizon cut and the burn-in window are slices; pushout
+counts follow from the departure indices.  Between departures every age
+grows with slope one, so the path integrals (exponential functionals for
+transforms, polynomial ones for moments) are accumulated segment by
+segment in closed form; nothing is discretized.  Each source's age after
+every departure is read off its own update sequence by a running count
+of its deliveries, with no search.  For empirical CDFs a source's age is
+one ramp from each of its updates to the next, and occupancy below each
+level of a CDF grid is a cumulative sum, over the sorted grid, of each
+cell's overlap with the ramps: O(n_k log m) per source for its n_k
+window deliveries and m levels.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
@@ -40,6 +44,7 @@ import numpy as np
 
 from . import analytics
 from .analytics import AoIStatistics, SystemSpec
+from .servicedist import categorical
 
 __all__ = [
     "DEFAULT_SEED",
@@ -373,43 +378,41 @@ def run_replication(
 
     epochs = _generate_arrivals(lam, horizon, rng_arr)
     n_packets = epochs.size - 1  # the final epoch is past the horizon
-    shares = np.cumsum(np.array(spec.rates) / lam)
-    src = np.minimum(
-        np.searchsorted(shares, rng_src.random(n_packets), side="right"), K - 1
-    ).astype(np.int64)
+    src = categorical(rng_src.random(n_packets), np.cumsum(np.array(spec.rates) / lam))
     svc = np.empty(n_packets)
     for k in range(K):
-        mask = src == k
-        n = int(mask.sum())
-        if n:
-            svc[mask] = spec.services[k].sample(rng_svc, n)
-    gaps = np.diff(epochs)
-    completes = svc <= gaps  # a tie still departs
-    dep_epoch_all = epochs[:-1][completes] + svc[completes]
-    dep_src_all = src[completes]
-    dep_delay_all = svc[completes]
-    push_epochs = epochs[1:][~completes]
+        own = np.flatnonzero(src == k)
+        if own.size:
+            svc[own] = spec.services[k].sample(rng_svc, own.size)
+    done = np.flatnonzero(svc <= np.diff(epochs))  # a tie still departs
+    dep_delay_all = svc[done]
+    dep_epoch_all = epochs[done] + dep_delay_all
+    dep_src_all = src[done]
     in_flight = int(epochs[-2] + svc[-1] > horizon) if n_packets else 0
 
-    # gap to the next departure, known for all but the last generated one
-    gap_all = np.full(dep_epoch_all.size, np.nan)
-    if dep_epoch_all.size > 1:
-        gap_all[:-1] = np.diff(dep_epoch_all)
+    # departure epochs never decrease, so the horizon cut and the burn-in
+    # window are slices
+    n_dep = int(np.searchsorted(dep_epoch_all, horizon, side="right"))
+    dep_epoch = dep_epoch_all[:n_dep]
+    dep_src = dep_src_all[:n_dep]
+    dep_delay = dep_delay_all[:n_dep]
+    b = int(np.searchsorted(dep_epoch, burn_in, side="right"))
+    first_arrival = int(np.searchsorted(epochs, burn_in, side="right"))
 
-    within = dep_epoch_all <= horizon
-    dep_epoch = dep_epoch_all[within]
-    dep_src = dep_src_all[within]
-    dep_delay = dep_delay_all[within]
-    dep_gap = gap_all[within]
+    def pushed_out(lo: int) -> int:
+        # packets lo .. n_packets - 2 that do not depart are pushed out by
+        # the next arrival, at or before the horizon
+        hi = max(n_packets - 1, lo)
+        return hi - lo - int(np.searchsorted(done, hi) - np.searchsorted(done, lo))
 
     counts = ReplicationCounts(
         arrivals=n_packets,
-        departures=int(dep_epoch.size),
-        pushouts=int((push_epochs <= horizon).sum()),
+        departures=n_dep,
+        pushouts=pushed_out(0),
         in_flight=in_flight,
-        window_arrivals=int((epochs[:-1] > burn_in).sum()),
-        window_departures=int((dep_epoch > burn_in).sum()),
-        window_pushouts=int(((push_epochs > burn_in) & (push_epochs <= horizon)).sum()),
+        window_arrivals=n_packets - first_arrival,
+        window_departures=n_dep - b,
+        window_pushouts=pushed_out(max(first_arrival - 1, 0)),
     )
 
     # per-source update sequences with the artificial start state prepended,
@@ -417,7 +420,7 @@ def run_replication(
     own_U: list[np.ndarray] = []
     own_D: list[np.ndarray] = []
     own_w: list[int] = []
-    peak = np.full(dep_epoch.size, np.nan)
+    peak = np.full(n_dep - b, np.nan)
     source_sums = np.zeros((4, K))
     for k in range(K):
         own = np.flatnonzero(dep_src == k)
@@ -427,16 +430,15 @@ def run_replication(
         own_D.append(Dk)
         pk = Dk[:-1] + np.diff(Uk)
         pk[:1] = np.nan  # first-ever update peaks against the start state
-        peak[own] = pk
         w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
         own_w.append(w)
+        peak[own[w - 1 :] - b] = pk[w - 1 :]
         source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
 
     # ages just after burn-in and after every window departure; source k's
     # last update there is Uk[w - 1] moved on by each of its window deliveries
-    in_window = dep_epoch > burn_in
-    w_epoch = dep_epoch[in_window]
-    w_src = dep_src[in_window]
+    w_epoch = dep_epoch[b:]
+    w_src = dep_src[b:]
     points = np.concatenate([[burn_in], w_epoch])
     ages = np.empty((points.size, K))
     covered = np.ones(points.size, dtype=bool)
@@ -447,11 +449,11 @@ def run_replication(
 
     # exact path integrals over (burn_in, horizon]: a segment starts at
     # burn-in and at each window departure before the horizon
-    starts_at = np.concatenate([[True], w_epoch < horizon])
-    starts = points[starts_at]
+    n_seg = 1 + int(np.searchsorted(w_epoch, horizon, side="left"))
+    starts = points[:n_seg]
     lengths = np.append(starts[1:], horizon) - starts
     accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
-    accumulator.add_segments(ages[starts_at], lengths)
+    accumulator.add_segments(ages[:n_seg], lengths)
     if accumulator.cdf_grid is not None:
         # source k's age ramps from its value at burn-in, then from the
         # delay of each of its window deliveries, to its next delivery or
@@ -461,12 +463,16 @@ def run_replication(
             edges = np.concatenate([[burn_in], own_U[k][w:], [horizon]])
             accumulator.add_ramps(k, np.concatenate([[ages[0, k]], own_D[k][w:]]), np.diff(edges))
 
+    # gap to the next departure, known for all but the last generated one
+    gap = np.full(n_dep - b, np.nan)
+    following = np.diff(dep_epoch_all[b : n_dep + 1])
+    gap[: following.size] = following
     records = PalmRecords(
         epoch=w_epoch,
-        source=dep_src[in_window],
-        delay=dep_delay[in_window],
-        peak=peak[in_window],
-        gap=dep_gap[in_window],
+        source=w_src,
+        delay=dep_delay[b:],
+        peak=peak,
+        gap=gap,
         covered=covered[1:],
     )
 

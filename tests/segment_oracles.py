@@ -5,12 +5,27 @@ The simulator accumulates whole paths at once, with
 `PathAccumulator.add_ramps` for each source's CDF occupancy; these
 one-segment-at-a-time versions, and the clip sum over every (segment,
 level) pair for CDF occupancy, are the oracles the tests check it against.
+`mask_thinned_replication` is `run_replication` as it thinned arrivals
+with boolean masks over every packet, the reference for its index-based
+thinning.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from aoistats.simulator import (
+    _ROLE_INTERARRIVAL,
+    _ROLE_SERVICE,
+    _ROLE_SOURCE,
+    PalmRecords,
+    PathAccumulator,
+    ReplicationCounts,
+    ReplicationResult,
+    _generate_arrivals,
+    replication_rng,
+)
 
 
 @dataclass(frozen=True)
@@ -87,3 +102,114 @@ def clip_occupancy(grid, ages: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     L = np.asarray(lengths, dtype=float)[:, None]
     columns = np.asarray(ages, dtype=float).T
     return np.array([np.clip(x[None, :] - a[:, None], 0.0, L).sum(axis=0) for a in columns])
+
+
+def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(), cdf_grid=None):
+    """`run_replication` without its trace, thinning by boolean masks: a
+    categorical source draw by `np.searchsorted`, service draws scattered
+    through `src == k`, and the departure, horizon and window sets as
+    masks over every packet or departure."""
+    horizon = float(horizon)
+    burn_in = float(burn_in)
+    K = spec.num_sources
+    lam = spec.total_rate
+    rng_arr = replication_rng(seed, rep_index, _ROLE_INTERARRIVAL)
+    rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
+    rng_svc = replication_rng(seed, rep_index, _ROLE_SERVICE)
+
+    epochs = _generate_arrivals(lam, horizon, rng_arr)
+    n_packets = epochs.size - 1
+    shares = np.cumsum(np.array(spec.rates) / lam)
+    src = np.minimum(
+        np.searchsorted(shares, rng_src.random(n_packets), side="right"), K - 1
+    ).astype(np.int64)
+    svc = np.empty(n_packets)
+    for k in range(K):
+        mask = src == k
+        n = int(mask.sum())
+        if n:
+            svc[mask] = spec.services[k].sample(rng_svc, n)
+    gaps = np.diff(epochs)
+    completes = svc <= gaps
+    dep_epoch_all = epochs[:-1][completes] + svc[completes]
+    dep_src_all = src[completes]
+    dep_delay_all = svc[completes]
+    push_epochs = epochs[1:][~completes]
+    in_flight = int(epochs[-2] + svc[-1] > horizon) if n_packets else 0
+
+    gap_all = np.full(dep_epoch_all.size, np.nan)
+    if dep_epoch_all.size > 1:
+        gap_all[:-1] = np.diff(dep_epoch_all)
+
+    within = dep_epoch_all <= horizon
+    dep_epoch = dep_epoch_all[within]
+    dep_src = dep_src_all[within]
+    dep_delay = dep_delay_all[within]
+    dep_gap = gap_all[within]
+
+    counts = ReplicationCounts(
+        arrivals=n_packets,
+        departures=int(dep_epoch.size),
+        pushouts=int((push_epochs <= horizon).sum()),
+        in_flight=in_flight,
+        window_arrivals=int((epochs[:-1] > burn_in).sum()),
+        window_departures=int((dep_epoch > burn_in).sum()),
+        window_pushouts=int(((push_epochs > burn_in) & (push_epochs <= horizon)).sum()),
+    )
+
+    own_U, own_D, own_w = [], [], []
+    peak = np.full(dep_epoch.size, np.nan)
+    source_sums = np.zeros((4, K))
+    for k in range(K):
+        own = np.flatnonzero(dep_src == k)
+        Uk = np.concatenate([[0.0], dep_epoch[own]])
+        Dk = np.concatenate([[0.0], dep_delay[own]])
+        own_U.append(Uk)
+        own_D.append(Dk)
+        pk = Dk[:-1] + np.diff(Uk)
+        pk[:1] = np.nan
+        peak[own] = pk
+        w = int(np.searchsorted(Uk, burn_in, side="right"))
+        own_w.append(w)
+        source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
+
+    in_window = dep_epoch > burn_in
+    w_epoch = dep_epoch[in_window]
+    w_src = dep_src[in_window]
+    points = np.concatenate([[burn_in], w_epoch])
+    ages = np.empty((points.size, K))
+    covered = np.ones(points.size, dtype=bool)
+    for k in range(K):
+        j = own_w[k] - 1 + np.concatenate([[0], np.cumsum(w_src == k)])
+        ages[:, k] = own_D[k][j] + (points - own_U[k][j])
+        covered &= j >= 1
+
+    starts_at = np.concatenate([[True], w_epoch < horizon])
+    starts = points[starts_at]
+    lengths = np.append(starts[1:], horizon) - starts
+    accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
+    accumulator.add_segments(ages[starts_at], lengths)
+    if accumulator.cdf_grid is not None:
+        for k in range(K):
+            w = own_w[k]
+            edges = np.concatenate([[burn_in], own_U[k][w:], [horizon]])
+            accumulator.add_ramps(k, np.concatenate([[ages[0, k]], own_D[k][w:]]), np.diff(edges))
+
+    records = PalmRecords(
+        epoch=w_epoch,
+        source=dep_src[in_window],
+        delay=dep_delay[in_window],
+        peak=peak[in_window],
+        gap=dep_gap[in_window],
+        covered=covered[1:],
+    )
+    late = tuple(k for k in range(K) if own_U[k].size < 2 or own_U[k][1] > burn_in)
+    return ReplicationResult(
+        accumulator=accumulator,
+        records=records,
+        counts=counts,
+        horizon=horizon,
+        burn_in=burn_in,
+        late_sources=late,
+        source_sums=source_sums,
+    )

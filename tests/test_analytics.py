@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aoistats import analytics
 from aoistats.analytics import (
+    INVERSION_RESIDUAL_TOL,
     InversionAccuracyWarning,
     SystemSpec,
     aggregate_service_laplace,
@@ -24,7 +27,7 @@ from aoistats.analytics import (
     pushout_rate,
     source_update_share,
 )
-from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture
+from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture, ServiceTimeModel
 from aoistats.simulator import default_s_grid
 from ordering_oracles import joint_aoi_laplace_two_source, joint_laplace_permutation_sum
 
@@ -510,3 +513,78 @@ def test_cdf_is_zero_below_the_smallest_delay():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", InversionAccuracyWarning)
         assert marginal_aoi_cdf(mix, 0, 0.15) > 0.0
+
+
+# the benchmark's cdf-long system and grid
+CDF_LONG = SystemSpec(rates=(2.0, 1.0), services=(Gamma(2.0, 8.0), Deterministic(0.2)))
+CDF_GRID = np.linspace(0.05, 6.0, 200)
+WARNING_RE = re.compile(r"CDF inversion residual (\S+) above 1e-06 at x=(\S+) for source (\d+)")
+
+
+def inversion_warnings(spec, k, x):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = marginal_aoi_cdf(spec, k, x)
+    return value, [str(w.message) for w in caught if issubclass(w.category, InversionAccuracyWarning)]
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_cdf_array_call_equals_scalar_calls(k):
+    values, messages = inversion_warnings(CDF_LONG, k, CDF_GRID)
+    points = [inversion_warnings(CDF_LONG, k, x) for x in CDF_GRID]
+    assert all(isinstance(v, float) for v, _ in points)
+    assert values.tolist() == [v for v, _ in points]
+    # one warning per point over tolerance, as the scalar calls give them
+    assert messages == [m for _, ms in points for m in ms]
+    assert all(len(ms) <= 1 for _, ms in points)
+    assert messages
+    for message in messages:
+        residual, x, source = WARNING_RE.fullmatch(message).groups()
+        assert float(residual) > INVERSION_RESIDUAL_TOL
+        assert float(x) > CDF_LONG.services[k].support_min and int(source) == k
+
+
+def test_cdf_keeps_the_shape_of_x():
+    grid = CDF_GRID[:60].reshape(3, 20)
+    values = marginal_aoi_cdf(SYMMETRIC, 0, grid)
+    assert values.shape == (3, 20)
+    assert np.array_equal(values.reshape(-1), marginal_aoi_cdf(SYMMETRIC, 0, grid.reshape(-1)))
+    assert isinstance(marginal_aoi_cdf(SYMMETRIC, 0, np.float64(0.5)), float)
+
+
+@pytest.mark.parametrize("x", [[0.5, 1.0, math.nan], [0.5, -1.0], [[0.5, 1.0], [2.0, math.inf]], -0.1])
+def test_cdf_rejects_bad_thresholds_before_inverting(x, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ServiceTimeModel, "laplace_complex", lambda model, z: calls.append(z))
+    with pytest.raises(ValueError, match="age threshold must be nonnegative and finite"):
+        marginal_aoi_cdf(SYMMETRIC, 0, x)
+    assert calls == []
+
+
+def test_cdf_warns_only_above_the_smallest_age():
+    det = SystemSpec(rates=(3.0, 3.0), services=(Deterministic(1.0 / 6.0),) * 2)
+    values, messages = inversion_warnings(det, 0, [0.12, 1.0 / 6.0, 0.17, 0.1])
+    assert values[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0] and 0.0 <= values[2] <= 1.0
+    assert len(messages) == 1 and WARNING_RE.fullmatch(messages[0]).group(2) == "0.17"
+    values, messages = inversion_warnings(CDF_LONG, 1, CDF_GRID)
+    warned = [float(WARNING_RE.fullmatch(m).group(2)) for m in messages]
+    assert np.all(values[CDF_GRID <= 0.2] == 0.0) and min(warned) > 0.2
+
+
+def test_cdf_chunks_do_not_change_values(monkeypatch):
+    chunk = analytics._CDF_CHUNK
+    x = np.linspace(0.01, 8.0, 2 * chunk + 17)
+    rows = []
+    transform = ServiceTimeModel.laplace_complex
+
+    def recording(model, z):
+        rows.append(z.shape[0])
+        return transform(model, z)
+
+    monkeypatch.setattr(ServiceTimeModel, "laplace_complex", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InversionAccuracyWarning)
+        whole = marginal_aoi_cdf(SYMMETRIC, 0, x)
+        assert rows == [chunk, chunk, chunk, chunk, 17, 17]
+        parts = [marginal_aoi_cdf(SYMMETRIC, 0, x[i : i + chunk]) for i in range(0, x.size, chunk)]
+    assert np.array_equal(whole, np.concatenate(parts))

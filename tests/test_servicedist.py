@@ -10,6 +10,7 @@ from aoistats.servicedist import (
     Exponential,
     Gamma,
     Mixture,
+    categorical,
     format_service,
     parse_service,
 )
@@ -175,6 +176,21 @@ def test_complex_transform_agrees_on_real_axis(model, s):
     assert z.real == pytest.approx(model.laplace(s), rel=1e-13)
 
 
+@given(st.one_of(models(), st.builds(Mixture, st.just((0.25, 0.75)), st.tuples(models(), models()))))
+@settings(max_examples=40)
+def test_complex_transform_is_elementwise_over_arrays(model):
+    z = np.array([[0.5 + 1.0j, 3.0 - 40.0j, 0.0], [12.0 + 0.1j, -2.0 + 7.0j, 50.0]])
+    values = model.laplace_complex(z)
+    assert values.shape == z.shape
+    assert np.array_equal(values, [[model.laplace_complex(v) for v in row] for row in z])
+
+
+def test_complex_transform_overflows_to_inf():
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isinf(Deterministic(0.2).laplace_complex(-5000.0 + 1.0j).real)
+        assert not np.all(np.isfinite(Mixture((0.5, 0.5), (Exponential(1.0), Deterministic(0.2))).laplace_complex([-5000.0])))
+
+
 # --- sampling ----------------------------------------------------------------
 
 
@@ -206,6 +222,52 @@ def test_support_min_is_the_smallest_draw():
     assert Deterministic(0.3).support_min == 0.3
     assert Mixture((0.5, 0.5), (Deterministic(0.3), Deterministic(0.1))).support_min == 0.1
     assert Mixture((0.5, 0.5), (Exponential(2.0), Deterministic(0.1))).support_min == 0.0
+
+
+def searchsorted_category(u, cum):
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
+def searchsorted_mixture_sample(model, rng, size):
+    """Mixture.sample as it picked components by `np.searchsorted` and
+    scattered draws through boolean masks."""
+    idx = searchsorted_category(rng.random(size), np.cumsum(model.weights))
+    out = np.empty(size)
+    for i, comp in enumerate(model.components):
+        mask = idx == i
+        n = int(mask.sum())
+        if n:
+            out[mask] = comp.sample(rng, n)
+    return out
+
+
+@pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.7, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)])
+def test_categorical_is_the_capped_search(weights):
+    # (0.7, 0.2, 0.1) sums to 0.9999999999999999: a uniform above that
+    # still picks the last category
+    cum = np.cumsum(weights)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0), np.linspace(0.0, 1.0, 101)[:-1]])
+    u = u[u < 1.0]
+    assert np.array_equal(categorical(u, cum), searchsorted_category(u, cum))
+    assert [int(categorical(v, cum)) for v in u] == searchsorted_category(u, cum).tolist()
+
+
+@given(
+    st.lists(st.tuples(st.floats(0.05, 1.0), models()), min_size=1, max_size=4),
+    st.integers(0, 2**32),
+    st.integers(0, 300),
+)
+@settings(max_examples=60)
+def test_mixture_sample_matches_searchsorted_draws(terms, seed, size):
+    total = math.fsum(w for w, _ in terms)
+    model = Mixture(tuple(w / total for w, _ in terms), tuple(c for _, c in terms))
+    got = model.sample(np.random.default_rng(seed), size)
+    want = searchsorted_mixture_sample(model, np.random.default_rng(seed), size)
+    assert np.array_equal(got, want)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        idx = int(searchsorted_category(ref.random(), np.cumsum(model.weights)))
+        assert model.sample(rng) == model.components[idx].sample(ref)
 
 
 def test_sample_scalar_and_deterministic():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aoistats.analytics import (
@@ -40,6 +40,7 @@ from segment_oracles import (
     AoISnapshot,
     add_segment,
     clip_occupancy,
+    mask_thinned_replication,
     segment_integral_exponential,
     segment_integral_moments,
 )
@@ -279,6 +280,93 @@ def test_counts_conserve_packets():
             # window tallies can only disagree through boundary packets
             assert abs(c.window_arrivals - c.window_departures - c.window_pushouts) <= 2
             assert r.window_span == pytest.approx(2.9e3)
+
+
+def assert_same_replication(got, want):
+    assert got.counts == want.counts
+    assert got.late_sources == want.late_sources
+    assert np.array_equal(got.source_sums, want.source_sums, equal_nan=True)
+    for name in ("epoch", "source", "delay", "peak", "gap", "covered"):
+        a, b = getattr(got.records, name), getattr(want.records, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+    acc, ref = got.accumulator, want.accumulator
+    assert acc.elapsed == ref.elapsed
+    for name in ("exp_integrals", "age_integrals", "age_sq_integrals", "cross_integrals"):
+        assert np.array_equal(getattr(acc, name), getattr(ref, name), equal_nan=True), name
+    assert (acc.cdf_occupancy is None) == (ref.cdf_occupancy is None)
+    if acc.cdf_occupancy is not None:
+        assert np.array_equal(acc.cdf_occupancy, ref.cdf_occupancy, equal_nan=True)
+
+
+_pure_services = st.one_of(
+    st.builds(Exponential, st.floats(0.5, 20.0)),
+    st.builds(Gamma, st.floats(0.5, 4.0), st.floats(1.0, 20.0)),
+    st.builds(Deterministic, st.sampled_from((0.0, 0.05, 0.1, 0.3, 1.0))),
+)
+_services = st.one_of(
+    _pure_services,
+    st.builds(
+        lambda w, a, b: Mixture((w, 1.0 - w), (a, b)), st.floats(0.1, 0.9), _pure_services, _pure_services
+    ),
+)
+
+
+@st.composite
+def thinning_cases(draw):
+    K = draw(st.integers(1, 5))
+    spec = SystemSpec(
+        rates=tuple(draw(st.lists(st.floats(0.1, 5.0), min_size=K, max_size=K))),
+        services=tuple(draw(st.lists(_services, min_size=K, max_size=K))),
+    )
+    horizon = draw(st.floats(0.5, 100.0))
+    burn_in = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9))) * horizon
+    s_grid = ((0.0,) * K, tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=K, max_size=K))))
+    cdf_grid = draw(st.sampled_from((None, (0.0, 0.05, 0.3, 1.0, 2.5))))
+    return spec, horizon, burn_in, draw(st.integers(0, 2**32)), s_grid, cdf_grid
+
+
+@given(thinning_cases())
+@settings(max_examples=80, deadline=None)
+def test_thinning_matches_mask_oracle(case):
+    spec, horizon, burn_in, seed, s_grid, cdf_grid = case
+    args = (spec, horizon, burn_in, seed, 0, s_grid, cdf_grid)
+    assert_same_replication(run_replication(*args), mask_thinned_replication(*args))
+
+
+NEVER_DELIVERS = SystemSpec(rates=(3.0, 1.0), services=(Exponential(6.0), Deterministic(50.0)))
+
+
+@pytest.mark.parametrize(
+    "spec,horizon,burn_in,seed,holds",
+    [
+        # no arrival before the horizon
+        (SYMMETRIC, 1e-4, 0.0, 0, lambda r: r.counts.arrivals == 0),
+        (MIXED3, 50.0, 0.0, 1, lambda r: r.burn_in == 0.0 and r.counts.window_departures > 0),
+        # the last arrival is pushed out by the first one past the horizon
+        (MIXED3, 20.0, 5.0, 2, lambda r: r.counts.in_flight == 1 and np.isnan(r.records.gap[-1])),
+        # the last arrival is still in service at the horizon and departs after it
+        (MIXED3, 20.0, 5.0, 3, lambda r: r.counts.in_flight == 1 and np.isfinite(r.records.gap[-1])),
+        (NEVER_DELIVERS, 100.0, 10.0, 3, lambda r: r.late_sources == (1,) and r.source_sums[0, 1] == 0),
+    ],
+    ids=["no-arrival", "no-burn-in", "last-pushed-out", "last-in-flight", "never-delivers"],
+)
+def test_thinning_edge_cases_match_mask_oracle(spec, horizon, burn_in, seed, holds):
+    args = (spec, horizon, burn_in, seed, 0, default_s_grid(spec.num_sources), np.linspace(0.0, 3.0, 7))
+    got = run_replication(*args)
+    assert holds(got)
+    assert_same_replication(got, mask_thinned_replication(*args))
+
+
+def test_thinning_ties_at_burn_in_and_horizon():
+    # with one source a shorter horizon replays a prefix of the same draws,
+    # so a rerun can put burn-in and the horizon exactly on departures
+    spec = SystemSpec(rates=(3.0,), services=(Exponential(6.0),))
+    epochs = run_replication(spec, 50.0, 0.0, 4).records.epoch
+    burn_in, horizon = epochs[10], epochs[-10]
+    args = (spec, horizon, burn_in, 4, 0, default_s_grid(1), np.linspace(0.0, 3.0, 7))
+    got = run_replication(*args)
+    assert np.array_equal(got.records.epoch, epochs[11:-9])
+    assert_same_replication(got, mask_thinned_replication(*args))
 
 
 def test_zero_service_never_gets_pushed_out():
