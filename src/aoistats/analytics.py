@@ -415,12 +415,12 @@ def _talbot_cdf(spec: SystemSpec, k: int, x: np.ndarray, nodes: int) -> np.ndarr
     return (2.0 / (5.0 * x)) * (head + terms.real.sum(axis=1))
 
 
-def marginal_aoi_cdf(spec: SystemSpec, k: int, x, nodes: int = TALBOT_NODES):
+def marginal_aoi_cdf(spec: SystemSpec, k: int, x):
     """P(A_k <= x), by numerical inversion of the marginal transform.
 
     Inverts marginal_aoi_laplace(spec, k, .)/s at x on a fixed-Talbot
-    contour with `nodes` nodes and clamps the result to [0, 1].  The same
-    inversion at 3/4 of the node count serves as a residual estimate;
+    contour with TALBOT_NODES nodes and clamps the result to [0, 1].  The
+    same inversion at 3/4 of the node count serves as a residual estimate;
     each threshold whose residual is above INVERSION_RESIDUAL_TOL raises
     an InversionAccuracyWarning but still returns the value.  An age is at
     least the delay of the last delivered update, so at or below the lower
@@ -443,8 +443,8 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x, nodes: int = TALBOT_NODES):
     live = np.flatnonzero(flat > spec.services[k].support_min)
     for start in range(0, live.size, _CDF_CHUNK):
         idx = live[start : start + _CDF_CHUNK]
-        value = _talbot_cdf(spec, k, flat[idx], nodes)
-        check = _talbot_cdf(spec, k, flat[idx], max(3 * nodes // 4, 12))
+        value = _talbot_cdf(spec, k, flat[idx], TALBOT_NODES)
+        check = _talbot_cdf(spec, k, flat[idx], 3 * TALBOT_NODES // 4)
         for xi, residual in zip(flat[idx], np.abs(value - check)):
             if residual > INVERSION_RESIDUAL_TOL:
                 warnings.warn(

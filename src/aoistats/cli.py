@@ -3,13 +3,15 @@
 Subcommands: analytic (closed forms only), simulate (estimates with
 stderr), compare (simulation against closed forms with z-scores, exit 2
 on gate failure), sweep (correlation sweep tables).  All take a config
-file (docs/config.md); command-line flags override config values.  Exit
-codes: 0 success, 1 usage/validation error, 2 comparison gate failure.
+file (docs/config.md); command-line flags override config values, and
+each subcommand accepts only the flags it reads.  Exit codes: 0 success,
+1 usage/validation error, 2 comparison gate failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 from pathlib import Path
@@ -43,12 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, type=Path, help="configuration file")
         p.add_argument("--output", type=Path, help="CSV output path (overrides config)")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        p.add_argument("--horizon", type=float, help="simulated time per replication")
-        p.add_argument("--replications", type=int, help="number of replications")
-        p.add_argument("--burn-in", type=float, dest="burn_in", help="warm-up span discarded per replication")
-        p.add_argument("--workers", type=int, default=1, help="parallel replication processes")
-        p.add_argument("--trace", type=Path, help="write an event trace CSV for replication 0")
+        if name in ("simulate", "compare"):
+            p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
+            p.add_argument("--horizon", type=float, help="simulated time per replication")
+            p.add_argument("--replications", type=int, help="number of replications")
+            p.add_argument("--burn-in", type=float, dest="burn_in", help="warm-up span discarded per replication")
+            p.add_argument("--workers", type=int, default=1, help="parallel replication processes")
+        if name == "simulate":
+            p.add_argument("--trace", type=Path, help="write an event trace CSV for replication 0")
     return parser
 
 
@@ -57,6 +61,8 @@ def _load_config(args) -> RunConfig:
     cfg = parse_config(text)
     if args.output is not None:
         cfg.output = str(args.output)
+    if args.command not in ("simulate", "compare"):
+        return cfg
     if args.seed is not None:
         cfg.seed = args.seed
     if args.horizon is not None:
@@ -130,8 +136,6 @@ def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
     header = ("quantity", "value", "stderr")
     rows = [(name, est.value, est.stderr) for name, est in report.quantities.items()]
     _print_table(header, [(name, _fmt(v), _fmt(se)) for name, v, se in rows], sys.stdout)
-    for flag in report.flags:
-        print(f"note: {flag}", file=sys.stderr)
     if cfg.output:
         experiments.write_csv(cfg.output, header, rows)
         print(f"wrote {cfg.output}")
@@ -155,7 +159,8 @@ def _cmd_compare(cfg: RunConfig, workers: int) -> int:
         for r in rows
     ]
     _print_table(("quantity", "analytic", "simulated", "stderr", "z", "gate"), table, sys.stdout)
-    print(f"{'all quantities within' if passed else 'GATE FAILED at'} 3 stderr ({attempts} attempt(s))")
+    verdict = "all quantities within" if passed else "GATE FAILED at"
+    print(f"{verdict} {experiments.Z_THRESHOLD:g} stderr ({attempts} attempt(s))")
     if cfg.output:
         experiments.write_comparison_csv(rows, cfg.output)
         print(f"wrote {cfg.output}")
@@ -192,6 +197,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # the simulator's notes go to stderr for this call only
+    log = logging.getLogger("aoistats")
+    level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("note: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -217,6 +229,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def entrypoint() -> None:

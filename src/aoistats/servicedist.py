@@ -3,8 +3,8 @@
 The analytic side of the package expresses every quantity through the
 transforms L_k(s) = E[exp(-s*S_k)] of the per-source service laws, while
 the simulator needs exact draws from the same laws.  Each family here
-provides both, plus exact first and second transform derivatives and the
-exact mean, so the two sides share a single model object.
+provides both, plus the exact first transform derivative and the exact
+mean, so the two sides share a single model object.
 
 Supported families: exponential, gamma, deterministic (point mass), and
 one-level finite mixtures of the former three.
@@ -60,16 +60,11 @@ class ServiceTimeModel:
         _check_argument(s)
         return self._laplace(float(s))
 
-    def laplace_derivative(self, s: float, order: int = 1) -> float:
-        """Exact derivative of the transform at s >= 0, order 1 or 2.
-
-        The first derivative is -E[S exp(-s*S)] <= 0; the second is
-        E[S^2 exp(-s*S)] >= 0.
-        """
+    def laplace_derivative(self, s: float) -> float:
+        """Exact first derivative of the transform at s >= 0,
+        -E[S exp(-s*S)] <= 0."""
         _check_argument(s)
-        if order not in (1, 2):
-            raise ValueError(f"derivative order must be 1 or 2, got {order}")
-        return self._derivative(float(s), order)
+        return self._derivative(float(s))
 
     def laplace_complex(self, z):
         """Analytic continuation of the transform, elementwise over a
@@ -89,8 +84,8 @@ class ServiceTimeModel:
         """Smallest possible service time, the lower end of the support."""
         return 0.0
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Exact draw(s); a float when size is None, else a float ndarray."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` exact draws as a float ndarray."""
         raise NotImplementedError
 
     def _laplace(self, s: float) -> float:
@@ -99,7 +94,7 @@ class ServiceTimeModel:
     def _laplace_complex(self, z: np.ndarray):
         raise NotImplementedError
 
-    def _derivative(self, s: float, order: int) -> float:
+    def _derivative(self, s: float) -> float:
         raise NotImplementedError
 
 
@@ -120,20 +115,15 @@ class Exponential(ServiceTimeModel):
     def _laplace_complex(self, z):
         return self.rate / (self.rate + z)
 
-    def _derivative(self, s, order):
-        if order == 1:
-            return -self.rate / (self.rate + s) ** 2
-        return 2.0 * self.rate / (self.rate + s) ** 3
+    def _derivative(self, s):
+        return -self.rate / (self.rate + s) ** 2
 
     def mean(self):
         return 1.0 / self.rate
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         # inverse CDF: exactly one uniform per draw
-        u = rng.random(size)
-        if size is None:
-            return -math.log1p(-u) / self.rate
-        return -np.log1p(-u) / self.rate
+        return -np.log1p(-rng.random(size)) / self.rate
 
 
 @dataclass(frozen=True)
@@ -157,16 +147,13 @@ class Gamma(ServiceTimeModel):
     def _laplace_complex(self, z):
         return (1.0 + z / self.rate) ** (-self.shape)
 
-    def _derivative(self, s, order):
-        base = 1.0 + s / self.rate
-        if order == 1:
-            return -(self.shape / self.rate) * base ** (-self.shape - 1.0)
-        return (self.shape * (self.shape + 1.0) / self.rate**2) * base ** (-self.shape - 2.0)
+    def _derivative(self, s):
+        return -(self.shape / self.rate) * (1.0 + s / self.rate) ** (-self.shape - 1.0)
 
     def mean(self):
         return self.shape / self.rate
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.standard_gamma(self.shape, size) / self.rate
 
 
@@ -187,10 +174,8 @@ class Deterministic(ServiceTimeModel):
     def _laplace_complex(self, z):
         return np.exp(-z * self.value)
 
-    def _derivative(self, s, order):
-        if order == 1:
-            return -self.value * math.exp(-s * self.value)
-        return self.value**2 * math.exp(-s * self.value)
+    def _derivative(self, s):
+        return -self.value * math.exp(-s * self.value)
 
     def mean(self):
         return self.value
@@ -199,9 +184,7 @@ class Deterministic(ServiceTimeModel):
     def support_min(self):
         return self.value
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
+    def sample(self, rng, size):
         return np.full(size, self.value)
 
 
@@ -245,8 +228,8 @@ class Mixture(ServiceTimeModel):
     def _laplace_complex(self, z):
         return sum(w * c._laplace_complex(z) for w, c in zip(self.weights, self.components))
 
-    def _derivative(self, s, order):
-        return math.fsum(w * c._derivative(s, order) for w, c in zip(self.weights, self.components))
+    def _derivative(self, s):
+        return math.fsum(w * c._derivative(s) for w, c in zip(self.weights, self.components))
 
     def mean(self):
         return math.fsum(w * c.mean() for w, c in zip(self.weights, self.components))
@@ -255,11 +238,8 @@ class Mixture(ServiceTimeModel):
     def support_min(self):
         return min(c.support_min for c in self.components)
 
-    def sample(self, rng, size=None):
-        cum = np.cumsum(self.weights)
-        if size is None:
-            return self.components[int(categorical(rng.random(), cum))].sample(rng)
-        idx = categorical(rng.random(size), cum)
+    def sample(self, rng, size):
+        idx = categorical(rng.random(size), np.cumsum(self.weights))
         out = np.empty(size)
         for i, comp in enumerate(self.components):
             pick = np.flatnonzero(idx == i)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import logging
 import math
 import os
 from collections import Counter
@@ -76,6 +77,8 @@ _ROLE_SOURCE = 1
 _ROLE_SERVICE = 2
 
 _MASK64 = (1 << 64) - 1
+
+_log = logging.getLogger("aoistats")
 
 
 def replication_rng(seed: int, rep_index: int, role: int) -> np.random.Generator:
@@ -415,53 +418,44 @@ def run_replication(
         window_pushouts=pushed_out(max(first_arrival - 1, 0)),
     )
 
-    # per-source update sequences with the artificial start state prepended,
-    # and the sums over each source's window deliveries
-    own_U: list[np.ndarray] = []
-    own_D: list[np.ndarray] = []
-    own_w: list[int] = []
-    peak = np.full(n_dep - b, np.nan)
-    source_sums = np.zeros((4, K))
-    for k in range(K):
-        own = np.flatnonzero(dep_src == k)
-        Uk = np.concatenate([[0.0], dep_epoch[own]])
-        Dk = np.concatenate([[0.0], dep_delay[own]])
-        own_U.append(Uk)
-        own_D.append(Dk)
-        pk = Dk[:-1] + np.diff(Uk)
-        pk[:1] = np.nan  # first-ever update peaks against the start state
-        w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
-        own_w.append(w)
-        peak[own[w - 1 :] - b] = pk[w - 1 :]
-        source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
-
-    # ages just after burn-in and after every window departure; source k's
-    # last update there is Uk[w - 1] moved on by each of its window deliveries
+    # ages just after burn-in and after every window departure, and the
+    # exact path integrals over (burn_in, horizon]: a segment starts at
+    # burn-in and at each window departure before the horizon
     w_epoch = dep_epoch[b:]
     w_src = dep_src[b:]
     points = np.concatenate([[burn_in], w_epoch])
-    ages = np.empty((points.size, K))
-    covered = np.ones(points.size, dtype=bool)
-    for k in range(K):
-        j = own_w[k] - 1 + np.concatenate([[0], np.cumsum(w_src == k)])
-        ages[:, k] = own_D[k][j] + (points - own_U[k][j])
-        covered &= j >= 1
-
-    # exact path integrals over (burn_in, horizon]: a segment starts at
-    # burn-in and at each window departure before the horizon
     n_seg = 1 + int(np.searchsorted(w_epoch, horizon, side="left"))
     starts = points[:n_seg]
     lengths = np.append(starts[1:], horizon) - starts
     accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
+    ages = np.empty((points.size, K))
+    covered = np.ones(points.size, dtype=bool)
+    peak = np.full(n_dep - b, np.nan)
+    source_sums = np.zeros((4, K))
+    late = []
+    for k in range(K):
+        # source k's update sequence with the artificial start state prepended
+        own = np.flatnonzero(dep_src == k)
+        Uk = np.concatenate([[0.0], dep_epoch[own]])
+        Dk = np.concatenate([[0.0], dep_delay[own]])
+        pk = Dk[:-1] + np.diff(Uk)
+        pk[:1] = np.nan  # first-ever update peaks against the start state
+        w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
+        peak[own[w - 1 :] - b] = pk[w - 1 :]
+        source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
+        # its last update at each point is Uk[w - 1] moved on by each of
+        # its window deliveries
+        j = w - 1 + np.concatenate([[0], np.cumsum(w_src == k)])
+        ages[:, k] = Dk[j] + (points - Uk[j])
+        covered &= j >= 1
+        if accumulator.cdf_grid is not None:
+            # its age ramps from its value at burn-in, then from the delay of
+            # each of its window deliveries, to its next delivery or the horizon
+            edges = np.concatenate([[burn_in], Uk[w:], [horizon]])
+            accumulator.add_ramps(k, np.concatenate([[ages[0, k]], Dk[w:]]), np.diff(edges))
+        if w == 1:  # no delivery up to burn-in
+            late.append(k)
     accumulator.add_segments(ages[:n_seg], lengths)
-    if accumulator.cdf_grid is not None:
-        # source k's age ramps from its value at burn-in, then from the
-        # delay of each of its window deliveries, to its next delivery or
-        # the horizon
-        for k in range(K):
-            w = own_w[k]
-            edges = np.concatenate([[burn_in], own_U[k][w:], [horizon]])
-            accumulator.add_ramps(k, np.concatenate([[ages[0, k]], own_D[k][w:]]), np.diff(edges))
 
     # gap to the next departure, known for all but the last generated one
     gap = np.full(n_dep - b, np.nan)
@@ -475,8 +469,6 @@ def run_replication(
         gap=gap,
         covered=covered[1:],
     )
-
-    late = tuple(k for k in range(K) if own_U[k].size < 2 or own_U[k][1] > burn_in)
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
@@ -497,7 +489,7 @@ def run_replication(
         counts=counts,
         horizon=horizon,
         burn_in=burn_in,
-        late_sources=late,
+        late_sources=tuple(late),
         source_sums=source_sums,
     )
 
@@ -743,7 +735,8 @@ def simulate(
     replication 0 writes its event trace to `trace_path` when one is given.
 
     `flags` notes each source that first delivers after burn-in in some
-    replication, then each flagged estimate as "<label>: <flag>".
+    replication, then each flagged estimate as "<label>: <flag>"; each
+    note is also logged at INFO on the "aoistats" logger.
     """
     if burn_in is None:
         burn_in = default_burn_in(spec)
@@ -782,6 +775,8 @@ def simulate(
         for k in sorted(late)
     ]
     flags += [f"{label}: {est.flag}" for label, est in quantities.items() if est.flag]
+    for flag in flags:
+        _log.info("%s", flag)
 
     return SimulationReport(
         spec=spec,

@@ -1,4 +1,5 @@
 import csv
+import logging
 import os
 import shutil
 import subprocess
@@ -252,6 +253,38 @@ def test_cli_simulate_notes_flagged_estimates(tmp_path, capsys):
     assert dict((r[0], r[2]) for r in rows[1:])["peak_mean[2]"] == "nan"
 
 
+def test_cli_compare_notes_flagged_estimates(tmp_path, capsys):
+    # compare runs the same simulation, so its FAIL rows come with the reason
+    cfgfile = write_config(tmp_path, LATE_CFG)
+    assert main(["compare", "--config", str(cfgfile)]) == 2
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: ")]
+    assert any(n.startswith("note: source 2: first delivery after burn-in") for n in notes)
+    assert "note: peak_mean[2]: too few replications with peaks for source 2 for a stderr" in notes
+
+
+def test_cli_notes_print_once_per_call(tmp_path, capsys):
+    log = logging.getLogger("aoistats")
+    handlers, level = list(log.handlers), log.level
+    cfgfile = write_config(tmp_path, LATE_CFG)
+    errs = []
+    for _ in range(2):
+        assert main(["simulate", "--config", str(cfgfile)]) == 0
+        errs.append(capsys.readouterr().err)
+        assert (log.handlers, log.level) == (handlers, level)
+    notes = [line for line in errs[0].splitlines() if line.startswith("note: ")]
+    assert notes and len(set(notes)) == len(notes)
+    assert errs[1] == errs[0]
+
+
+def test_library_simulate_writes_nothing_to_stderr(capsys):
+    cfg = parse_config(LATE_CFG)
+    report = simulator.simulate(
+        cfg.spec, horizon=cfg.horizon, burn_in=cfg.burn_in, replications=cfg.replications, seed=cfg.seed
+    )
+    assert report.flags
+    assert capsys.readouterr().err == ""
+
+
 class _InProcessPool:
     def __init__(self, max_workers):
         pass
@@ -387,6 +420,18 @@ def test_cli_horizon_checked_before_running(command, horizon, tmp_path, capsys, 
     assert "--horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [("analytic", ["--seed", "1"]), ("sweep", ["--workers", "2"]), ("compare", ["--trace", "TRACE"])],
+)
+def test_cli_rejects_flags_the_subcommand_ignores(command, flags, tmp_path, capsys):
+    cfgfile = write_config(tmp_path, SWEEP_CONFIG if command == "sweep" else SIM_CFG)
+    flags = [str(tmp_path / "t.csv") if f == "TRACE" else f for f in flags]
+    assert main([command, "--config", str(cfgfile), "--output", str(tmp_path / "out.csv"), *flags]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfgfile]
+
+
 def test_cli_config_errors_exit_1(tmp_path, capsys):
     cfgfile = write_config(tmp_path, "wat = 1\nsource = -1 exp(2)\n")
     assert main(["analytic", "--config", str(cfgfile)]) == 1
@@ -456,7 +501,8 @@ def test_cli_identical_s_rows_collapse(command, tmp_path, capsys):
 def test_cli_colliding_s_row_labels_exit_1(command, tmp_path, capsys):
     cfgfile = write_config(tmp_path, S_GRID_CFG.format("0.1234567, 0; 0.1234568, 0; 1, 1; 1, 1"))
     trace = tmp_path / "trace.csv"
-    assert main([command, "--config", str(cfgfile), "--trace", str(trace)]) == 1
+    argv = [command, "--config", str(cfgfile)] + (["--trace", str(trace)] if command == "simulate" else [])
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert "share the label joint_laplace(0.123457,0)" in captured.err
     assert captured.out == ""

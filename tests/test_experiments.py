@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from aoistats import experiments
+from aoistats import experiments, simulator
 from aoistats.analytics import SystemSpec, aoi_correlation, cc_lower_bound
 from aoistats.experiments import (
     ComparisonRow,
@@ -218,10 +218,20 @@ def test_compare_retry_uses_fresh_seed(monkeypatch):
     assert passed and attempts == 2
     assert calls == [40, 41]
 
-    calls.clear()
-    rows, passed, attempts = compare_with_retry(spec, horizon=10.0, seed=40, retries=0)
-    assert not passed and attempts == 1
-    assert calls == [40]
+
+def test_compare_checks_closed_forms_before_simulating(monkeypatch):
+    calls = []
+    original = simulator.run_replications
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_replications", spy)
+    spec = SystemSpec(rates=(1.0,) * 17, services=(Exponential(50.0),) * 17)
+    with pytest.raises(ValueError, match="above the cap of 16"):
+        experiments.compare(spec, horizon=10.0, burn_in=1.0, replications=2)
+    assert calls == []
 
 
 def test_comparison_csv_round_trip(tmp_path):

@@ -16,7 +16,6 @@ from aoistats.servicedist import (
 )
 
 FD_REL_TOL = 1e-6
-FD2_ABS_TOL = 1e-7
 MC_DRAWS = 200_000
 
 # parameter ranges keep the transforms clear of literal underflow so the
@@ -105,8 +104,6 @@ def test_transform_argument_checks():
     with pytest.raises(TypeError):
         m.laplace(1.0 + 0.0j)
     with pytest.raises(ValueError):
-        m.laplace_derivative(1.0, order=3)
-    with pytest.raises(ValueError):
         m.laplace_derivative(-1.0)
 
 
@@ -128,10 +125,8 @@ def test_transform_monotone_decreasing(model, s1, s2):
 
 @given(models(), st.floats(min_value=0.1, max_value=20.0))
 def test_derivative_signs_and_peak_bound(model, s):
-    d1 = model.laplace_derivative(s, order=1)
-    d2 = model.laplace_derivative(s, order=2)
+    d1 = model.laplace_derivative(s)
     assert d1 <= 0.0
-    assert d2 >= 0.0
     # -L'(s) = E[S exp(-sS)] <= max_x x exp(-sx) = 1/(e s)
     assert -d1 <= 1.0 / (math.e * s) + 1e-12
 
@@ -153,15 +148,6 @@ def test_first_derivative_matches_finite_difference(model, s):
     fd = model.laplace_complex(complex(s, h)).imag / h
     exact = model.laplace_derivative(s)
     assert fd == pytest.approx(exact, rel=FD_REL_TOL, abs=1e-12)
-
-
-@given(models(), st.floats(min_value=0.1, max_value=10.0))
-@settings(max_examples=60)
-def test_second_derivative_matches_finite_difference(model, s):
-    h = 1e-4 * max(1.0, s)
-    fd = (model.laplace(s + h) - 2.0 * model.laplace(s) + model.laplace(s - h)) / h**2
-    exact = model.laplace_derivative(s, order=2)
-    assert fd == pytest.approx(exact, rel=1e-4, abs=FD2_ABS_TOL)
 
 
 @given(models())
@@ -264,17 +250,10 @@ def test_mixture_sample_matches_searchsorted_draws(terms, seed, size):
     got = model.sample(np.random.default_rng(seed), size)
     want = searchsorted_mixture_sample(model, np.random.default_rng(seed), size)
     assert np.array_equal(got, want)
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(5):
-        idx = int(searchsorted_category(ref.random(), np.cumsum(model.weights)))
-        assert model.sample(rng) == model.components[idx].sample(ref)
 
 
 def test_sample_scalar_and_deterministic():
     rng = np.random.default_rng(5)
-    x = Exponential(2.0).sample(rng)
-    assert isinstance(x, float) and x >= 0.0
-    assert Deterministic(0.3).sample(rng) == 0.3
     assert np.all(Deterministic(0.3).sample(rng, 7) == 0.3)
 
 
