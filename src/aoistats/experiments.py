@@ -9,6 +9,7 @@ rates), each for a set of service families sharing the same mean.
 from __future__ import annotations
 
 import csv
+import logging
 import math
 import os
 import re
@@ -42,6 +43,8 @@ DEFAULT_FAMILIES = ("exponential", "gamma(0.5)", "gamma(2)", "deterministic")
 DEFAULT_LAMBDA2_GRID = tuple(np.geomspace(0.05, 50.0, 60))
 DEFAULT_SERVICE_RATE_GRID = tuple(np.geomspace(0.1, 100.0, 60))
 Z_THRESHOLD = 3.0  # the gate passes a row whose |z| is at most this
+
+_log = logging.getLogger("aoistats")
 
 _GAMMA_TAG = re.compile(r"^gamma\(\s*([^)]+?)\s*\)$")
 
@@ -232,9 +235,12 @@ def compare_with_retry(
     default s-grid, 56 for eight sources on six s-rows.  One independent
     retry makes a false alarm much rarer, while a real discrepancy still
     fails both runs.
+    Each attempt logs its seed at INFO on the "aoistats" logger, ahead of
+    its simulation's notes.
     Returns (rows of the last attempt, passed, attempts used: 1 or 2).
     """
     for attempt in (1, 2):
+        _log.info("gate attempt %d of 2, seed %d", attempt, seed + attempt - 1)
         rows = compare(
             spec,
             horizon=horizon,

@@ -14,12 +14,15 @@ counts follow from the departure indices.  Between departures every age
 grows with slope one, so the path integrals (exponential functionals for
 transforms, polynomial ones for moments) are accumulated segment by
 segment in closed form; nothing is discretized.  Each source's age after
-every departure is read off its own update sequence by a running count
-of its deliveries, with no search.  For empirical CDFs a source's age is
-one ramp from each of its updates to the next, and occupancy below each
-level of a CDF grid is a cumulative sum, over the sorted grid, of each
-cell's overlap with the ramps: O(n_k log m) per source for its n_k
-window deliveries and m levels.
+every departure is read off its own update sequence: its last update is
+one value repeated over the run of departures up to its next delivery,
+with no search.  For empirical CDFs a source's age is one ramp from each
+of its updates to the next, and occupancy below each level of a CDF grid
+is a cumulative sum, over the sorted grid, of each cell's overlap with
+the ramps: O(n_k + m) per source for its n_k window deliveries and m
+levels, since a bucket table built once per grid places the ramp starts
+and ends on it, with a binary search only for a key whose bucket holds
+two or more levels.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
@@ -141,6 +144,7 @@ class PathAccumulator:
     age_sq_integrals: np.ndarray = field(init=False)
     cross_integrals: np.ndarray = field(init=False)
     cdf_occupancy: np.ndarray | None = field(init=False)
+    _sorted_grid: _SortedGrid | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = self.num_sources
@@ -163,13 +167,25 @@ class PathAccumulator:
                 raise ValueError(f"CDF grid must be a nonempty 1-D array of finite levels, got {x!r}")
             self.cdf_grid = x
             self.cdf_occupancy = np.zeros((K, x.size))
+            self._sorted_grid = _SortedGrid(x)
         else:
             self.cdf_occupancy = None
+            self._sorted_grid = None
+
+    # the sorted grid is rebuilt from cdf_grid, not sent between processes
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_sorted_grid"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._sorted_grid = None if self.cdf_grid is None else _SortedGrid(self.cdf_grid)
 
     def add_segments(self, ages: np.ndarray, lengths: np.ndarray) -> None:
         """Vectorized bulk accumulation of the transform and moment
-        integrals and the elapsed time; rows of `ages` are segment starts.
-        Occupancy is added by `add_ramps`.
+        integrals and the elapsed time; rows of `ages` are segment starts,
+        every age and length finite.  Occupancy is added by `add_ramps`.
         """
         ages = np.asarray(ages, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
@@ -177,6 +193,8 @@ class PathAccumulator:
             raise ValueError(f"ages must be (n, {self.num_sources}), got {ages.shape}")
         if lengths.shape != (ages.shape[0],):
             raise ValueError("lengths must match the number of age rows")
+        if not (np.isfinite(ages).all() and np.isfinite(lengths).all()):
+            raise ValueError("segment ages and lengths must be finite")
         if np.any(lengths < 0):
             raise ValueError("segment lengths must be nonnegative")
         total = float(lengths.sum())
@@ -207,8 +225,8 @@ class PathAccumulator:
         spends clip(x - a, 0, L) time with the age at or below x.  Between
         two of its own updates a source's age is one ramp, however many
         other sources deliver meanwhile, so n_k ramps cover the source on
-        a whole path.  Costs O(n_k log m) for m levels (see `_occupancy`),
-        never an n_k-by-m array.
+        a whole path.  Every start and length must be finite.  Costs
+        O(n_k + m) for m levels (see `_occupancy`), never an n_k-by-m array.
         """
         if self.cdf_grid is None:
             raise ValueError("accumulator has no CDF grid")
@@ -218,12 +236,71 @@ class PathAccumulator:
         lengths = np.asarray(lengths, dtype=float)
         if starts.ndim != 1 or lengths.shape != starts.shape:
             raise ValueError(f"starts and lengths must be 1-D of one length, got {starts.shape} and {lengths.shape}")
+        if not (np.isfinite(starts).all() and np.isfinite(lengths).all()):
+            raise ValueError("ramp starts and lengths must be finite")
         if np.any(lengths < 0):
             raise ValueError("ramp lengths must be nonnegative")
-        self.cdf_occupancy[k] += _occupancy(self.cdf_grid, starts, lengths)
+        self.cdf_occupancy[k] += _occupancy(self._sorted_grid, starts, lengths)
 
 
-def _occupancy(grid: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+# buckets per grid level in the table that places ramp starts and ends
+_BUCKETS_PER_LEVEL = 4
+
+
+class _SortedGrid:
+    """A CDF grid sorted once, with a bucket table that answers
+    `np.searchsorted` into it exactly.
+
+    A value v goes to bucket trunc(clip((v - xs[0]) * scale + 1, 0, n_b + 2))
+    for n_b = _BUCKETS_PER_LEVEL * m over the m levels.  Every step rounds
+    monotonically, so a level in a lower bucket than a key lies below it
+    and one in a higher bucket above it, whatever the rounding.  A key is
+    placed by the count of levels in lower buckets, plus one comparison
+    when its bucket holds one level; only keys whose bucket holds two or
+    more levels are searched.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        self.order = np.argsort(grid)
+        self.xs = grid[self.order]
+        n_b = _BUCKETS_PER_LEVEL * self.xs.size
+        self.lo = float(self.xs[0])
+        span = float(self.xs[-1]) - self.lo
+        # any positive finite scale is exact; n_b / span spreads the levels
+        # out unless the span is 0, subnormal or overflows
+        scale = n_b / span if span > 0 else 0.0
+        self.scale = scale if 0 < scale < math.inf else 1.0
+        self.top = float(n_b + 2)
+        held = self._bucket(self.xs)
+        edges = np.searchsorted(held, np.arange(n_b + 4))
+        self.below = edges[:-1]  # levels in lower buckets
+        count = np.diff(edges)
+        # the one level a bucket holds; NaN compares false either way
+        one = count == 1
+        self.level = np.full(n_b + 3, np.nan)
+        self.level[one] = self.xs[self.below[one]]
+        self.crowded = count > 1
+
+    def _bucket(self, values: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # an overflow to ±inf keeps the order
+            y = values - self.lo
+            y *= self.scale
+        y += 1.0
+        np.clip(y, 0.0, self.top, out=y)
+        return y.astype(np.intp)
+
+    def searchsorted(self, keys: np.ndarray, side: str) -> np.ndarray:
+        """np.searchsorted(self.xs, keys, side) for 1-D keys without NaN."""
+        t = self._bucket(keys)
+        found = self.below[t]
+        found += self.level[t] < keys if side == "left" else self.level[t] <= keys
+        if self.crowded.any():
+            near = np.flatnonzero(self.crowded[t])
+            found[near] = np.searchsorted(self.xs, keys[near], side=side)
+        return found
+
+
+def _occupancy(grid: _SortedGrid, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """sum_i clip(x - starts[i], 0, lengths[i]) at every x in `grid`.
 
     The ranges [a_i, a_i + L_i] are one source's age ramps, or any age
@@ -234,16 +311,17 @@ def _occupancy(grid: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     whole cells are counted with a difference array.  Every increment is
     a sum of nonnegative terms, so the result never decreases along the
     sorted grid, and it is zero exactly where every clip term is.  Costs
-    O(n log m + m) for n ranges and m grid points.
+    O(n + m) for n ranges and m grid points, plus a binary search for
+    each start or end whose bucket holds two or more levels (see
+    `_SortedGrid`).
     """
-    order = np.argsort(grid)
-    xs = grid[order]
+    xs = grid.xs
     m, n = xs.size, starts.size
     ends = starts + lengths
     # a range starting at a grid point adds nothing at that point, so its
     # first cell is the one right of it
-    first = np.searchsorted(xs, starts, side="right")
-    last = np.searchsorted(xs, ends, side="left")
+    first = grid.searchsorted(starts, side="right")
+    last = grid.searchsorted(ends, side="left")
     spans = last > first  # some grid point lies in (a_i, a_i + L_i)
     inside = ~spans
 
@@ -268,7 +346,7 @@ def _occupancy(grid: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.
     covering = np.cumsum(np.bincount(f + 1, minlength=m + 1) - np.bincount(l, minlength=m + 1))
     inc[1:m] += covering[1:m] * np.diff(xs)
     occ = np.empty(m)
-    occ[order] = np.cumsum(inc[:m])
+    occ[grid.order] = np.cumsum(inc[:m])
     return occ
 
 
@@ -441,20 +519,21 @@ def run_replication(
         pk = Dk[:-1] + np.diff(Uk)
         pk[:1] = np.nan  # first-ever update peaks against the start state
         w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
-        peak[own[w - 1 :] - b] = pk[w - 1 :]
+        at = own[w - 1 :] - b  # window positions of its window deliveries
+        peak[at] = pk[w - 1 :]
         source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
-        # its last update at each point is Uk[w - 1] moved on by each of
-        # its window deliveries
-        j = w - 1 + np.concatenate([[0], np.cumsum(w_src == k)])
-        ages[:, k] = Dk[j] + (points - Uk[j])
-        covered &= j >= 1
+        # its last update is Uk[w - 1] up to its first window delivery, then
+        # each of those in turn: one run of points per update
+        runs = np.diff(np.concatenate([[0], at + 1, [points.size]]))
+        ages[:, k] = np.repeat(Dk[w - 1 :], runs) + (points - np.repeat(Uk[w - 1 :], runs))
+        if w == 1:  # no delivery up to burn-in: the start state until its first
+            covered[: runs[0]] = False
+            late.append(k)
         if accumulator.cdf_grid is not None:
             # its age ramps from its value at burn-in, then from the delay of
             # each of its window deliveries, to its next delivery or the horizon
             edges = np.concatenate([[burn_in], Uk[w:], [horizon]])
             accumulator.add_ramps(k, np.concatenate([[ages[0, k]], Dk[w:]]), np.diff(edges))
-        if w == 1:  # no delivery up to burn-in
-            late.append(k)
     accumulator.add_segments(ages[:n_seg], lengths)
 
     # gap to the next departure, known for all but the last generated one
@@ -710,6 +789,8 @@ def run_replications(
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     args = [
         (spec, horizon, burn_in, seed, rep, tuple(s_grid), cdf_grid, trace_path if rep == 0 else None)
         for rep in range(replications)

@@ -7,7 +7,8 @@ one-segment-at-a-time versions, and the clip sum over every (segment,
 level) pair for CDF occupancy, are the oracles the tests check it against.
 `mask_thinned_replication` is `run_replication` as it thinned arrivals
 with boolean masks over every packet, the reference for its index-based
-thinning.
+thinning; its age columns, gathered through a running count of each
+source's window deliveries, are the reference for the run-length ones.
 """
 
 import math

@@ -262,6 +262,24 @@ def test_cli_compare_notes_flagged_estimates(tmp_path, capsys):
     assert "note: peak_mean[2]: too few replications with peaks for source 2 for a stderr" in notes
 
 
+def test_cli_compare_names_the_seed_of_each_attempt(tmp_path, capsys):
+    # both attempts fail on the late-source config, and each one's notes
+    # follow a line naming its seed
+    cfgfile = write_config(tmp_path, LATE_CFG)
+    assert main(["compare", "--config", str(cfgfile)]) == 2
+    notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: ")]
+    heads = [i for i, n in enumerate(notes) if n.startswith("note: gate attempt ")]
+    assert [notes[i] for i in heads] == ["note: gate attempt 1 of 2, seed 31", "note: gate attempt 2 of 2, seed 32"]
+    assert heads[0] == 0
+    cfg = parse_config(LATE_CFG)
+    for seed, block in ((31, notes[1 : heads[1]]), (32, notes[heads[1] + 1 :])):
+        report = simulator.simulate(
+            cfg.spec, horizon=cfg.horizon, burn_in=cfg.burn_in, replications=cfg.replications, seed=seed
+        )
+        assert block == [f"note: {flag}" for flag in report.flags]
+    assert notes[1 : heads[1]] != notes[heads[1] + 1 :]
+
+
 def test_cli_notes_print_once_per_call(tmp_path, capsys):
     log = logging.getLogger("aoistats")
     handlers, level = list(log.handlers), log.level

@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -200,6 +201,40 @@ def test_accumulator_layout_checks():
     for bad in ([], [[0.5, 1.0]], [0.5, np.nan], [np.inf], [0.5, -np.inf]):
         with pytest.raises(ValueError, match="CDF grid"):
             PathAccumulator(s_grid=(), num_sources=2, cdf_grid=bad)
+    # a non-finite value is rejected before anything is added
+    for starts, lengths in (
+        ([0.1, np.nan], [0.9, np.nan]),
+        ([0.1, np.nan], [0.9, 0.5]),
+        ([0.1, 0.2], [0.9, np.nan]),
+        ([0.1, -np.inf], [0.9, 0.5]),
+        ([0.1, 0.2], [0.9, np.inf]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            acc.add_ramps(0, np.array(starts), np.array(lengths))
+    assert not acc.cdf_occupancy.any()
+    acc = PathAccumulator(s_grid=((1.0, 1.0),), num_sources=2)
+    for ages, lengths in (
+        ([[0.1, 0.2], [0.3, 0.4]], [1.0, np.nan]),
+        ([[0.1, np.nan], [0.3, 0.4]], [1.0, 1.0]),
+        ([[0.1, 0.2], [np.inf, 0.4]], [1.0, 1.0]),
+        ([[0.1, 0.2], [0.3, 0.4]], [np.inf, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            acc.add_segments(np.array(ages), np.array(lengths))
+    assert acc.elapsed == 0.0 and not acc.exp_integrals.any() and not acc.cross_integrals.any()
+
+
+def test_pickled_accumulator_rebuilds_its_sorted_grid():
+    starts, lengths = np.array([0.1, 0.3]), np.array([1.0, 0.4])
+    acc = PathAccumulator(s_grid=(), num_sources=1, cdf_grid=[1.0, 0.25, 0.5])
+    acc.add_ramps(0, starts, lengths)
+    data = pickle.dumps(acc)
+    assert b"_sorted_grid" not in data  # the bucket table is not sent between processes
+    copy = pickle.loads(data)
+    for a in (acc, copy):
+        a.add_ramps(0, starts, lengths)
+    assert np.array_equal(copy.cdf_occupancy, acc.cdf_occupancy)
+    assert pickle.loads(pickle.dumps(PathAccumulator(s_grid=(), num_sources=1)))._sorted_grid is None
 
 
 # levels that are exact in binary, so that segment starts, ends and grid
@@ -244,6 +279,66 @@ def test_occupancy_matches_clip_sum(case):
     np.testing.assert_allclose(occ, clip_occupancy(grid, ages, lengths), rtol=1e-12, atol=0.0)
     assert np.all(occ >= 0.0)
     assert np.all(np.diff(occ[:, np.argsort(grid)], axis=1) >= 0.0)
+
+
+_TINY = 5e-324  # the smallest subnormal
+
+
+@st.composite
+def sorted_grid_cases(draw, bound=None):
+    """A CDF grid of one of several kinds, and keys to place on it: its
+    levels, one ulp either side of each, values below and above it, and
+    any floats (±inf included unless `bound` caps the magnitudes)."""
+    value = st.floats(-bound, bound) if bound else st.floats(allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(("random", "single", "repeated", "subnormal", "zero")))
+    if kind == "random":
+        levels = draw(st.lists(value, min_size=1, max_size=30))
+    elif kind == "single":
+        levels = [draw(value)]
+    elif kind == "repeated":
+        levels = draw(st.lists(value, min_size=1, max_size=4)) * draw(st.integers(2, 4))
+    elif kind == "subnormal":
+        base = draw(st.sampled_from((0.0, -2 * _TINY)))
+        levels = [base + _TINY * i for i in range(draw(st.integers(1, 4)))]
+    else:
+        levels = draw(st.lists(value, max_size=10)) + [0.0]
+    grid = np.array(draw(st.permutations(levels)), dtype=float)
+    lo, hi = grid.min(), grid.max()
+    with np.errstate(over="ignore"):
+        near = np.concatenate([grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf)])
+        outside = [lo - 1.0, lo - abs(lo), hi + 1.0, hi + abs(hi)]
+    extra = draw(st.lists(value, max_size=10))
+    keys = np.concatenate([near, outside, extra] + ([] if bound else [[-np.inf, np.inf]]))
+    return grid, keys
+
+
+@given(sorted_grid_cases())
+@settings(max_examples=300)
+@example((np.array([0.0, _TINY]), np.array([-np.inf, 0.0, _TINY, 2 * _TINY, np.inf])))
+@example((np.array([-1e308, 1e308]), np.array([-np.inf, -1e308, 0.0, 1e308, np.inf])))
+@example((np.array([2.0, 2.0, 1.0, 1.0]), np.array([1.0, 1.5, 2.0, 3.0])))
+def test_sorted_grid_search_is_searchsorted(case):
+    grid, keys = case
+    sg = simulator._SortedGrid(grid)
+    assert np.array_equal(sg.xs, np.sort(grid))
+    for side in ("left", "right"):
+        want = np.searchsorted(sg.xs, keys, side=side)
+        got = sg.searchsorted(keys, side=side)
+        assert got.dtype == want.dtype and np.array_equal(got, want), side
+
+
+@given(sorted_grid_cases(bound=8.0), st.data())
+@settings(max_examples=150)
+def test_occupancy_on_degenerate_grids_matches_clip_sum(case, data):
+    grid, keys = case
+    keys = keys[np.abs(keys) <= 8.0]  # ramps start at finite ages
+    lengths = np.array(
+        data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-2, 4.0)), min_size=keys.size, max_size=keys.size))
+    )
+    acc = PathAccumulator(s_grid=(), num_sources=1, cdf_grid=grid)
+    acc.add_ramps(0, keys, lengths)
+    want = clip_occupancy(grid, keys[:, None], lengths)
+    np.testing.assert_allclose(acc.cdf_occupancy, want, rtol=1e-12, atol=0.0)
 
 
 # --- single replication ------------------------------------------------------
@@ -334,6 +429,7 @@ def test_thinning_matches_mask_oracle(case):
 
 
 NEVER_DELIVERS = SystemSpec(rates=(3.0, 1.0), services=(Exponential(6.0), Deterministic(50.0)))
+RARE = SystemSpec(rates=(3.0, 0.5), services=(Exponential(6.0), Exponential(6.0)))
 
 
 @pytest.mark.parametrize(
@@ -347,8 +443,20 @@ NEVER_DELIVERS = SystemSpec(rates=(3.0, 1.0), services=(Exponential(6.0), Determ
         # the last arrival is still in service at the horizon and departs after it
         (MIXED3, 20.0, 5.0, 3, lambda r: r.counts.in_flight == 1 and np.isfinite(r.records.gap[-1])),
         (NEVER_DELIVERS, 100.0, 10.0, 3, lambda r: r.late_sources == (1,) and r.source_sums[0, 1] == 0),
+        # source 2 delivers before burn-in but not after it
+        (RARE, 12.0, 10.0, 3, lambda r: r.late_sources == () and r.source_sums[0, 1] == 0),
+        # source 2's first and only delivery is the last departure up to the horizon
+        (RARE, 12.0, 10.0, 0, lambda r: r.source_sums[0, 1] == 1 and r.records.source[-1] == 1),
     ],
-    ids=["no-arrival", "no-burn-in", "last-pushed-out", "last-in-flight", "never-delivers"],
+    ids=[
+        "no-arrival",
+        "no-burn-in",
+        "last-pushed-out",
+        "last-in-flight",
+        "never-delivers",
+        "no-window-delivery",
+        "only-the-last-departure",
+    ],
 )
 def test_thinning_edge_cases_match_mask_oracle(spec, horizon, burn_in, seed, holds):
     args = (spec, horizon, burn_in, seed, 0, default_s_grid(spec.num_sources), np.linspace(0.0, 3.0, 7))
@@ -753,6 +861,18 @@ def test_worker_count_does_not_change_occupancy():
     parallel = run_replications(MIXED3, 1e3, 20.0, 3, 5, (), cdf_grid=grid, workers=2)
     for a, b in zip(serial, parallel, strict=True):
         assert np.array_equal(a.accumulator.cdf_occupancy, b.accumulator.cdf_occupancy)
+
+
+def test_worker_count_below_one_is_rejected(monkeypatch):
+    def no_run(args):
+        raise AssertionError("no replication may run")
+
+    monkeypatch.setattr(simulator, "_run_one", no_run)
+    for workers in (0, -4):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_replications(SYMMETRIC, 50.0, 5.0, 2, 1, (), workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            simulate(SYMMETRIC, horizon=50.0, burn_in=5.0, replications=2, workers=workers)
 
 
 def test_worker_pool_is_capped(monkeypatch):
