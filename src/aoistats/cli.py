@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TypeError) as exc:

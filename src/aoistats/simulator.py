@@ -20,9 +20,9 @@ with no search.  For empirical CDFs a source's age is one ramp from each
 of its updates to the next, and occupancy below each level of a CDF grid
 is a cumulative sum, over the sorted grid, of each cell's overlap with
 the ramps: O(n_k + m) per source for its n_k window deliveries and m
-levels, since a bucket table built once per grid places the ramp starts
-and ends on it, with a binary search only for a key whose bucket holds
-two or more levels.
+levels, since a bucket table built per source from the grid places the
+ramp starts and ends on it, with a binary search only for a key whose
+bucket holds two or more levels.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
@@ -125,10 +125,11 @@ class PathAccumulator:
     """Closed-form path integrals over one or more replications.
 
     Tracks, per requested argument vector, the integral of
-    exp(-s . A(t)); per source the integrals of A_k and A_k^2; all
-    pairwise integrals of A_j A_k; optionally, per source, the occupancy
-    time below each level of `cdf_grid` (a nonempty 1-D array of finite
-    levels, in any order).  `add_segments` adds the joint path, one
+    exp(-s . A(t)); per source the integral of A_k; all pairwise
+    integrals of A_j A_k, whose diagonal holds those of A_k^2;
+    optionally, per source, the occupancy time below each level of
+    `cdf_grid` (a nonempty 1-D array of finite levels, in any order,
+    whose span is finite too).  `add_segments` adds the joint path, one
     segment per stretch between two departures of any source;
     `add_ramps` adds one source's occupancy from its age ramps, one per
     stretch between two of its own updates, which must cover the same
@@ -141,10 +142,8 @@ class PathAccumulator:
     elapsed: float = 0.0
     exp_integrals: np.ndarray = field(init=False)
     age_integrals: np.ndarray = field(init=False)
-    age_sq_integrals: np.ndarray = field(init=False)
     cross_integrals: np.ndarray = field(init=False)
     cdf_occupancy: np.ndarray | None = field(init=False)
-    _sorted_grid: _SortedGrid | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = self.num_sources
@@ -159,28 +158,18 @@ class PathAccumulator:
         self.s_grid = tuple(grid)
         self.exp_integrals = np.zeros(len(self.s_grid))
         self.age_integrals = np.zeros(K)
-        self.age_sq_integrals = np.zeros(K)
         self.cross_integrals = np.zeros((K, K))
         if self.cdf_grid is not None:
             x = np.asarray(self.cdf_grid, dtype=float)
             if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
                 raise ValueError(f"CDF grid must be a nonempty 1-D array of finite levels, got {x!r}")
+            # an infinite level spacing would put 0 * inf into the occupancy
+            if not math.isfinite(float(x.max()) - float(x.min())):
+                raise ValueError(f"CDF grid must span a finite range, got {x!r}")
             self.cdf_grid = x
             self.cdf_occupancy = np.zeros((K, x.size))
-            self._sorted_grid = _SortedGrid(x)
         else:
             self.cdf_occupancy = None
-            self._sorted_grid = None
-
-    # the sorted grid is rebuilt from cdf_grid, not sent between processes
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_sorted_grid"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._sorted_grid = None if self.cdf_grid is None else _SortedGrid(self.cdf_grid)
 
     def add_segments(self, ages: np.ndarray, lengths: np.ndarray) -> None:
         """Vectorized bulk accumulation of the transform and moment
@@ -210,7 +199,6 @@ class PathAccumulator:
                 self.exp_integrals[j] += float(w @ (-np.expm1(-sbar * L))) / sbar
         self.age_integrals += ages.T @ L + L2.sum() / 2.0
         colsum_L2 = ages.T @ L2
-        self.age_sq_integrals += (ages * ages).T @ L + colsum_L2 + float((L2 * L).sum()) / 3.0
         self.cross_integrals += (
             (ages.T * L) @ ages
             + (colsum_L2[:, None] + colsum_L2[None, :]) / 2.0
@@ -240,7 +228,7 @@ class PathAccumulator:
             raise ValueError("ramp starts and lengths must be finite")
         if np.any(lengths < 0):
             raise ValueError("ramp lengths must be nonnegative")
-        self.cdf_occupancy[k] += _occupancy(self._sorted_grid, starts, lengths)
+        self.cdf_occupancy[k] += _occupancy(_SortedGrid(self.cdf_grid), starts, lengths)
 
 
 # buckets per grid level in the table that places ramp starts and ends
@@ -631,31 +619,27 @@ def estimate_statistics(results) -> AoIStatistics:
     Point values are plug-ins from the pooled integrals; standard errors
     recompute the same statistic per replication and take the spread.
     """
-    results = _require_results(results)
 
-    def stats_from(accs):
-        T = math.fsum(a.elapsed for a in accs)
-        age = np.sum([a.age_integrals for a in accs], axis=0)
-        age_sq = np.sum([a.age_sq_integrals for a in accs], axis=0)
-        cross = np.sum([a.cross_integrals for a in accs], axis=0)
+    def stats_from(T, age, cross):
+        # broadcasts over any leading axes of T
+        T = np.asarray(T)[..., None]
         mean = age / T
-        var = age_sq / T - mean**2
-        cov = cross / T - np.outer(mean, mean)
+        cov = cross / T[..., None] - mean[..., :, None] * mean[..., None, :]
+        var = np.diagonal(cov, axis1=-2, axis2=-1).copy()  # a writable array, not a view of cov
         sd = np.sqrt(np.maximum(var, 0.0))
         with np.errstate(invalid="ignore", divide="ignore"):
-            corr = cov / np.outer(sd, sd)
-        np.fill_diagonal(corr, 1.0)
-        np.fill_diagonal(cov, var)
+            corr = cov / (sd[..., :, None] * sd[..., None, :])
+        diag = np.arange(age.shape[-1])
+        corr[..., diag, diag] = 1.0
         return mean, var, cov, corr
 
-    mean, var, cov, corr = stats_from([r.accumulator for r in results])
-    per_rep = [stats_from([r.accumulator]) for r in results]
-    B = len(results)
-    root_b = math.sqrt(B)
-    mean_se = np.std([p[0] for p in per_rep], axis=0, ddof=1) / root_b
-    var_se = np.std([p[1] for p in per_rep], axis=0, ddof=1) / root_b
-    cov_se = np.std([p[2] for p in per_rep], axis=0, ddof=1) / root_b
-    corr_se = np.std([p[3] for p in per_rep], axis=0, ddof=1) / root_b
+    accs = [r.accumulator for r in _require_results(results)]
+    T = np.array([a.elapsed for a in accs])
+    age = np.stack([a.age_integrals for a in accs])
+    cross = np.stack([a.cross_integrals for a in accs])
+    mean, var, cov, corr = stats_from(math.fsum(T), age.sum(axis=0), cross.sum(axis=0))
+    root_b = math.sqrt(len(accs))
+    mean_se, var_se, cov_se, corr_se = (np.std(p, axis=0, ddof=1) / root_b for p in stats_from(T, age, cross))
     cv = np.sqrt(np.maximum(var, 0.0)) / mean
     return AoIStatistics(
         mean=mean,

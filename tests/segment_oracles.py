@@ -84,9 +84,8 @@ def add_segment(acc, snapshot: AoISnapshot, t0: float, t1: float) -> None:
     source add for it together."""
     for j, row in enumerate(acc.s_grid):
         acc.exp_integrals[j] += segment_integral_exponential(snapshot, t0, t1, row)
-    age, age_sq, cross = segment_integral_moments(snapshot, t0, t1)
+    age, _, cross = segment_integral_moments(snapshot, t0, t1)
     acc.age_integrals += age
-    acc.age_sq_integrals += age_sq
     acc.cross_integrals += cross
     if acc.cdf_grid is not None:
         a = snapshot.ages(t0)

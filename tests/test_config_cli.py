@@ -425,6 +425,23 @@ def test_cli_usage_errors_exit_1(argv, tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analytic", "--config", "DIR"],
+        ["analytic", "--config", "CFG", "--output", "DIR"],
+        ["simulate", "--config", "CFG", "--trace", "DIR"],
+    ],
+)
+def test_cli_unusable_paths_exit_1(argv, tmp_path, capsys):
+    # a directory where a file is read or written raises IsADirectoryError
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    argv = [{"CFG": str(cfgfile), "DIR": str(tmp_path)}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.parametrize("horizon", ["nan", "inf", "20", "5"])
 def test_cli_horizon_checked_before_running(command, horizon, tmp_path, capsys, monkeypatch):

@@ -171,7 +171,6 @@ def test_bulk_accumulation_matches_scalar():
         t += L
     assert bulk.exp_integrals == pytest.approx(scalar.exp_integrals, rel=1e-12)
     assert bulk.age_integrals == pytest.approx(scalar.age_integrals, rel=1e-12)
-    assert bulk.age_sq_integrals == pytest.approx(scalar.age_sq_integrals, rel=1e-12)
     assert bulk.cross_integrals == pytest.approx(scalar.cross_integrals, rel=1e-12)
     assert bulk.cdf_occupancy == pytest.approx(scalar.cdf_occupancy, rel=1e-12)
     assert bulk.elapsed == pytest.approx(scalar.elapsed, rel=1e-12)
@@ -198,9 +197,13 @@ def test_accumulator_layout_checks():
         acc.add_ramps(0, np.zeros((3, 1)), np.ones((3, 1)))
     with pytest.raises(ValueError):
         acc.add_ramps(0, np.zeros(3), np.array([1.0, -1.0, 1.0]))
-    for bad in ([], [[0.5, 1.0]], [0.5, np.nan], [np.inf], [0.5, -np.inf]):
+    for bad in ([], [[0.5, 1.0]], [0.5, np.nan], [np.inf], [0.5, -np.inf], [-1e308, 1e308]):
         with pytest.raises(ValueError, match="CDF grid"):
             PathAccumulator(s_grid=(), num_sources=2, cdf_grid=bad)
+    # a span just inside the float range is kept
+    wide = PathAccumulator(s_grid=(), num_sources=1, cdf_grid=[0.5, 1e308])
+    wide.add_ramps(0, np.array([0.0]), np.array([1.0]))
+    assert np.array_equal(wide.cdf_occupancy, [[0.5, 1.0]])
     # a non-finite value is rejected before anything is added
     for starts, lengths in (
         ([0.1, np.nan], [0.9, np.nan]),
@@ -228,13 +231,14 @@ def test_pickled_accumulator_rebuilds_its_sorted_grid():
     starts, lengths = np.array([0.1, 0.3]), np.array([1.0, 0.4])
     acc = PathAccumulator(s_grid=(), num_sources=1, cdf_grid=[1.0, 0.25, 0.5])
     acc.add_ramps(0, starts, lengths)
-    data = pickle.dumps(acc)
-    assert b"_sorted_grid" not in data  # the bucket table is not sent between processes
-    copy = pickle.loads(data)
+    copy = pickle.loads(pickle.dumps(acc))
     for a in (acc, copy):
         a.add_ramps(0, starts, lengths)
     assert np.array_equal(copy.cdf_occupancy, acc.cdf_occupancy)
-    assert pickle.loads(pickle.dumps(PathAccumulator(s_grid=(), num_sources=1)))._sorted_grid is None
+    # no bucket table goes between processes: 5,362 B is what this
+    # accumulator pickled to while it held one and dropped it on pickling
+    wide = PathAccumulator(s_grid=(), num_sources=2, cdf_grid=np.linspace(0.05, 10.0, 200))
+    assert len(pickle.dumps(wide)) <= 5362
 
 
 # levels that are exact in binary, so that segment starts, ends and grid
@@ -386,7 +390,7 @@ def assert_same_replication(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
     acc, ref = got.accumulator, want.accumulator
     assert acc.elapsed == ref.elapsed
-    for name in ("exp_integrals", "age_integrals", "age_sq_integrals", "cross_integrals"):
+    for name in ("exp_integrals", "age_integrals", "cross_integrals"):
         assert np.array_equal(getattr(acc, name), getattr(ref, name), equal_nan=True), name
     assert (acc.cdf_occupancy is None) == (ref.cdf_occupancy is None)
     if acc.cdf_occupancy is not None:
@@ -739,6 +743,46 @@ def test_statistics_three_sources_are_finite(mixed3_results):
     for k in range(3):
         truth = marginal_aoi_moments(MIXED3, k)
         assert abs(stats.mean[k] - truth.mean) < Z_GATE * stats.mean_stderr[k]
+
+
+def statistics_by_replication(results):
+    """`estimate_statistics` as a loop that recomputes every statistic one
+    replication at a time, reading the integrals of A_k^2 from the cross
+    diagonal: the reference for its form over a replication axis."""
+
+    def stats_from(accs):
+        T = math.fsum(a.elapsed for a in accs)
+        age = np.sum([a.age_integrals for a in accs], axis=0)
+        cross = np.sum([a.cross_integrals for a in accs], axis=0)
+        mean = age / T
+        var = np.diagonal(cross) / T - mean**2
+        cov = cross / T - np.outer(mean, mean)
+        sd = np.sqrt(np.maximum(var, 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = cov / np.outer(sd, sd)
+        np.fill_diagonal(corr, 1.0)
+        np.fill_diagonal(cov, var)
+        return mean, var, cov, corr
+
+    mean, var, cov, corr = stats_from([r.accumulator for r in results])
+    per_rep = [stats_from([r.accumulator]) for r in results]
+    root_b = math.sqrt(len(results))
+    mean_se, var_se, cov_se, corr_se = (np.std([p[i] for p in per_rep], axis=0, ddof=1) / root_b for i in range(4))
+    return dict(
+        mean=mean, variance=var, cv=np.sqrt(np.maximum(var, 0.0)) / mean, covariance=cov, correlation=corr,
+        mean_stderr=mean_se, variance_stderr=var_se, covariance_stderr=cov_se, correlation_stderr=corr_se,
+    )
+
+
+def test_statistics_match_the_per_replication_loop(symmetric_results, mixed3_results):
+    single = SystemSpec(rates=(2.0,), services=(Exponential(4.0),))
+    for results in (symmetric_results, mixed3_results, run_replications(single, 2e3, 50.0, 8, 17, ())):
+        stats = estimate_statistics(results)
+        want = statistics_by_replication(results)
+        assert len(want) == 9 and stats.provenance == "simulated"
+        for name, value in want.items():
+            got = getattr(stats, name)
+            assert got.shape == value.shape and np.array_equal(got, value, equal_nan=True), name
 
 
 def test_throughput_estimates(symmetric_results):
