@@ -84,6 +84,19 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _check_output_paths(*named_paths) -> None:
+    """Reject, before anything runs, a path to be written that is a
+    directory or lies in a directory that does not exist."""
+    for name, path in named_paths:
+        if not path:
+            continue
+        path = Path(path)
+        if path.is_dir():
+            raise ValueError(f"{name} {path} is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"{name} {path}: no directory {path.parent}")
+
+
 def _require_spec(cfg: RunConfig, command: str):
     if cfg.spec is None:
         raise ConfigError([f"{command}: the config must define at least one source line"])
@@ -209,6 +222,7 @@ def main(argv=None) -> int:
         if args.command is None:
             raise _UsageError("a subcommand is required")
         cfg = _load_config(args)
+        _check_output_paths(("output", cfg.output), ("--trace", getattr(args, "trace", None)))
         if args.command == "analytic":
             return _cmd_analytic(cfg)
         if args.command == "simulate":

@@ -346,7 +346,8 @@ class PalmRecords:
     start state (nothing real to peak against); gap is NaN for the final
     record when the next departure lies beyond the generated path;
     covered marks records where every source has had at least one real
-    update.  No estimator reads them: they are kept for event-level checks.
+    update.  No estimator reads them: they are kept for event-level checks,
+    and never cross a process boundary (see `ReplicationResult`).
     """
 
     epoch: np.ndarray
@@ -385,16 +386,34 @@ class ReplicationResult:
     The estimators read `accumulator`, `counts`, the window and
     `source_sums`, of shape (4, K): per source the window deliveries,
     their delay sum, and the sum and count of their finite peaks.
-    `records` keeps the per-delivery arrays for event-level checks.
+    `spec`, `seed` and `rep_index` name the path.  Pickling keeps every
+    field but `records`, the per-delivery arrays for event-level checks;
+    an unpickled result reruns its path once to rebuild them, bit for
+    bit, when they are first read.
     """
 
+    spec: SystemSpec
+    seed: int
+    rep_index: int
     accumulator: PathAccumulator
-    records: PalmRecords
     counts: ReplicationCounts
     horizon: float
     burn_in: float
     late_sources: tuple[int, ...]
     source_sums: np.ndarray
+    _records: PalmRecords | None = field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_records": None}
+
+    @property
+    def records(self) -> PalmRecords:
+        if self._records is None:
+            # the same Philox streams give the same path, and records
+            # depend on nothing else
+            rerun = run_replication(self.spec, self.horizon, self.burn_in, self.seed, self.rep_index)
+            self._records = rerun._records
+        return self._records
 
     @property
     def window_span(self) -> float:
@@ -551,13 +570,16 @@ def run_replication(
                 writer.writerow([repr(ev_epoch), kind, source, repr(value)])
 
     return ReplicationResult(
+        spec=spec,
+        seed=seed,
+        rep_index=rep_index,
         accumulator=accumulator,
-        records=records,
         counts=counts,
         horizon=horizon,
         burn_in=burn_in,
         late_sources=tuple(late),
         source_sums=source_sums,
+        _records=records,
     )
 
 
@@ -767,9 +789,11 @@ def run_replications(
     """Run independent replications (optionally in parallel processes);
     results are always ordered by replication index.
 
-    At most min(workers, replications, CPU count) processes start; results
-    do not depend on how many do.  Replication 0 writes its event trace to
-    `trace_path` when one is given (see run_replication).
+    At most min(workers, replications, usable CPUs) processes start, the
+    CPUs being those this process may run on; results do not depend on
+    how many do.  A worker returns its result fixed-size: its `records`
+    stay behind (see `ReplicationResult`).  Replication 0 writes its event
+    trace to `trace_path` when one is given (see run_replication).
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
@@ -779,7 +803,8 @@ def run_replications(
         (spec, horizon, burn_in, seed, rep, tuple(s_grid), cdf_grid, trace_path if rep == 0 else None)
         for rep in range(replications)
     ]
-    workers = min(workers, replications, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, replications, cpus)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, args))

@@ -205,11 +205,14 @@ def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(
     )
     late = tuple(k for k in range(K) if own_U[k].size < 2 or own_U[k][1] > burn_in)
     return ReplicationResult(
+        spec=spec,
+        seed=seed,
+        rep_index=rep_index,
         accumulator=accumulator,
-        records=records,
         counts=counts,
         horizon=horizon,
         burn_in=burn_in,
         late_sources=late,
         source_sums=source_sums,
+        _records=records,
     )

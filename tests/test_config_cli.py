@@ -340,7 +340,7 @@ def test_cli_simulate_trace_is_replication_0_of_the_run(workers, tmp_path, capsy
 
     monkeypatch.setattr(simulator, "run_replication", recording)
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", _InProcessPool)
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
     trace.unlink()
     assert main(argv) == 0
     assert calls == list(range(cfg.replications))
@@ -431,12 +431,27 @@ def test_cli_usage_errors_exit_1(argv, tmp_path, capsys):
         ["analytic", "--config", "DIR"],
         ["analytic", "--config", "CFG", "--output", "DIR"],
         ["simulate", "--config", "CFG", "--trace", "DIR"],
+        ["simulate", "--config", "CFG", "--trace", "DIR", "--workers", "2"],
+        ["simulate", "--config", "CFG", "--output", "DIR"],
+        ["simulate", "--config", "CFG_DIR_OUTPUT"],
+        ["compare", "--config", "CFG", "--output", "MISSING"],
+        ["simulate", "--config", "CFG", "--trace", "MISSING"],
     ],
 )
-def test_cli_unusable_paths_exit_1(argv, tmp_path, capsys):
-    # a directory where a file is read or written raises IsADirectoryError
-    cfgfile = write_config(tmp_path, SIM_CFG)
-    argv = [{"CFG": str(cfgfile), "DIR": str(tmp_path)}.get(a, a) for a in argv]
+def test_cli_unusable_paths_exit_1(argv, tmp_path, capsys, monkeypatch):
+    # a directory, or a file in a missing directory, where a file is read or
+    # written is rejected before any replication runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(simulator, "run_replications", must_not_run)
+    paths = {
+        "CFG": write_config(tmp_path, SIM_CFG),
+        "CFG_DIR_OUTPUT": write_config(tmp_path, SIM_CFG + f"output = {tmp_path}\n", "dir-output.cfg"),
+        "DIR": tmp_path,
+        "MISSING": tmp_path / "missing" / "out.csv",
+    }
+    argv = [str(paths.get(a, a)) for a in argv]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -907,6 +907,72 @@ def test_worker_count_does_not_change_occupancy():
         assert np.array_equal(a.accumulator.cdf_occupancy, b.accumulator.cdf_occupancy)
 
 
+ZERO_SERVICE = SystemSpec(rates=(2.0, 2.0), services=(Deterministic(0.0), Deterministic(0.0)))
+# the gate-k8-par benchmark's sources
+K8 = SystemSpec(
+    rates=(1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.25, 0.15),
+    services=(
+        Exponential(6.0),
+        Gamma(2.0, 12.0),
+        Deterministic(0.15),
+        Mixture((0.5, 0.5), (Exponential(10.0), Deterministic(0.1))),
+        Exponential(8.0),
+        Gamma(0.5, 3.0),
+        Deterministic(0.1),
+        Gamma(4.0, 24.0),
+    ),
+)
+
+
+def test_pickled_result_is_fixed_size():
+    r = run_replication(K8, 2e4, default_burn_in(K8), 3, 0, default_s_grid(8))
+    assert len(r.records) > 10_000
+    assert len(pickle.dumps(r)) <= 10_000
+
+
+@pytest.mark.parametrize(
+    "spec,horizon,burn_in",
+    [(SYMMETRIC, 2e3, 50.0), (MIXED3, 2e3, 50.0), (ZERO_SERVICE, 500.0, 10.0), (LATE, 50.0, 2.0)],
+    ids=["symmetric", "mixed3", "zero-service", "late-source"],
+)
+def test_unpickled_result_rebuilds_its_records(spec, horizon, burn_in):
+    r = run_replication(spec, horizon, burn_in, 31, 2, default_s_grid(spec.num_sources), np.linspace(0.0, 2.0, 5))
+    copy = pickle.loads(pickle.dumps(r))
+    assert_same_replication(copy, r)
+    assert copy.records is copy.records  # rebuilt once, then kept
+
+
+@pytest.mark.parametrize("spec", [MIXED3, ZERO_SERVICE, LATE], ids=["mixed3", "zero-service", "late-source"])
+def test_worker_count_does_not_change_any_field(spec):
+    args = (spec, 200.0, 2.0, 3, 7, default_s_grid(spec.num_sources), np.linspace(0.05, 3.0, 9))
+    serial = run_replications(*args, workers=1)
+    parallel = run_replications(*args, workers=2)
+    for a, b in zip(parallel, serial, strict=True):
+        for name in ("spec", "seed", "rep_index", "horizon", "burn_in"):
+            assert getattr(a, name) == getattr(b, name), name
+        assert_same_replication(a, b)
+
+
+def test_parallel_simulate_runs_no_replication_in_this_process(monkeypatch):
+    calls = []
+    original = simulator.run_replication
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_replication", counting)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+    simulate(SYMMETRIC, horizon=500.0, burn_in=20.0, replications=4, seed=5, workers=2)
+    assert calls == []
+    # reading records on a worker's result reruns that replication here, once
+    results = run_replications(SYMMETRIC, 500.0, 20.0, 2, 5, (), workers=2)
+    for r in results:
+        r.records
+        r.records
+    assert calls == [0, 1]
+
+
 def test_worker_count_below_one_is_rejected(monkeypatch):
     def no_run(args):
         raise AssertionError("no replication may run")
@@ -936,7 +1002,7 @@ def test_worker_pool_is_capped(monkeypatch):
             return map(fn, args)
 
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     for workers, replications in ((8, 2), (8, 5), (2, 5), (1, 5)):
         run_replications(SYMMETRIC, 50.0, 5.0, replications, 1, ((1.0, 1.0),), workers=workers)
     assert started == [2, 3, 2]
