@@ -395,24 +395,27 @@ def analytic_quantities(spec: SystemSpec, s_grid) -> dict[str, float]:
 def _talbot_cdf(spec: SystemSpec, k: int, x: np.ndarray, nodes: int) -> np.ndarray:
     """Invert source k's marginal transform over s at every threshold of
     `x` (n,) on the fixed-Talbot contour with `nodes` nodes, evaluating
-    the service transform once for all n * nodes points."""
+    the service transform once for all n * nodes points.  The contour is
+    r * q for r = 2M / (5x), so x * r * q = 0.4 M q and no node weight
+    depends on x.  Below x = 2M^2 / DBL_MAX (about 1e-304), where r * q
+    would overflow, x is raised to that floor: an upper bound on the CDF."""
     M = int(nodes)
-    r = 2.0 * M / (5.0 * x)
+    r = 2.0 * M / (5.0 * np.maximum(x, 2.0 * M * M / np.finfo(float).max))
     theta = np.pi * np.arange(1, M) / M
     cot = np.cos(theta) / np.sin(theta)
-    p = (r[:, None] * theta) * (cot + 1j)
+    q = theta * (cot + 1j)
     sigma = theta + (theta * cot - 1.0) * cot
-    z = np.column_stack([r, p])
+    z = r[:, None] * np.concatenate([[1.0], q])
     with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
         w = spec.services[k].laplace_complex(z + spec.total_rate)
         num = spec.rates[k] * w
         # the transform can overflow far left of the contour; the age
         # transform ratio tends to 1 there and the node weight is negligible
         lt = np.where(np.isfinite(w), num / (z + num), 1.0)
-        terms = np.exp(x[:, None] * p) * (lt[:, 1:] / p) * (1.0 + 1j * sigma)
+        terms = lt[:, 1:] * (np.exp(0.4 * M * q) * (1.0 + 1j * sigma) / (M * q))
     terms = np.where(np.isfinite(terms), terms, 0.0)
-    head = 0.5 * np.exp(r * x) * (lt[:, 0] / r).real
-    return (2.0 / (5.0 * x)) * (head + terms.real.sum(axis=1))
+    head = 0.5 * np.exp(0.4 * M) / M * lt[:, 0].real
+    return head + terms.real.sum(axis=1)
 
 
 def marginal_aoi_cdf(spec: SystemSpec, k: int, x):

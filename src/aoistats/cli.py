@@ -64,6 +64,8 @@ def _load_config(args) -> RunConfig:
     if args.command not in ("simulate", "compare"):
         return cfg
     if args.seed is not None:
+        if not 0 <= args.seed <= simulator.MAX_SEED:
+            raise ConfigError([f"--seed must lie in [0, {simulator.MAX_SEED}], got {args.seed}"])
         cfg.seed = args.seed
     if args.horizon is not None:
         if not (math.isfinite(args.horizon) and args.horizon > 0):

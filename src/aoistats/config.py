@@ -17,7 +17,7 @@ import numpy as np
 from .analytics import SystemSpec, distinct_s_rows
 from .experiments import family_model
 from .servicedist import format_service, parse_service
-from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED
+from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
 
 __all__ = ["RunConfig", "SweepSettings", "ConfigError", "parse_config", "render_config"]
 
@@ -207,7 +207,10 @@ def parse_config(text: str) -> RunConfig:
     if "seed" in scalars:
         v = _parse_int(scalars["seed"], "seed", errors)
         if v is not None:
-            cfg.seed = v
+            if not 0 <= v <= MAX_SEED:
+                errors.append(f"seed: must lie in [0, {MAX_SEED}], got {v}")
+            else:
+                cfg.seed = v
     if "output" in scalars:
         cfg.output = scalars["output"]
     if "s_grid" in scalars:

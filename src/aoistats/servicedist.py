@@ -145,7 +145,8 @@ class Gamma(ServiceTimeModel):
         return (1.0 + s / self.rate) ** (-self.shape)
 
     def _laplace_complex(self, z):
-        return (1.0 + z / self.rate) ** (-self.shape)
+        # a complex power of a huge base is NaN; its logarithm is not
+        return np.exp(-self.shape * np.log1p(z / self.rate))
 
     def _derivative(self, s):
         return -(self.shape / self.rate) * (1.0 + s / self.rate) ** (-self.shape - 1.0)

@@ -28,9 +28,10 @@ Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
 regenerated independently and bit-identically.
 
-Estimators combine replications as batches: the reported value is the
-pooled (or batch-mean) estimate and the standard error is the sample
-standard deviation across batches divided by sqrt(batches).
+Estimators combine the replications of one run by one rule: the value
+is a sum over replications divided by a sum, and the standard error is
+the sample standard deviation of the per-replication ratios divided by
+sqrt(replications); age statistics are plug-ins of such pooled sums.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .servicedist import categorical
 
 __all__ = [
     "DEFAULT_SEED",
+    "MAX_SEED",
     "DEFAULT_REPLICATIONS",
     "PathAccumulator",
     "PalmRecords",
@@ -67,19 +69,16 @@ __all__ = [
     "estimate_joint_laplace",
     "estimate_statistics",
     "estimate_palm",
-    "estimate_departure_rate",
-    "estimate_pushout_rate",
     "estimate_marginal_cdf",
 ]
 
 DEFAULT_SEED = 112358
+MAX_SEED = 2**64 - 1  # a seed fills one 64-bit word of the Philox key
 DEFAULT_REPLICATIONS = 32
 
 _ROLE_INTERARRIVAL = 0
 _ROLE_SOURCE = 1
 _ROLE_SERVICE = 2
-
-_MASK64 = (1 << 64) - 1
 
 _log = logging.getLogger("aoistats")
 
@@ -88,14 +87,15 @@ def replication_rng(seed: int, rep_index: int, role: int) -> np.random.Generator
     """Counter-based generator for one (replication, stream role) pair.
 
     Philox keyed on (seed, rep_index, role); streams for different pairs
-    never overlap and any pair can be reconstructed on its own.
+    never overlap and any pair can be reconstructed on its own.  The
+    index shares a 64-bit key word with one byte of role, so it lies below
+    2^56; any other seed or index would alias a key and raises ValueError.
     """
-    if rep_index < 0:
-        raise ValueError(f"replication index must be nonnegative, got {rep_index}")
-    key = np.array(
-        [int(seed) & _MASK64, ((int(rep_index) << 8) | int(role)) & _MASK64],
-        dtype=np.uint64,
-    )
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must lie in [0, {MAX_SEED}], got {seed}")
+    if not 0 <= rep_index < 2**56:
+        raise ValueError(f"replication index must lie in [0, 2**56), got {rep_index}")
+    key = np.array([int(seed), (int(rep_index) << 8) | int(role)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -139,7 +139,7 @@ class PathAccumulator:
     s_grid: tuple[tuple[float, ...], ...]
     num_sources: int
     cdf_grid: np.ndarray | None = None
-    elapsed: float = 0.0
+    elapsed: float = field(init=False, default=0.0)
     exp_integrals: np.ndarray = field(init=False)
     age_integrals: np.ndarray = field(init=False)
     cross_integrals: np.ndarray = field(init=False)
@@ -597,49 +597,65 @@ class Estimate:
     flag: str | None = None
 
 
-def _combine(values) -> Estimate:
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 2:
-        raise ValueError(f"need at least 2 batches for a standard error, got {arr.size}")
-    return Estimate(
-        value=float(arr.mean()),
-        stderr=float(arr.std(ddof=1) / math.sqrt(arr.size)),
-        batches=int(arr.size),
-    )
-
-
-def _require_results(results) -> list[ReplicationResult]:
+def _one_run(results) -> list[ReplicationResult]:
+    """`results` as a list, checked to be replications of one run: at
+    least two, of one system, with one s-grid and one CDF grid or none."""
     results = list(results)
     if len(results) < 2:
         raise ValueError(f"need at least 2 replications, got {len(results)}")
+    first = results[0]
+    for r in results[1:]:
+        if r.spec != first.spec:
+            raise ValueError(
+                f"replications were run on different systems, of {first.spec.num_sources} and "
+                f"{r.spec.num_sources} sources: {first.spec} and {r.spec}"
+            )
+        if r.accumulator.s_grid != first.accumulator.s_grid:
+            raise ValueError("replications were run with different argument grids")
+        # equal when both are None, unequal when one is
+        if not np.array_equal(r.accumulator.cdf_grid, first.accumulator.cdf_grid):
+            raise ValueError("replications were run with different CDF grids")
     return results
 
 
-def _grid_index(results, s) -> int:
-    row = tuple(float(v) for v in np.asarray(s, dtype=float).reshape(-1))
-    grid = results[0].accumulator.s_grid
-    for r in results:
-        if r.accumulator.s_grid != grid:
-            raise ValueError("replications were run with different argument grids")
-    try:
-        return grid.index(row)
-    except ValueError:
-        raise ValueError(f"argument vector {row} was not simulated; grid is {grid}") from None
+def _ratio_estimate(nums, dens, kind: str) -> Estimate:
+    """The one rule that combines replications: the value sums numerators
+    over denominators, the stderr comes from the per-replication ratios;
+    a replication with no `kind` (a ratio not finite) is flagged."""
+    nums = np.asarray(nums, dtype=float)
+    dens = np.asarray(dens, dtype=float)
+    if dens.sum() == 0:
+        return Estimate(math.nan, math.nan, len(nums), flag=f"no {kind}")
+    value = float(nums.sum() / dens.sum())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        per = nums / dens
+    per = per[np.isfinite(per)]
+    if per.size < 2:
+        return Estimate(value, math.nan, per.size, flag=f"too few replications with {kind} for a stderr")
+    missing = len(nums) - per.size
+    flag = f"{missing} replications had no {kind}" if missing else None
+    return Estimate(value, float(per.std(ddof=1) / math.sqrt(per.size)), per.size, flag)
 
 
 def estimate_joint_laplace(results, s) -> Estimate:
-    """Time-average estimate of E[exp(-s . A)] from the path integrals."""
-    results = _require_results(results)
-    j = _grid_index(results, s)
-    values = [r.accumulator.exp_integrals[j] / r.accumulator.elapsed for r in results]
-    return _combine(values)
+    """Time-average estimate of E[exp(-s . A)]: the integrals of
+    exp(-s . A) summed over replications, over their summed time."""
+    results = _one_run(results)
+    row = tuple(float(v) for v in np.asarray(s, dtype=float).reshape(-1))
+    grid = results[0].accumulator.s_grid
+    if row not in grid:
+        raise ValueError(f"argument vector {row} was not simulated; grid is {grid}")
+    j = grid.index(row)
+    accs = [r.accumulator for r in results]
+    return _ratio_estimate([a.exp_integrals[j] for a in accs], [a.elapsed for a in accs], "time")
 
 
 def estimate_statistics(results) -> AoIStatistics:
     """Simulated per-source age statistics with batch-means stderr.
 
-    Point values are plug-ins from the pooled integrals; standard errors
-    recompute the same statistic per replication and take the spread.
+    Point values are plug-ins from the integrals summed over
+    replications; standard errors recompute the same statistic per
+    replication and take the spread, as `_ratio_estimate` does.
     """
 
     def stats_from(T, age, cross):
@@ -655,7 +671,7 @@ def estimate_statistics(results) -> AoIStatistics:
         corr[..., diag, diag] = 1.0
         return mean, var, cov, corr
 
-    accs = [r.accumulator for r in _require_results(results)]
+    accs = [r.accumulator for r in _one_run(results)]
     T = np.array([a.elapsed for a in accs])
     age = np.stack([a.age_integrals for a in accs])
     cross = np.stack([a.cross_integrals for a in accs])
@@ -677,41 +693,20 @@ def estimate_statistics(results) -> AoIStatistics:
     )
 
 
-def _ratio_estimate(nums, dens, kind: str) -> Estimate:
-    """Pooled-ratio estimate: value sums numerators over denominators,
-    stderr comes from the per-replication ratios."""
-    nums = np.asarray(nums, dtype=float)
-    dens = np.asarray(dens, dtype=float)
-    if dens.sum() == 0:
-        return Estimate(math.nan, math.nan, len(nums), flag=f"no {kind}")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per = nums / dens
-    usable = np.isfinite(per)
-    if usable.sum() < 2:
-        return Estimate(
-            float(nums.sum() / dens.sum()), math.nan, int(usable.sum()),
-            flag=f"too few replications with {kind} for a stderr",
-        )
-    flag = None
-    if not usable.all():
-        flag = f"{int((~usable).sum())} replications had no {kind}"
-    return Estimate(
-        value=float(nums.sum() / dens.sum()),
-        stderr=float(per[usable].std(ddof=1) / math.sqrt(usable.sum())),
-        batches=int(usable.sum()),
-        flag=flag,
-    )
-
-
 def estimate_palm(results) -> dict[str, Estimate]:
-    """Per source (1-based) the update share and rate and the
-    delivery-averaged delay and peak means, by report label."""
-    results = _require_results(results)
-    K = results[0].accumulator.num_sources
+    """Event-count estimates by report label: the departure and pushout
+    rates over the window, then per source (1-based) the update share and
+    rate and the delivery-averaged delay and peak means."""
+    results = _one_run(results)
+    K = results[0].spec.num_sources
     counts, delays, peaks, peak_counts = np.stack([r.source_sums for r in results], axis=1)
     spans = np.array([r.window_span for r in results])
     totals = np.array([r.counts.window_departures for r in results], dtype=float)
-    out: dict[str, Estimate] = {}
+    pushouts = np.array([r.counts.window_pushouts for r in results], dtype=float)
+    out = {
+        "departure_rate": _ratio_estimate(totals, spans, "window time"),
+        "pushout_rate": _ratio_estimate(pushouts, spans, "window time"),
+    }
     for k in range(K):
         label = f"deliveries for source {k + 1}"
         out[f"update_share[{k + 1}]"] = _ratio_estimate(counts[:, k], totals, "deliveries")
@@ -721,28 +716,16 @@ def estimate_palm(results) -> dict[str, Estimate]:
     return out
 
 
-def estimate_departure_rate(results) -> Estimate:
-    results = _require_results(results)
-    return _combine([r.counts.window_departures / r.window_span for r in results])
-
-
-def estimate_pushout_rate(results) -> Estimate:
-    results = _require_results(results)
-    return _combine([r.counts.window_pushouts / r.window_span for r in results])
-
-
 def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical P(A_k <= x) on the accumulators' CDF grid."""
-    results = _require_results(results)
-    K = results[0].accumulator.num_sources
+    """Empirical P(A_k <= x) on the replications' CDF grid: the time below
+    each level summed over replications, over their summed time."""
+    results = _one_run(results)
+    K = results[0].spec.num_sources
     if not 0 <= k < K:
         raise IndexError(f"source index {k} out of range for {K} sources")
-    grids = [r.accumulator.cdf_grid for r in results]
-    if all(g is None for g in grids):
+    grid = results[0].accumulator.cdf_grid
+    if grid is None:
         raise ValueError("replications were run without a CDF grid")
-    grid = grids[0]
-    if any(g is None or not np.array_equal(g, grid) for g in grids):
-        raise ValueError("replications were run with different CDF grids")
     occ = np.sum([r.accumulator.cdf_occupancy[k] for r in results], axis=0)
     T = math.fsum(r.accumulator.elapsed for r in results)
     return grid.copy(), occ / T
@@ -854,8 +837,6 @@ def simulate(
         quantities[f"aoi_variance[{k + 1}]"] = batch(stats.variance[k], stats.variance_stderr[k])
     if K == 2:
         quantities["aoi_correlation"] = batch(stats.correlation[0, 1], stats.correlation_stderr[0, 1])
-    quantities["departure_rate"] = estimate_departure_rate(results)
-    quantities["pushout_rate"] = estimate_pushout_rate(results)
     quantities.update(estimate_palm(results))
 
     late = Counter(k for r in results for k in r.late_sources)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from aoistats.simulator import Estimate, _ratio_estimate, _require_results
+from aoistats.simulator import Estimate, _one_run, _ratio_estimate
 
 
 def warm_up_note(results) -> str | None:
@@ -29,12 +29,17 @@ def warm_up_note(results) -> str | None:
 
 
 def palm_from_records(results) -> dict[str, Estimate]:
-    """estimate_palm over the records."""
-    results = _require_results(results)
+    """estimate_palm over the records; pushouts leave no record, so the
+    pushout rate reads the counts."""
+    results = _one_run(results)
     K = results[0].accumulator.num_sources
-    out: dict[str, Estimate] = {}
     totals = np.array([len(r.records) for r in results], dtype=float)
     spans = np.array([r.window_span for r in results])
+    pushouts = np.array([r.counts.window_pushouts for r in results], dtype=float)
+    out: dict[str, Estimate] = {
+        "departure_rate": _ratio_estimate(totals, spans, "window time"),
+        "pushout_rate": _ratio_estimate(pushouts, spans, "window time"),
+    }
     for k in range(K):
         masks = [r.records.source == k for r in results]
         counts = np.array([int(m.sum()) for m in masks], dtype=float)

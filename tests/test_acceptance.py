@@ -30,11 +30,9 @@ from aoistats.experiments import sweep_cc_vs_lambda2, sweep_cc_vs_service_rate
 from aoistats.servicedist import Deterministic, Exponential, Gamma
 from aoistats.simulator import (
     default_s_grid,
-    estimate_departure_rate,
     estimate_joint_laplace,
     estimate_marginal_cdf,
     estimate_palm,
-    estimate_pushout_rate,
     estimate_statistics,
     run_replications,
 )
@@ -145,11 +143,8 @@ def test_acceptance_5_rates_and_shares(anchor_run, mixed3_run):
     ok = True
     worst = 0.0
     for spec, results in ((ANCHOR, anchor_run[0]), (MIXED3, mixed3_run)):
-        checks = [
-            (estimate_departure_rate(results), departure_rate(spec)),
-            (estimate_pushout_rate(results), pushout_rate(spec)),
-        ]
         palm = estimate_palm(results)
+        checks = [(palm["departure_rate"], departure_rate(spec)), (palm["pushout_rate"], pushout_rate(spec))]
         for k in range(spec.num_sources):
             checks.append((palm[f"update_share[{k + 1}]"], source_update_share(spec, k)))
         for est, truth in checks:

@@ -530,8 +530,10 @@ def inversion_warnings(spec, k, x):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_cdf_array_call_equals_scalar_calls(k):
-    values, messages = inversion_warnings(CDF_LONG, k, CDF_GRID)
-    points = [inversion_warnings(CDF_LONG, k, x) for x in CDF_GRID]
+    # the gamma source warns only past the grid, where its CDF rounds to 1
+    x = np.append(CDF_GRID, [12.0, 20.0])
+    values, messages = inversion_warnings(CDF_LONG, k, x)
+    points = [inversion_warnings(CDF_LONG, k, v) for v in x]
     assert all(isinstance(v, float) for v, _ in points)
     assert values.tolist() == [v for v, _ in points]
     # one warning per point over tolerance, as the scalar calls give them
@@ -542,6 +544,48 @@ def test_cdf_array_call_equals_scalar_calls(k):
         residual, x, source = WARNING_RE.fullmatch(message).groups()
         assert float(residual) > INVERSION_RESIDUAL_TOL
         assert float(x) > CDF_LONG.services[k].support_min and int(source) == k
+
+
+def talbot_cdf_on_the_scaled_contour(spec, k, x, nodes):
+    """The fixed-Talbot sum with its weights taken at each x's own
+    contour, as `_talbot_cdf` once computed it: the reference for its
+    x-free weights, which it matches up to rounding."""
+    M = nodes
+    r = 2.0 * M / (5.0 * x)
+    theta = np.pi * np.arange(1, M) / M
+    cot = np.cos(theta) / np.sin(theta)
+    p = (r[:, None] * theta) * (cot + 1j)
+    sigma = theta + (theta * cot - 1.0) * cot
+    z = np.column_stack([r, p])
+    with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
+        w = spec.services[k].laplace_complex(z + spec.total_rate)
+        num = spec.rates[k] * w
+        lt = np.where(np.isfinite(w), num / (z + num), 1.0)
+        terms = np.exp(x[:, None] * p) * (lt[:, 1:] / p) * (1.0 + 1j * sigma)
+    terms = np.where(np.isfinite(terms), terms, 0.0)
+    head = 0.5 * np.exp(r * x) * (lt[:, 0] / r).real
+    return (2.0 / (5.0 * x)) * (head + terms.real.sum(axis=1))
+
+
+def test_cdf_at_extreme_thresholds():
+    x = np.array([5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-10, 1e300])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values = marginal_aoi_cdf(CDF_LONG, 0, x)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # a CDF does not decrease, and near 0 the gamma source's is about x^3
+    assert np.all(values[:5] <= values[5]) and 0.0 < values[5] < 1e-28
+    assert values[-1] == 1.0
+    # on the cdf-long grid, away from the extremes, the x-free weights
+    # move no value beyond the closed-form tolerance and warn less often
+    inside = CDF_GRID > CDF_LONG.services[1].support_min
+    n_warnings = 0
+    for k, grid in ((0, CDF_GRID), (1, CDF_GRID[inside])):
+        want = np.clip(talbot_cdf_on_the_scaled_contour(CDF_LONG, k, grid, analytics.TALBOT_NODES), 0.0, 1.0)
+        values, messages = inversion_warnings(CDF_LONG, k, grid)
+        assert np.max(np.abs(values - want)) < 5e-6
+        n_warnings += len(messages)
+    assert n_warnings <= 15  # the count with the weights taken per x
 
 
 def test_cdf_keeps_the_shape_of_x():

@@ -112,6 +112,8 @@ def test_parse_collects_every_error():
             "hi > lo",
         ),
         (SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "3, 2, 1"), "strictly increasing"),
+        ("seed = -1\n", "seed: must lie in [0, 18446744073709551615], got -1"),
+        ("seed = 0x10000000000000000\n", "seed: must lie in [0, 18446744073709551615], got 18446744073709551616"),
         (
             FULL_CONFIG.replace("s_grid = 0.5, 0.5; 1, 2", "s_grid = 0.1234567, 0; 0.1234568, 0"),
             "share the label joint_laplace(0.123457,0)",
@@ -480,6 +482,31 @@ def test_cli_rejects_flags_the_subcommand_ignores(command, flags, tmp_path, caps
     assert main([command, "--config", str(cfgfile), "--output", str(tmp_path / "out.csv"), *flags]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfgfile]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_cli_seed_checked_before_running(command, seed, tmp_path, capsys, monkeypatch):
+    # seeds s and s + 2^64 would key the same streams
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("replications ran")
+
+    monkeypatch.setattr(simulator, "run_replications", must_not_run)
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    assert main([command, "--config", str(cfgfile), "--seed", str(seed)]) == 1
+    assert f"--seed must lie in [0, 18446744073709551615], got {seed}" in capsys.readouterr().err
+    cfgfile = write_config(tmp_path, SIM_CFG.replace("seed = 1", f"seed = {seed}"), "seed.cfg")
+    assert main([command, "--config", str(cfgfile)]) == 1
+    assert f"seed: must lie in [0, 18446744073709551615], got {seed}" in capsys.readouterr().err
+
+
+def test_cli_compare_retry_past_the_largest_seed_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "comparison_passed", lambda rows: False)
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    assert main(["compare", "--config", str(cfgfile), "--seed", str(2**64 - 1)]) == 1
+    err = capsys.readouterr().err
+    assert "gate attempt 1 of 2, seed 18446744073709551615" in err
+    assert "error: seed must lie in [0, 18446744073709551615], got 18446744073709551616" in err
 
 
 def test_cli_config_errors_exit_1(tmp_path, capsys):

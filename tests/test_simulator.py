@@ -25,11 +25,9 @@ from aoistats.simulator import (
     PathAccumulator,
     default_burn_in,
     default_s_grid,
-    estimate_departure_rate,
     estimate_joint_laplace,
     estimate_marginal_cdf,
     estimate_palm,
-    estimate_pushout_rate,
     estimate_statistics,
     replication_rng,
     run_replication,
@@ -83,6 +81,24 @@ def test_replication_rng_reproducible_and_role_separated():
         assert not np.array_equal(a, other)
     with pytest.raises(ValueError):
         replication_rng(1, -1, 0)
+
+
+@pytest.mark.parametrize(
+    "seed, rep_index, bound",
+    [(-1, 0, "seed"), (2**64, 0, "seed"), (0, -1, "replication index"), (0, 2**56, "replication index")],
+)
+def test_replication_rng_rejects_keys_that_alias(seed, rep_index, bound):
+    # masked to 64 bits, each of these keys would equal one inside the range
+    with pytest.raises(ValueError, match=f"{bound} must lie in"):
+        replication_rng(seed, rep_index, 2)
+
+
+def test_replication_rng_keys_the_extreme_values_apart():
+    draws = {
+        key: tuple(replication_rng(*key, 2).random(3))
+        for key in [(0, 0), (2**64 - 1, 0), (0, 2**56 - 1), (2**64 - 1, 2**56 - 1)]
+    }
+    assert len(set(draws.values())) == 4
 
 
 def test_default_burn_in_and_grid():
@@ -178,6 +194,9 @@ def test_bulk_accumulation_matches_scalar():
 
 def test_accumulator_layout_checks():
     acc = PathAccumulator(s_grid=((1.0, 1.0),), num_sources=2)
+    assert acc.elapsed == 0.0
+    with pytest.raises(TypeError, match="elapsed"):
+        PathAccumulator(s_grid=(), num_sources=2, elapsed=1.0)
     with pytest.raises(ValueError):
         PathAccumulator(s_grid=((1.0,),), num_sources=2)
     with pytest.raises(ValueError):
@@ -786,8 +805,8 @@ def test_statistics_match_the_per_replication_loop(symmetric_results, mixed3_res
 
 
 def test_throughput_estimates(symmetric_results):
-    dep = estimate_departure_rate(symmetric_results)
-    push = estimate_pushout_rate(symmetric_results)
+    palm = estimate_palm(symmetric_results)
+    dep, push = palm["departure_rate"], palm["pushout_rate"]
     assert abs(zscore(dep, departure_rate(SYMMETRIC))) < Z_GATE
     assert abs(zscore(push, pushout_rate(SYMMETRIC))) < Z_GATE
 
@@ -797,9 +816,7 @@ def test_palm_estimates(mixed3_results):
     shares = [palm[f"update_share[{k + 1}]"].value for k in range(3)]
     assert math.fsum(shares) == pytest.approx(1.0, abs=1e-12)
     rate_total = math.fsum(palm[f"update_rate[{k + 1}]"].value for k in range(3))
-    assert rate_total == pytest.approx(
-        estimate_departure_rate(mixed3_results).value, rel=1e-12
-    )
+    assert rate_total == pytest.approx(palm["departure_rate"].value, rel=1e-12)
     for k in range(3):
         pm = palm_means(MIXED3, k)
         # a deterministic service makes the delay stderr collapse to
@@ -856,6 +873,58 @@ def test_stderr_shrinks_with_horizon():
     se_long = estimate_joint_laplace(long, (1.0, 1.0)).stderr
     ratio = se_long / se_short
     assert 0.45 < ratio < 1.05
+
+
+def test_every_rate_and_transform_is_a_pooled_ratio(symmetric_results):
+    # the value sums numerators over denominators; the stderr is the spread
+    # of the per-replication ratios
+    accs = [r.accumulator for r in symmetric_results]
+    palm = estimate_palm(symmetric_results)
+    assert list(palm)[:2] == ["departure_rate", "pushout_rate"]
+    cases = [
+        (palm["departure_rate"], [r.counts.window_departures for r in symmetric_results]),
+        (palm["pushout_rate"], [r.counts.window_pushouts for r in symmetric_results]),
+    ]
+    spans = [r.window_span for r in symmetric_results]
+    for est, nums in cases:
+        per = np.divide(nums, spans)
+        assert est.value == float(np.sum(nums) / np.sum(spans)) and est.batches == len(spans)
+        assert est.stderr == float(per.std(ddof=1) / math.sqrt(per.size))
+    for j, s in enumerate(default_s_grid(2)):
+        est = estimate_joint_laplace(symmetric_results, s)
+        nums, dens = np.array([a.exp_integrals[j] for a in accs]), np.array([a.elapsed for a in accs])
+        assert est.value == float(nums.sum() / dens.sum())
+        assert est.stderr == float((nums / dens).std(ddof=1) / math.sqrt(len(accs)))
+
+
+def test_estimators_reject_replications_of_different_runs():
+    grid = np.linspace(0.1, 2.0, 4)
+
+    def reps(spec, seed, s_row, count=2):
+        return [run_replication(spec, 100.0, 1.0, seed, rep, (s_row,), cdf_grid=grid) for rep in range(count)]
+
+    two = reps(SYMMETRIC, 0, (1.0, 1.0))
+    slower = reps(SystemSpec(rates=(3.0, 2.0), services=SYMMETRIC.services), 0, (1.0, 1.0), 1)
+    three = reps(MIXED3, 0, (1.0, 1.0, 1.0), 1)
+    estimators = [
+        estimate_statistics,
+        estimate_palm,
+        lambda results: estimate_joint_laplace(results, (1.0, 1.0)),
+        lambda results: estimate_marginal_cdf(results, 0),
+    ]
+    for mixed, message in [
+        (two + three, "run on different systems, of 2 and 3 sources"),
+        (three + two, "run on different systems, of 3 and 2 sources"),
+        (two + slower, "run on different systems, of 2 and 2 sources"),
+        (slower + two, "run on different systems, of 2 and 2 sources"),
+    ]:
+        for estimator in estimators:
+            with pytest.raises(ValueError, match=message):
+                estimator(mixed)
+    # one system, another argument grid: the message names the grid
+    other_row = reps(SYMMETRIC, 0, (2.0, 2.0), 1)
+    with pytest.raises(ValueError, match="replications were run with different argument grids"):
+        estimate_joint_laplace(two + other_row, (1.0, 1.0))
 
 
 def test_too_few_replications_rejected():
