@@ -239,10 +239,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
+    except (OSError, MemoryError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -347,7 +347,7 @@ class PalmRecords:
     record when the next departure lies beyond the generated path;
     covered marks records where every source has had at least one real
     update.  No estimator reads them: they are kept for event-level checks,
-    and never cross a process boundary (see `ReplicationResult`).
+    built from the path only when first read (see `ReplicationResult`).
     """
 
     epoch: np.ndarray
@@ -386,10 +386,10 @@ class ReplicationResult:
     The estimators read `accumulator`, `counts`, the window and
     `source_sums`, of shape (4, K): per source the window deliveries,
     their delay sum, and the sum and count of their finite peaks.
-    `spec`, `seed` and `rep_index` name the path.  Pickling keeps every
-    field but `records`, the per-delivery arrays for event-level checks;
-    an unpickled result reruns its path once to rebuild them, bit for
-    bit, when they are first read.
+    `spec`, `seed` and `rep_index` name the path.  `records`, the
+    per-delivery arrays for event-level checks, are not built by the run:
+    the first read regenerates the path from its Philox streams, builds
+    them bit for bit and keeps them.  Pickling drops kept records.
     """
 
     spec: SystemSpec
@@ -411,8 +411,27 @@ class ReplicationResult:
         if self._records is None:
             # the same Philox streams give the same path, and records
             # depend on nothing else
-            rerun = run_replication(self.spec, self.horizon, self.burn_in, self.seed, self.rep_index)
-            self._records = rerun._records
+            *_, dep_epoch_all, dep_src, dep_delay = _path(self.spec, self.horizon, self.seed, self.rep_index)
+            n_dep = dep_src.size
+            b = int(np.searchsorted(dep_epoch_all, self.burn_in, side="right"))
+            peak = np.full(n_dep, np.nan)  # NaN for each source's first delivery
+            first = []
+            for k in range(self.spec.num_sources):
+                own = np.flatnonzero(dep_src == k)
+                peak[own[1:]] = dep_delay[own[:-1]] + np.diff(dep_epoch_all[own])
+                first.append(own[0] if own.size else n_dep)
+            # gap to the next departure, known for all but the last generated one
+            gap = np.full(n_dep - b, np.nan)
+            following = np.diff(dep_epoch_all[b : n_dep + 1])
+            gap[: following.size] = following
+            self._records = PalmRecords(
+                epoch=dep_epoch_all[b:n_dep],
+                source=dep_src[b:],
+                delay=dep_delay[b:],
+                peak=peak[b:],
+                gap=gap,
+                covered=np.arange(b, n_dep) >= max(first),  # from the last first delivery on
+            )
         return self._records
 
     @property
@@ -431,6 +450,30 @@ def _generate_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> 
         epochs = np.concatenate([epochs, epochs[-1] + np.cumsum(more)])
     cut = int(np.searchsorted(epochs, horizon, side="right"))
     return epochs[: cut + 1]
+
+
+def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
+    """One replication's path from its Philox streams: arrival epochs (the
+    last beyond the horizon), each packet's source and service, the
+    indices of the packets that depart, every departure epoch, and the
+    sources and delays of the departures up to the horizon."""
+    lam = spec.total_rate
+    epochs = _generate_arrivals(lam, horizon, replication_rng(seed, rep_index, _ROLE_INTERARRIVAL))
+    n_packets = epochs.size - 1
+    rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
+    src = categorical(rng_src.random(n_packets), np.cumsum(np.array(spec.rates) / lam))
+    rng_svc = replication_rng(seed, rep_index, _ROLE_SERVICE)
+    svc = np.empty(n_packets)
+    for k in range(spec.num_sources):
+        own = np.flatnonzero(src == k)
+        if own.size:
+            svc[own] = spec.services[k].sample(rng_svc, own.size)
+    done = np.flatnonzero(svc <= np.diff(epochs))  # a tie still departs
+    dep_delay_all = svc[done]
+    dep_epoch_all = epochs[done] + dep_delay_all
+    # departure epochs never decrease, so the horizon cut is a slice
+    n_dep = int(np.searchsorted(dep_epoch_all, horizon, side="right"))
+    return epochs, src, svc, done, dep_epoch_all, src[done][:n_dep], dep_delay_all[:n_dep]
 
 
 def run_replication(
@@ -458,33 +501,12 @@ def run_replication(
     if not (math.isfinite(burn_in) and 0 <= burn_in < horizon):
         raise ValueError(f"burn-in must satisfy 0 <= burn_in < horizon, got {burn_in}")
     K = spec.num_sources
-    lam = spec.total_rate
-
-    rng_arr = replication_rng(seed, rep_index, _ROLE_INTERARRIVAL)
-    rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
-    rng_svc = replication_rng(seed, rep_index, _ROLE_SERVICE)
-
-    epochs = _generate_arrivals(lam, horizon, rng_arr)
+    epochs, src, svc, done, dep_epoch_all, dep_src, dep_delay = _path(spec, horizon, seed, rep_index)
     n_packets = epochs.size - 1  # the final epoch is past the horizon
-    src = categorical(rng_src.random(n_packets), np.cumsum(np.array(spec.rates) / lam))
-    svc = np.empty(n_packets)
-    for k in range(K):
-        own = np.flatnonzero(src == k)
-        if own.size:
-            svc[own] = spec.services[k].sample(rng_svc, own.size)
-    done = np.flatnonzero(svc <= np.diff(epochs))  # a tie still departs
-    dep_delay_all = svc[done]
-    dep_epoch_all = epochs[done] + dep_delay_all
-    dep_src_all = src[done]
     in_flight = int(epochs[-2] + svc[-1] > horizon) if n_packets else 0
-
-    # departure epochs never decrease, so the horizon cut and the burn-in
-    # window are slices
-    n_dep = int(np.searchsorted(dep_epoch_all, horizon, side="right"))
+    n_dep = dep_src.size
     dep_epoch = dep_epoch_all[:n_dep]
-    dep_src = dep_src_all[:n_dep]
-    dep_delay = dep_delay_all[:n_dep]
-    b = int(np.searchsorted(dep_epoch, burn_in, side="right"))
+    b = int(np.searchsorted(dep_epoch, burn_in, side="right"))  # the window is a slice too
     first_arrival = int(np.searchsorted(epochs, burn_in, side="right"))
 
     def pushed_out(lo: int) -> int:
@@ -507,15 +529,12 @@ def run_replication(
     # exact path integrals over (burn_in, horizon]: a segment starts at
     # burn-in and at each window departure before the horizon
     w_epoch = dep_epoch[b:]
-    w_src = dep_src[b:]
     points = np.concatenate([[burn_in], w_epoch])
     n_seg = 1 + int(np.searchsorted(w_epoch, horizon, side="left"))
     starts = points[:n_seg]
     lengths = np.append(starts[1:], horizon) - starts
     accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
     ages = np.empty((points.size, K))
-    covered = np.ones(points.size, dtype=bool)
-    peak = np.full(n_dep - b, np.nan)
     source_sums = np.zeros((4, K))
     late = []
     for k in range(K):
@@ -527,14 +546,12 @@ def run_replication(
         pk[:1] = np.nan  # first-ever update peaks against the start state
         w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
         at = own[w - 1 :] - b  # window positions of its window deliveries
-        peak[at] = pk[w - 1 :]
         source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
         # its last update is Uk[w - 1] up to its first window delivery, then
         # each of those in turn: one run of points per update
         runs = np.diff(np.concatenate([[0], at + 1, [points.size]]))
         ages[:, k] = np.repeat(Dk[w - 1 :], runs) + (points - np.repeat(Uk[w - 1 :], runs))
         if w == 1:  # no delivery up to burn-in: the start state until its first
-            covered[: runs[0]] = False
             late.append(k)
         if accumulator.cdf_grid is not None:
             # its age ramps from its value at burn-in, then from the delay of
@@ -542,19 +559,6 @@ def run_replication(
             edges = np.concatenate([[burn_in], Uk[w:], [horizon]])
             accumulator.add_ramps(k, np.concatenate([[ages[0, k]], Dk[w:]]), np.diff(edges))
     accumulator.add_segments(ages[:n_seg], lengths)
-
-    # gap to the next departure, known for all but the last generated one
-    gap = np.full(n_dep - b, np.nan)
-    following = np.diff(dep_epoch_all[b : n_dep + 1])
-    gap[: following.size] = following
-    records = PalmRecords(
-        epoch=w_epoch,
-        source=w_src,
-        delay=dep_delay[b:],
-        peak=peak,
-        gap=gap,
-        covered=covered[1:],
-    )
 
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
@@ -579,7 +583,6 @@ def run_replication(
         burn_in=burn_in,
         late_sources=tuple(late),
         source_sums=source_sums,
-        _records=records,
     )
 
 
@@ -774,9 +777,10 @@ def run_replications(
 
     At most min(workers, replications, usable CPUs) processes start, the
     CPUs being those this process may run on; results do not depend on
-    how many do.  A worker returns its result fixed-size: its `records`
-    stay behind (see `ReplicationResult`).  Replication 0 writes its event
-    trace to `trace_path` when one is given (see run_replication).
+    how many do.  Every result is fixed-size, a worker's as a serial one's:
+    `records` are built where they are read (see `ReplicationResult`).
+    Replication 0 writes its event trace to `trace_path` when one is given
+    (see run_replication).
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")

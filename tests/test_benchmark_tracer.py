@@ -35,9 +35,9 @@ def test_traced_replications_and_estimators_run():
     tracer.install()
     try:
         tracer.recording = True
-        results = simulator.run_replications(
-            system, 200.0, 10.0, 2, 3, ((1.0, 1.0),), cdf_grid=np.linspace(0.1, 2.0, 5), workers=2
-        )
+        args = (system, 200.0, 10.0, 2, 3, ((1.0, 1.0),), np.linspace(0.1, 2.0, 5))
+        results = simulator.run_replications(*args, workers=2)
+        serial = simulator.run_replications(*args, workers=1)  # its records are built on read too
         palm = simulator.estimate_palm(results)
         _, empirical = simulator.estimate_marginal_cdf(results, 0)
         analytics.marginal_aoi_cdf(system, 0, 1.0)
@@ -46,6 +46,7 @@ def test_traced_replications_and_estimators_run():
         tracer.uninstall()
     assert (simulator.estimate_palm, simulator.run_replications, simulator.PathAccumulator.add_segments) == originals
     assert palm["departure_rate"].value > 0 and np.all(np.diff(empirical) >= 0)
+    assert [len(r.records) for r in serial] == [len(r.records) for r in results]
     counts = tracer.counts
     assert counts["simulator.palm_records"] > 0 and counts["simulator.arrivals"] > 0
     assert counts["simulator.palm_valid_records"] > 0 and counts["servicedist.laplace_complex.calls"] > 0

@@ -459,6 +459,14 @@ def test_cli_unusable_paths_exit_1(argv, tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cli_unallocatable_run_exits_1(tmp_path, capsys):
+    # 6e15 expected arrivals: the first array request fails at once
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", str(cfgfile), "--horizon", "1e15"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 @pytest.mark.parametrize("horizon", ["nan", "inf", "20", "5"])
 def test_cli_horizon_checked_before_running(command, horizon, tmp_path, capsys, monkeypatch):

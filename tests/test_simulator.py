@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import pickle
 
@@ -1005,10 +1006,40 @@ def test_pickled_result_is_fixed_size():
     ids=["symmetric", "mixed3", "zero-service", "late-source"],
 )
 def test_unpickled_result_rebuilds_its_records(spec, horizon, burn_in):
-    r = run_replication(spec, horizon, burn_in, 31, 2, default_s_grid(spec.num_sources), np.linspace(0.0, 2.0, 5))
-    copy = pickle.loads(pickle.dumps(r))
-    assert_same_replication(copy, r)
-    assert copy.records is copy.records  # rebuilt once, then kept
+    args = (spec, horizon, burn_in, 31, 2, default_s_grid(spec.num_sources), np.linspace(0.0, 2.0, 5))
+    want = mask_thinned_replication(*args)
+    fresh = run_replication(*args)
+    unread = pickle.loads(pickle.dumps(fresh))
+    assert_same_replication(fresh, want)
+    read = pickle.loads(pickle.dumps(fresh))
+    assert read._records is None  # pickling drops kept records
+    for r in (fresh, unread, read):
+        assert_same_replication(r, want)
+        assert r.records is r.records  # built once, then kept
+
+
+def held_bytes(obj, seen=None) -> int:
+    """Bytes of every array reachable from `obj` through dataclass fields,
+    tuples and lists, counting the base of a view too."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes + held_bytes(obj.base, seen)
+    if dataclasses.is_dataclass(obj):
+        return sum(held_bytes(getattr(obj, f.name), seen) for f in dataclasses.fields(obj))
+    if isinstance(obj, (tuple, list)):
+        return sum(held_bytes(v, seen) for v in obj)
+    return 0
+
+
+def test_fresh_result_holds_no_array_that_grows_with_the_horizon():
+    held = [
+        held_bytes(run_replication(MIXED3, horizon, 10.0, 4, 0, default_s_grid(3), np.linspace(0.0, 2.0, 7)))
+        for horizon in (1e3, 1e4)
+    ]
+    assert held[0] == held[1] > 0
 
 
 @pytest.mark.parametrize("spec", [MIXED3, ZERO_SERVICE, LATE], ids=["mixed3", "zero-service", "late-source"])
@@ -1023,23 +1054,28 @@ def test_worker_count_does_not_change_any_field(spec):
 
 
 def test_parallel_simulate_runs_no_replication_in_this_process(monkeypatch):
-    calls = []
-    original = simulator.run_replication
+    runs, paths = [], []
+    run_replication, path = simulator.run_replication, simulator._path
 
-    def counting(*args, **kwargs):
-        calls.append(args[4])
-        return original(*args, **kwargs)
+    def counting_runs(*args, **kwargs):
+        runs.append(args[4])
+        return run_replication(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "run_replication", counting)
+    def counting_paths(*args):
+        paths.append(args[3])
+        return path(*args)
+
+    monkeypatch.setattr(simulator, "run_replication", counting_runs)
+    monkeypatch.setattr(simulator, "_path", counting_paths)
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
     simulate(SYMMETRIC, horizon=500.0, burn_in=20.0, replications=4, seed=5, workers=2)
-    assert calls == []
-    # reading records on a worker's result reruns that replication here, once
+    assert runs == [] and paths == []
+    # reading records on a worker's result rebuilds its path here, once
     results = run_replications(SYMMETRIC, 500.0, 20.0, 2, 5, (), workers=2)
     for r in results:
         r.records
         r.records
-    assert calls == [0, 1]
+    assert runs == [] and paths == [0, 1]
 
 
 def test_worker_count_below_one_is_rejected(monkeypatch):
