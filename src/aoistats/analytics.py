@@ -15,6 +15,7 @@ source k.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -45,12 +46,11 @@ __all__ = [
     "joint_laplace_label",
     "distinct_s_rows",
     "analytic_quantities",
-    "DEFAULT_MAX_SOURCES",
     "TALBOT_NODES",
     "INVERSION_RESIDUAL_TOL",
 ]
 
-DEFAULT_MAX_SOURCES = 16
+_MAX_SUPPORT = 16  # sources one joint-transform argument may touch
 TALBOT_NODES = 64
 INVERSION_RESIDUAL_TOL = 1e-6
 _CDF_CHUNK = 256  # thresholds inverted together by marginal_aoi_cdf
@@ -87,13 +87,12 @@ class SystemSpec:
         for i, r in enumerate(self.rates):
             if not (math.isfinite(r) and r > 0):
                 raise ValueError(f"source {i + 1}: arrival rate must be positive and finite, got {r}")
+        lam = self.total_rate
         for i, model in enumerate(self.services):
             if not isinstance(model, ServiceTimeModel):
                 raise TypeError(
                     f"source {i + 1}: expected a ServiceTimeModel, got {type(model).__name__}"
                 )
-        lam = self.total_rate
-        for i, model in enumerate(self.services):
             if model.laplace(lam) <= 0.0:
                 raise ValueError(
                     f"source {i + 1}: completion probability is zero at aggregate rate {lam}"
@@ -108,10 +107,12 @@ class SystemSpec:
         return math.fsum(self.rates)
 
 
-def _check_source_index(spec: SystemSpec, k: int) -> int:
-    k = int(k)
-    if not 0 <= k < spec.num_sources:
-        raise IndexError(f"source index {k} out of range for {spec.num_sources} sources")
+def _check_source_index(k, num_sources: int) -> int:
+    if isinstance(k, bool):
+        raise TypeError("source index must be an integer, got a bool")
+    k = operator.index(k)
+    if not 0 <= k < num_sources:
+        raise IndexError(f"source index {k} out of range for {num_sources} sources")
     return k
 
 
@@ -126,8 +127,7 @@ def departure_rate(spec: SystemSpec) -> float:
     Equivalently sum_k lambda_k L_k(lambda): each arrival survives with
     probability equal to its service transform at the aggregate rate.
     """
-    lam = spec.total_rate
-    return math.fsum(r * m.laplace(lam) for r, m in zip(spec.rates, spec.services))
+    return math.fsum(_source_update_rate(spec, k) for k in range(spec.num_sources))
 
 
 def pushout_rate(spec: SystemSpec) -> float:
@@ -137,27 +137,21 @@ def pushout_rate(spec: SystemSpec) -> float:
 
 def source_update_share(spec: SystemSpec, k: int) -> float:
     """Fraction of deliveries that belong to source k; shares sum to one."""
-    k = _check_source_index(spec, k)
-    lam = spec.total_rate
-    return spec.rates[k] * spec.services[k].laplace(lam) / departure_rate(spec)
+    k = _check_source_index(k, spec.num_sources)
+    return _source_update_rate(spec, k) / departure_rate(spec)
 
 
 def _source_update_rate(spec: SystemSpec, k: int) -> float:
+    """lambda_k L_k(lambda), the long-run rate of source k's deliveries."""
     return spec.rates[k] * spec.services[k].laplace(spec.total_rate)
 
 
 def marginal_aoi_laplace(spec: SystemSpec, k: int, s: float) -> float:
-    """Transform E[exp(-s * A_k)] of the stationary age of source k.
-
-    Closed form: lambda_k L_k(s + lambda) / (s + lambda_k L_k(s + lambda)).
+    """Transform E[exp(-s * A_k)] of the stationary age of source k: the
+    subset recursion over {k}, lambda_k L_k(s + lambda) / (s + lambda_k L_k(s + lambda)).
     """
-    k = _check_source_index(spec, k)
-    s = float(s)
-    if not (math.isfinite(s) and s >= 0):
-        raise ValueError(f"transform argument must be nonnegative and finite, got {s}")
-    lam = spec.total_rate
-    num = spec.rates[k] * spec.services[k].laplace(s + lam)
-    return num / (s + num)
+    k = _check_source_index(k, spec.num_sources)
+    return float(_subset_transform(spec, [k], np.array([float(s)])))
 
 
 class MarginalMoments(NamedTuple):
@@ -174,15 +168,10 @@ def marginal_aoi_moments(spec: SystemSpec, k: int) -> MarginalMoments:
     which is strictly below 1: sampling at delivery times makes the age
     less variable than an exponential of the same mean.
     """
-    k = _check_source_index(spec, k)
-    lam = spec.total_rate
-    rate_k = spec.rates[k]
-    el = rate_k * spec.services[k].laplace(lam)
-    dl = rate_k * spec.services[k].laplace_derivative(lam)
-    mean = 1.0 / el
-    variance = (1.0 + 2.0 * dl) / el**2
-    cv = math.sqrt(max(1.0 + 2.0 * dl, 0.0))
-    return MarginalMoments(mean, variance, cv)
+    k = _check_source_index(k, spec.num_sources)
+    el = _source_update_rate(spec, k)
+    dl = spec.rates[k] * spec.services[k].laplace_derivative(spec.total_rate)
+    return MarginalMoments(1.0 / el, (1.0 + 2.0 * dl) / el**2, math.sqrt(max(1.0 + 2.0 * dl, 0.0)))
 
 
 class SourcePalmMeans(NamedTuple):
@@ -198,57 +187,75 @@ def palm_means(spec: SystemSpec, k: int) -> SourcePalmMeans:
     delivered packet; the mean peak age adds one mean update interval:
     peak_mean = delay_mean + 1/update_rate.
     """
-    k = _check_source_index(spec, k)
-    lam = spec.total_rate
-    lk = spec.services[k].laplace(lam)
-    dk = spec.services[k].laplace_derivative(lam)
-    delay_mean = -dk / lk
-    update_rate = spec.rates[k] * lk
+    k = _check_source_index(k, spec.num_sources)
+    lam, update_rate = spec.total_rate, _source_update_rate(spec, k)
+    delay_mean = -spec.services[k].laplace_derivative(lam) / spec.services[k].laplace(lam)
     return SourcePalmMeans(delay_mean, delay_mean + 1.0 / update_rate, update_rate)
 
 
-def joint_aoi_laplace(spec: SystemSpec, s, max_sources: int = DEFAULT_MAX_SOURCES) -> float:
+def joint_aoi_laplace(spec: SystemSpec, s) -> float:
     """Joint transform E[exp(-sum_k s_k A_k)] of all K stationary ages.
 
-    The closed form sums over the K! recency orderings of the sources; its
-    terms factor over recency suffixes, so it is F(all sources) of the
-    recursion over subsets H, with sbar_H the sum of s over H and F({}) = 1:
+    The K! recency orderings of the closed form factor over recency
+    suffixes into a recursion over subsets H, with F({}) = 1, sbar_H the
+    sum of s over H and v_k = lambda_k L_k(sbar_H + lambda):
 
-        F(H) = sum_{k in H} lambda_k L_k(sbar_H + lambda) F(H - {k})
-               / (sbar_H + sum_{j in H} lambda_j L_j(sbar_H + lambda)).
+        F(H) = sum_{k in H} v_k F(H - {k}) / (sbar_H + sum_{j in H} v_j).
 
-    Every F(H) lies in [0, 1], so rescaling time cannot overflow it.  Cost
-    grows as K 2^K; refuses K above `max_sources` (default 16).
+    Its value is F(S) over the support S = {k : s_k > 0}, each L_k still at
+    the full rate lambda, as F(H) = F(G) for G = H & S by induction on |H|:
+    sbar_H = sbar_G gives F(H) the v of F(G) = N / D, F(H - {k}) is
+    F(G - {k}) for k in G and F(G) for k in H - S, so with V the sum of v
+    over H - S, F(H) = (N + V F(G)) / (D + V) = F(G) (V / V = 1 if G = {}).
+    So a source with s_k = 0 enters only through lambda.  Every F(H) lies
+    in [0, 1], so rescaling time cannot overflow it.  Cost grows as
+    |S| 2^|S|, with |S| capped at 16; the all-zero row gives exactly 1.
     """
-    K = spec.num_sources
-    svec = [float(v) for v in np.asarray(s, dtype=float).reshape(-1)]
-    if len(svec) != K:
-        raise ValueError(f"argument vector has length {len(svec)}, expected {K}")
-    for v in svec:
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"transform arguments must be nonnegative and finite, got {v}")
-    if K > max_sources:
-        raise ValueError(
-            f"{K} sources are above the cap of {max_sources}; raise max_sources to override"
-        )
-    lam = spec.total_rate
-    nmask = 1 << K
-    # per-subset tables indexed by bitmask; a mask's subsets come before it
-    sbar = [0.0] * nmask
-    F = [1.0] + [0.0] * (nmask - 1)
-    for mask in range(1, nmask):
-        low = (mask & -mask).bit_length() - 1
-        sbar[mask] = sbar[mask & (mask - 1)] + svec[low]
-        arg = sbar[mask] + lam
-        rate_sum = 0.0
-        acc = 0.0
-        for k in range(K):
-            if mask >> k & 1:
-                val = spec.rates[k] * spec.services[k].laplace(arg)
-                rate_sum += val
-                acc += val * F[mask ^ (1 << k)]
-        F[mask] = acc / (sbar[mask] + rate_sum)
-    return F[nmask - 1]
+    svec = np.asarray(s, dtype=float)
+    if svec.ndim != 1 or svec.size != spec.num_sources:
+        raise ValueError(f"argument vector must be 1-D of length {spec.num_sources}, got shape {svec.shape}")
+    support = np.flatnonzero(svec)
+    return float(_subset_transform(spec, support, svec[support]))
+
+
+def _subset_transform(spec: SystemSpec, support, s: np.ndarray) -> np.ndarray:
+    """F(support) of joint_aoi_laplace's recursion, for s (..., n) real or
+    complex arguments of the n sources of `support`, over leading axes of
+    points.  Subsets are bitmasks over the support, filled one size at a
+    time; each L_k is evaluated on the masks that hold k, and sums run in
+    ascending k.  ValueError if n > _MAX_SUPPORT, a real argument is not
+    finite and nonnegative, or sbar + lambda overflows.
+    """
+    n = len(support)
+    if n > _MAX_SUPPORT:
+        raise ValueError(f"argument touches {n} sources, above the cap of {_MAX_SUPPORT}")
+    if not (np.iscomplexobj(s) or (np.isfinite(s) & (s >= 0)).all()):
+        raise ValueError(f"transform arguments must be nonnegative and finite, got {s}")
+    masks, lam = np.arange(1 << n), spec.total_rate
+    bits = (masks[:, None] >> np.arange(n) & 1).astype(bool)  # bits[mask, j]: j in mask
+    sbar = np.zeros(masks.shape + s.shape[:-1], np.result_type(s, float))
+    with np.errstate(over="ignore"):
+        for j in reversed(range(n)):  # sbar_H = sbar_{H - lowest} + s_lowest
+            low = masks[masks & -masks == 1 << j]
+            sbar[low] = sbar[low & (low - 1)] + s[..., j]
+        if not np.isfinite(sbar[-1] + lam).all():
+            raise ValueError("transform arguments overflow: their sum plus the aggregate rate is not finite")
+    v = np.empty((n,) + sbar.shape, sbar.dtype)
+    for j, k in enumerate(support):  # the service transforms see the point axes first
+        at = np.moveaxis(sbar[bits[:, j]] + lam, 0, -1)
+        L = spec.services[k].laplace_complex if np.iscomplexobj(at) else spec.services[k]._laplace_array
+        v[j, bits[:, j]] = np.moveaxis(spec.rates[k] * L(at), -1, 0)
+    F = np.zeros(sbar.shape, sbar.dtype)
+    F[0], size = 1.0, bits.sum(axis=1)
+    for m in range(1, n + 1):
+        layer = np.flatnonzero(size == m)
+        rate_sum = acc = 0.0
+        for j in np.nonzero(bits[layer])[1].reshape(-1, m).T:  # each mask's r-th source
+            vj = v[j, layer]
+            rate_sum = rate_sum + vj
+            acc = acc + vj * F[layer ^ 1 << j]
+        F[layer] = acc / (sbar[layer] + rate_sum)
+    return F[-1]
 
 
 def aoi_covariance(spec: SystemSpec) -> float:
@@ -261,20 +268,14 @@ def aoi_covariance(spec: SystemSpec) -> float:
     if spec.num_sources != 2:
         raise ValueError(f"covariance closed form needs exactly 2 sources, got {spec.num_sources}")
     lam = spec.total_rate
-    dep = departure_rate(spec)
-    total = math.fsum(
-        m.laplace_derivative(lam) / m.laplace(lam) for m in spec.services
-    )
-    return total / dep
+    total = math.fsum(m.laplace_derivative(lam) / m.laplace(lam) for m in spec.services)
+    return total / departure_rate(spec)
 
 
 def aoi_correlation(spec: SystemSpec) -> float:
     """Correlation coefficient of (A_1, A_2); lies in [-1, 0]."""
-    if spec.num_sources != 2:
-        raise ValueError(f"correlation closed form needs exactly 2 sources, got {spec.num_sources}")
-    cov = aoi_covariance(spec)
-    v1 = marginal_aoi_moments(spec, 0).variance
-    v2 = marginal_aoi_moments(spec, 1).variance
+    cov = aoi_covariance(spec)  # refuses K != 2
+    v1, v2 = (marginal_aoi_moments(spec, k).variance for k in range(2))
     if not (v1 > 0 and v2 > 0):
         raise ValueError("marginal variance is not positive; correlation undefined")
     return cov / math.sqrt(v1 * v2)
@@ -338,10 +339,8 @@ def aoi_statistics(spec: SystemSpec) -> AoIStatistics:
     np.fill_diagonal(covariance, variance)
     np.fill_diagonal(correlation, 1.0)
     if K == 2:
-        cov = aoi_covariance(spec)
-        cc = aoi_correlation(spec)
-        covariance[0, 1] = covariance[1, 0] = cov
-        correlation[0, 1] = correlation[1, 0] = cc
+        covariance[0, 1] = covariance[1, 0] = aoi_covariance(spec)
+        correlation[0, 1] = correlation[1, 0] = aoi_correlation(spec)
     return AoIStatistics(mean, variance, cv, covariance, correlation, provenance="analytic")
 
 
@@ -394,8 +393,8 @@ def analytic_quantities(spec: SystemSpec, s_grid) -> dict[str, float]:
 
 def _talbot_cdf(spec: SystemSpec, k: int, x: np.ndarray, nodes: int) -> np.ndarray:
     """Invert source k's marginal transform over s at every threshold of
-    `x` (n,) on the fixed-Talbot contour with `nodes` nodes, evaluating
-    the service transform once for all n * nodes points.  The contour is
+    `x` (n,) on the fixed-Talbot contour with `nodes` nodes: the subset
+    recursion over {k} at all n * nodes points at once.  The contour is
     r * q for r = 2M / (5x), so x * r * q = 0.4 M q and no node weight
     depends on x.  Below x = 2M^2 / DBL_MAX (about 1e-304), where r * q
     would overflow, x is raised to that floor: an upper bound on the CDF."""
@@ -407,11 +406,10 @@ def _talbot_cdf(spec: SystemSpec, k: int, x: np.ndarray, nodes: int) -> np.ndarr
     sigma = theta + (theta * cot - 1.0) * cot
     z = r[:, None] * np.concatenate([[1.0], q])
     with np.errstate(over="ignore", invalid="ignore", under="ignore", divide="ignore"):
-        w = spec.services[k].laplace_complex(z + spec.total_rate)
-        num = spec.rates[k] * w
+        lt = _subset_transform(spec, [k], z[..., None])
         # the transform can overflow far left of the contour; the age
         # transform ratio tends to 1 there and the node weight is negligible
-        lt = np.where(np.isfinite(w), num / (z + num), 1.0)
+        lt = np.where(np.isfinite(lt), lt, 1.0)
         terms = lt[:, 1:] * (np.exp(0.4 * M * q) * (1.0 + 1j * sigma) / (M * q))
     terms = np.where(np.isfinite(terms), terms, 0.0)
     head = 0.5 * np.exp(0.4 * M) / M * lt[:, 0].real
@@ -436,7 +434,7 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x):
     in chunks of _CDF_CHUNK thresholds so that memory stays bounded; a
     threshold's value does not depend on the others.
     """
-    k = _check_source_index(spec, k)
+    k = _check_source_index(k, spec.num_sources)
     xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     bad = ~(np.isfinite(flat) & (flat >= 0))

@@ -73,7 +73,7 @@ class ServiceTimeModel:
         Used internally by the numerical CDF inversion; no domain check,
         and a value too large to represent comes back as inf.
         """
-        return self._laplace_complex(np.asarray(z, dtype=complex))
+        return self._laplace_array(np.asarray(z, dtype=complex))
 
     def mean(self) -> float:
         """Exact E[S]; equals -laplace_derivative(0.0)."""
@@ -91,7 +91,8 @@ class ServiceTimeModel:
     def _laplace(self, s: float) -> float:
         raise NotImplementedError
 
-    def _laplace_complex(self, z: np.ndarray):
+    def _laplace_array(self, z: np.ndarray):
+        # elementwise over a real or complex array, with no domain check
         raise NotImplementedError
 
     def _derivative(self, s: float) -> float:
@@ -112,7 +113,7 @@ class Exponential(ServiceTimeModel):
     def _laplace(self, s):
         return self.rate / (self.rate + s)
 
-    def _laplace_complex(self, z):
+    def _laplace_array(self, z):
         return self.rate / (self.rate + z)
 
     def _derivative(self, s):
@@ -144,7 +145,7 @@ class Gamma(ServiceTimeModel):
     def _laplace(self, s):
         return (1.0 + s / self.rate) ** (-self.shape)
 
-    def _laplace_complex(self, z):
+    def _laplace_array(self, z):
         # a complex power of a huge base is NaN; its logarithm is not
         return np.exp(-self.shape * np.log1p(z / self.rate))
 
@@ -172,7 +173,7 @@ class Deterministic(ServiceTimeModel):
     def _laplace(self, s):
         return math.exp(-s * self.value)
 
-    def _laplace_complex(self, z):
+    def _laplace_array(self, z):
         return np.exp(-z * self.value)
 
     def _derivative(self, s):
@@ -226,8 +227,8 @@ class Mixture(ServiceTimeModel):
     def _laplace(self, s):
         return math.fsum(w * c._laplace(s) for w, c in zip(self.weights, self.components))
 
-    def _laplace_complex(self, z):
-        return sum(w * c._laplace_complex(z) for w, c in zip(self.weights, self.components))
+    def _laplace_array(self, z):
+        return sum(w * c._laplace_array(z) for w, c in zip(self.weights, self.components))
 
     def _derivative(self, s):
         return math.fsum(w * c._derivative(s) for w, c in zip(self.weights, self.components))

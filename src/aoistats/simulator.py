@@ -218,8 +218,7 @@ class PathAccumulator:
         """
         if self.cdf_grid is None:
             raise ValueError("accumulator has no CDF grid")
-        if not 0 <= k < self.num_sources:
-            raise IndexError(f"source index {k} out of range for {self.num_sources} sources")
+        k = analytics._check_source_index(k, self.num_sources)
         starts = np.asarray(starts, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
         if starts.ndim != 1 or lengths.shape != starts.shape:
@@ -723,9 +722,7 @@ def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical P(A_k <= x) on the replications' CDF grid: the time below
     each level summed over replications, over their summed time."""
     results = _one_run(results)
-    K = results[0].spec.num_sources
-    if not 0 <= k < K:
-        raise IndexError(f"source index {k} out of range for {K} sources")
+    k = analytics._check_source_index(k, results[0].spec.num_sources)
     grid = results[0].accumulator.cdf_grid
     if grid is None:
         raise ValueError("replications were run without a CDF grid")

@@ -2,7 +2,8 @@
 
 The library evaluates the joint transform by a subset recursion, which
 never orders the sources.  These are independent forms to check it
-against: the K! permutation sum over the sources' recency orderings, and
+against: the same recursion as a plain loop over every subset of all K
+sources, the K! permutation sum over the sources' recency orderings, and
 the reduced closed form for two sources.
 """
 
@@ -12,6 +13,37 @@ import itertools
 import math
 
 from aoistats.analytics import aggregate_service_laplace
+
+
+def joint_laplace_subset_loop(spec, s) -> float:
+    """E[exp(-s . A)] as F(all sources) of the subset recursion
+
+        F(H) = sum_{k in H} lambda_k L_k(sbar_H + lambda) F(H - {k})
+               / (sbar_H + sum_{j in H} lambda_j L_j(sbar_H + lambda)),
+
+    F({}) = 1, run one bitmask at a time over all 2^K subsets with the
+    scalar service transforms: no reduction to the support of s.
+    """
+    K = spec.num_sources
+    svec = [float(v) for v in s]
+    lam = spec.total_rate
+    nmask = 1 << K
+    # per-subset tables indexed by bitmask; a mask's subsets come before it
+    sbar = [0.0] * nmask
+    F = [1.0] + [0.0] * (nmask - 1)
+    for mask in range(1, nmask):
+        low = (mask & -mask).bit_length() - 1
+        sbar[mask] = sbar[mask & (mask - 1)] + svec[low]
+        arg = sbar[mask] + lam
+        rate_sum = 0.0
+        acc = 0.0
+        for k in range(K):
+            if mask >> k & 1:
+                val = spec.rates[k] * spec.services[k].laplace(arg)
+                rate_sum += val
+                acc += val * F[mask ^ (1 << k)]
+        F[mask] = acc / (sbar[mask] + rate_sum)
+    return F[nmask - 1]
 
 
 def joint_laplace_permutation_sum(spec, s) -> float:

@@ -29,7 +29,11 @@ from aoistats.analytics import (
 )
 from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture, ServiceTimeModel
 from aoistats.simulator import default_s_grid
-from ordering_oracles import joint_aoi_laplace_two_source, joint_laplace_permutation_sum
+from ordering_oracles import (
+    joint_aoi_laplace_two_source,
+    joint_laplace_permutation_sum,
+    joint_laplace_subset_loop,
+)
 
 # two identical exponential sources at rate 3 with mean service 1/6; all
 # closed forms are rational numbers for this system
@@ -92,6 +96,15 @@ def test_source_index_checks():
         marginal_aoi_laplace(SYMMETRIC, 2, 1.0)
     with pytest.raises(IndexError):
         source_update_share(SYMMETRIC, -1)
+    # an index is an integer, never truncated or parsed
+    for bad in (1.7, True, "1", 0.99):
+        with pytest.raises(TypeError):
+            marginal_aoi_laplace(SYMMETRIC, bad, 1.0)
+        with pytest.raises(TypeError):
+            palm_means(SYMMETRIC, bad)
+        with pytest.raises(TypeError):
+            marginal_aoi_cdf(SYMMETRIC, bad, 1.0)
+    assert palm_means(SYMMETRIC, np.int64(1)) == palm_means(SYMMETRIC, 1)
 
 
 # --- throughput anchors ------------------------------------------------------
@@ -265,10 +278,44 @@ def test_joint_laplace_matches_permutation_sum():
     assert {spec.num_sources for spec in specs} == set(range(1, 7))
     cases = [(spec, tuple(rng.uniform(0.0, 3.0, spec.num_sources))) for spec in specs]
     cases += [(EIGHT, row) for row in default_s_grid(8)]
+    # rows that are zero outside a random set H of sources, H possibly empty
+    for spec in specs:
+        inside = rng.random(spec.num_sources) < 0.5
+        cases.append((spec, tuple(np.where(inside, rng.uniform(0.05, 3.0, spec.num_sources), 0.0))))
     for spec, s in cases:
         assert joint_aoi_laplace(spec, s) == pytest.approx(
             joint_laplace_permutation_sum(spec, s), rel=1e-13, abs=0.0
         )
+
+
+def test_joint_laplace_matches_subset_loop():
+    # the recursion over the support of s against the loop over all 2^K subsets
+    rng = np.random.default_rng(49)
+    specs = [random_spec(rng, max_sources=8) for _ in range(40)]
+    assert {spec.num_sources for spec in specs} == set(range(1, 9))
+    cases = [(spec, tuple(rng.uniform(0.0, 3.0, spec.num_sources))) for spec in specs]
+    cases += [(EIGHT, row) for row in default_s_grid(8)]
+    # the loop keeps the sources with a zero argument; the recursion drops them
+    for spec in specs:
+        inside = rng.random(spec.num_sources) < 0.5
+        cases.append((spec, tuple(np.where(inside, rng.uniform(0.05, 3.0, spec.num_sources), 0.0))))
+    for spec, s in cases:
+        assert joint_aoi_laplace(spec, s) == pytest.approx(joint_laplace_subset_loop(spec, s), rel=1e-14, abs=0.0)
+
+
+def test_joint_laplace_cap_counts_the_support():
+    # twenty sources: a row touching at most 12 is cheap, one touching 17 is refused
+    rng = np.random.default_rng(50)
+    twenty = SystemSpec(rates=tuple(rng.uniform(0.2, 1.0, 20)), services=(Exponential(40.0),) * 20)
+    for touched in (1, 5, 12):
+        row = np.zeros(20)
+        row[rng.choice(20, touched, replace=False)] = rng.uniform(0.1, 2.0, touched)
+        assert 0.0 < joint_aoi_laplace(twenty, row) < 1.0
+    assert joint_aoi_laplace(twenty, np.zeros(20)) == 1.0
+    row = np.zeros(20)
+    row[:17] = 0.1
+    with pytest.raises(ValueError, match="17 sources, above the cap of 16"):
+        joint_aoi_laplace(twenty, row)
 
 
 def _rescaled_model(model, c):
@@ -307,11 +354,12 @@ def test_joint_laplace_argument_checks():
         joint_aoi_laplace(big, (0.1,) * 17)
     sixteen = SystemSpec(rates=(1.0,) * 16, services=(Exponential(30.0),) * 16)
     assert 0.0 < joint_aoi_laplace(sixteen, (0.1,) * 16) < 1.0
-    # the cap is an override, not a hard limit
-    five = SystemSpec(rates=(1.0,) * 5, services=(Exponential(20.0),) * 5)
-    with pytest.raises(ValueError):
-        joint_aoi_laplace(five, (0.1,) * 5, max_sources=4)
-    assert 0.0 < joint_aoi_laplace(five, (0.1,) * 5, max_sources=5) < 1.0
+    # a column of two rows is not a row of two arguments
+    with pytest.raises(ValueError, match="1-D"):
+        joint_aoi_laplace(SYMMETRIC, [[0.5], [1.0]])
+    # each argument is finite, but their sum plus the aggregate rate is not
+    with pytest.raises(ValueError, match="overflow"):
+        joint_aoi_laplace(SYMMETRIC, (1e308, 1e308))
 
 
 # --- pairwise dependence -----------------------------------------------------

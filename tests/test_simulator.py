@@ -211,6 +211,11 @@ def test_accumulator_layout_checks():
     acc = PathAccumulator(s_grid=(), num_sources=2, cdf_grid=[0.5, 1.0])
     with pytest.raises(IndexError):
         acc.add_ramps(2, np.zeros(3), np.ones(3))
+    # a bool index would select every source's row
+    for bad in (True, 0.5):
+        with pytest.raises(TypeError):
+            acc.add_ramps(bad, np.zeros(3), np.ones(3))
+    assert not acc.cdf_occupancy.any()
     with pytest.raises(ValueError):
         acc.add_ramps(0, np.zeros(3), np.ones(4))
     with pytest.raises(ValueError):
@@ -850,6 +855,10 @@ def test_empirical_cdf():
     for k in (-1, 1):
         with pytest.raises(IndexError, match=f"source index {k} out of range for 1 sources"):
             estimate_marginal_cdf(results, k)
+    for k in (0.5, False, "0"):
+        with pytest.raises(TypeError):
+            estimate_marginal_cdf(results, k)
+    assert np.array_equal(estimate_marginal_cdf(results, np.int64(0))[1], values)
     with pytest.raises(ValueError):
         estimate_marginal_cdf(run_replications(spec, 100.0, 1.0, 2, 0, ()), 0)
 
