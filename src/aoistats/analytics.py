@@ -421,8 +421,10 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x):
 
     Inverts marginal_aoi_laplace(spec, k, .)/s at x on a fixed-Talbot
     contour with TALBOT_NODES nodes and clamps the result to [0, 1].  The
-    same inversion at 3/4 of the node count serves as a residual estimate;
-    each threshold whose residual is above INVERSION_RESIDUAL_TOL raises
+    same inversion at 3/4 of the node count, clamped too, serves as a
+    residual estimate of the returned value, so a CDF of 1 that both
+    contours overshoot has residual 0; each threshold whose residual is
+    above INVERSION_RESIDUAL_TOL raises
     an InversionAccuracyWarning but still returns the value.  An age is at
     least the delay of the last delivered update, so at or below the lower
     end of source k's service support the result is exactly 0, with no
@@ -444,8 +446,9 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x):
     live = np.flatnonzero(flat > spec.services[k].support_min)
     for start in range(0, live.size, _CDF_CHUNK):
         idx = live[start : start + _CDF_CHUNK]
-        value = _talbot_cdf(spec, k, flat[idx], TALBOT_NODES)
-        check = _talbot_cdf(spec, k, flat[idx], 3 * TALBOT_NODES // 4)
+        # the residual compares clipped values, since the clipped one is returned
+        value = np.clip(_talbot_cdf(spec, k, flat[idx], TALBOT_NODES), 0.0, 1.0)
+        check = np.clip(_talbot_cdf(spec, k, flat[idx], 3 * TALBOT_NODES // 4), 0.0, 1.0)
         for xi, residual in zip(flat[idx], np.abs(value - check)):
             if residual > INVERSION_RESIDUAL_TOL:
                 warnings.warn(
@@ -454,5 +457,5 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x):
                     InversionAccuracyWarning,
                     stacklevel=2,
                 )
-        out[idx] = np.clip(value, 0.0, 1.0)
+        out[idx] = value
     return out.reshape(xs.shape) if xs.ndim else float(out[0])

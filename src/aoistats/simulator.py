@@ -24,9 +24,23 @@ levels, since a bucket table built per source from the grid places the
 ramp starts and ends on it, with a binary search only for a key whose
 bucket holds two or more levels.
 
+A path is generated and reduced in blocks of _BLOCK arrivals, so memory
+does not grow with the horizon.  What a block carries across its edge
+is small: the arrival clock, the newest packet (whose fate waits for
+the next arrival), each source's last update epoch and delay (which
+also give its open CDF ramp and the peak of its next delivery), the
+epoch of its first delivery, the start of the open path segment, and
+the running counts and sums.  Where blocks split changes no draw and no
+event, and moves the sums only by rounding.
+
 Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
-regenerated independently and bit-identically.
+regenerated independently and bit-identically.  Interarrival times and
+source uniforms are drawn in order from their own streams, and epochs
+are one running sum over the whole path.  Each source draws its service
+requirements from its own stream, the service-role stream jumped
+k * 2^128 draws ahead for source k, in chunks of _SERVICE_CHUNK, so the
+n-th packet of a source gets the same service however blocks split.
 
 Estimators combine the replications of one run by one rule: the value
 is a sum over replications divided by a sum, and the standard error is
@@ -36,6 +50,7 @@ sqrt(replications); age statistics are plug-ins of such pooled sums.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import heapq
 import logging
@@ -44,6 +59,8 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +96,18 @@ DEFAULT_REPLICATIONS = 32
 _ROLE_INTERARRIVAL = 0
 _ROLE_SOURCE = 1
 _ROLE_SERVICE = 2
+
+# arrivals per block of a path; no result depends on it beyond rounding
+_BLOCK = 2**15
+# segment rows per `add_segments` call, small enough that OpenBLAS keeps
+# each product on one thread
+_SEGMENT_ROWS = 4096
+# service draws per refill of a source's stream: part of the stream
+# layout, so changing it changes the draws of a mixture
+_SERVICE_CHUNK = 4096
+# the largest spacing of float epochs at the horizon, relative to the
+# mean interarrival time, at which a path still resolves its gaps
+_CLOCK_RESOLUTION = 2.0**-20
 
 _log = logging.getLogger("aoistats")
 
@@ -387,8 +416,9 @@ class ReplicationResult:
     their delay sum, and the sum and count of their finite peaks.
     `spec`, `seed` and `rep_index` name the path.  `records`, the
     per-delivery arrays for event-level checks, are not built by the run:
-    the first read regenerates the path from its Philox streams, builds
-    them bit for bit and keeps them.  Pickling drops kept records.
+    the first read regenerates the path, block by block, from its Philox
+    streams, builds them bit for bit and keeps them; they are the only
+    part that grows with the horizon.  Pickling drops kept records.
     """
 
     spec: SystemSpec
@@ -410,25 +440,26 @@ class ReplicationResult:
         if self._records is None:
             # the same Philox streams give the same path, and records
             # depend on nothing else
-            *_, dep_epoch_all, dep_src, dep_delay = _path(self.spec, self.horizon, self.seed, self.rep_index)
+            parts = []
+            for blk in _path(self.spec, self.horizon, self.seed, self.rep_index):
+                parts.append((blk.departure, blk.dep_source, blk.delay))
+                after = blk.after
+            epoch, dep_src, dep_delay = (np.concatenate(part) for part in zip(*parts))
             n_dep = dep_src.size
-            b = int(np.searchsorted(dep_epoch_all, self.burn_in, side="right"))
+            b = int(np.searchsorted(epoch, self.burn_in, side="right"))
             peak = np.full(n_dep, np.nan)  # NaN for each source's first delivery
             first = []
             for k in range(self.spec.num_sources):
                 own = np.flatnonzero(dep_src == k)
-                peak[own[1:]] = dep_delay[own[:-1]] + np.diff(dep_epoch_all[own])
+                peak[own[1:]] = dep_delay[own[:-1]] + np.diff(epoch[own])
                 first.append(own[0] if own.size else n_dep)
-            # gap to the next departure, known for all but the last generated one
-            gap = np.full(n_dep - b, np.nan)
-            following = np.diff(dep_epoch_all[b : n_dep + 1])
-            gap[: following.size] = following
             self._records = PalmRecords(
-                epoch=dep_epoch_all[b:n_dep],
+                epoch=epoch[b:],
                 source=dep_src[b:],
                 delay=dep_delay[b:],
                 peak=peak[b:],
-                gap=gap,
+                # gap to the next departure, NaN past the last generated one
+                gap=np.diff(np.append(epoch[b:], after)),
                 covered=np.arange(b, n_dep) >= max(first),  # from the last first delivery on
             )
         return self._records
@@ -438,41 +469,219 @@ class ReplicationResult:
         return self.horizon - self.burn_in
 
 
-def _generate_arrivals(lam: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Arrival epochs, strictly increasing, ending with the first epoch
-    beyond the horizon (needed to settle the fate of the last packet)."""
-    expect = lam * horizon
-    n0 = int(expect + 6.0 * math.sqrt(expect + 1.0)) + 16
-    epochs = np.cumsum(rng.exponential(1.0 / lam, size=n0))
-    while epochs[-1] <= horizon:
-        more = rng.exponential(1.0 / lam, size=max(n0 // 4, 64))
-        epochs = np.concatenate([epochs, epochs[-1] + np.cumsum(more)])
-    cut = int(np.searchsorted(epochs, horizon, side="right"))
-    return epochs[: cut + 1]
+class _Block(NamedTuple):
+    """One block of a path: the packets that arrive in it, and the
+    departures settled in it, all at or before the horizon.  `following`
+    holds the next arrival of each packet settled in the block, in order
+    (for the path's last packet, the first arrival past the horizon), and
+    `done` the positions among them of those that depart.  On the last
+    block, `after` is the epoch of the departure past the horizon, NaN
+    when there is none."""
+
+    arrival: np.ndarray
+    source: np.ndarray
+    service: np.ndarray
+    departure: np.ndarray
+    dep_source: np.ndarray
+    delay: np.ndarray
+    following: np.ndarray
+    done: np.ndarray
+    last: bool
+    after: float
+
+    def pushouts(self, t: float) -> int:
+        """How many packets settled in the block are pushed out at or
+        before t: those that do not depart, by next arrivals up to t."""
+        upto = int(np.searchsorted(self.following, t, side="right"))
+        return upto - int(np.searchsorted(self.done, upto))
+
+
+class _ServiceDraws:
+    """One source's service requirements, in the order of its packets.
+
+    They are drawn from the source's own stream _SERVICE_CHUNK at a time,
+    so the n-th requirement does not depend on how many are taken at once.
+    """
+
+    def __init__(self, model, rng: np.random.Generator):
+        self.model = model
+        self.rng = rng
+        self.held = np.empty(0)
+
+    def take(self, n: int) -> np.ndarray:
+        short = n - self.held.size
+        if short > 0:
+            chunks = [self.model.sample(self.rng, _SERVICE_CHUNK) for _ in range(-(-short // _SERVICE_CHUNK))]
+            self.held = np.concatenate([self.held, *chunks])
+        out, self.held = self.held[:n], self.held[n:]
+        return out
 
 
 def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
-    """One replication's path from its Philox streams: arrival epochs (the
-    last beyond the horizon), each packet's source and service, the
-    indices of the packets that depart, every departure epoch, and the
-    sources and delays of the departures up to the horizon."""
-    lam = spec.total_rate
-    epochs = _generate_arrivals(lam, horizon, replication_rng(seed, rep_index, _ROLE_INTERARRIVAL))
-    n_packets = epochs.size - 1
+    """One replication's path from its Philox streams, as `_Block`s of
+    _BLOCK arrivals each, the last cut at the horizon."""
+    scale = 1.0 / spec.total_rate
+    rng_arr = replication_rng(seed, rep_index, _ROLE_INTERARRIVAL)
     rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
-    src = categorical(rng_src.random(n_packets), np.cumsum(np.array(spec.rates) / lam))
-    rng_svc = replication_rng(seed, rep_index, _ROLE_SERVICE)
-    svc = np.empty(n_packets)
-    for k in range(spec.num_sources):
-        own = np.flatnonzero(src == k)
-        if own.size:
-            svc[own] = spec.services[k].sample(rng_svc, own.size)
-    done = np.flatnonzero(svc <= np.diff(epochs))  # a tie still departs
-    dep_delay_all = svc[done]
-    dep_epoch_all = epochs[done] + dep_delay_all
-    # departure epochs never decrease, so the horizon cut is a slice
-    n_dep = int(np.searchsorted(dep_epoch_all, horizon, side="right"))
-    return epochs, src, svc, done, dep_epoch_all, src[done][:n_dep], dep_delay_all[:n_dep]
+    shares = np.cumsum(np.array(spec.rates) / spec.total_rate)
+    service_bits = replication_rng(seed, rep_index, _ROLE_SERVICE).bit_generator
+    services = [
+        _ServiceDraws(model, np.random.Generator(service_bits.jumped(k))) for k, model in enumerate(spec.services)
+    ]
+    # slot 0 of each block's arrays holds the newest packet of the block
+    # before, whose fate waits for this block's first arrival: its epoch is
+    # the clock, and its source uniform and service are carried
+    clock, held, held_u, held_svc = 0.0, 0, 0.0, 0.0
+    while True:
+        epochs = np.empty(_BLOCK + 1)
+        epochs[0] = clock
+        rng_arr.standard_exponential(out=epochs[1:])
+        epochs[1:] *= scale
+        np.cumsum(epochs, out=epochs)  # one running sum over the whole path
+        clock = float(epochs[-1])
+        n = int(np.searchsorted(epochs[1:], horizon, side="right"))
+        last = n < _BLOCK  # epochs[n + 1] is the first arrival past the horizon
+        u = np.empty(n + 1)
+        u[0] = held_u
+        rng_src.random(out=u[1:])
+        src = categorical(u[1 - held :], shares)
+        svc = np.empty(n + held)
+        svc[:held] = held_svc
+        for k, draws in enumerate(services):
+            own = np.flatnonzero(src[held:] == k)
+            svc[held:][own] = draws.take(own.size)
+        # each packet meets its next arrival, but the newest waits for the next block
+        epoch = epochs[1 - held : n + 1]
+        following = epochs[2 - held : n + 2 if last else None]
+        fits = svc[: following.size] <= following - epoch[: following.size]  # a tie still departs
+        done = np.flatnonzero(fits)
+        delay = svc[done]
+        departure = epoch[done] + delay
+        after = math.nan
+        if last:
+            # departure epochs never decrease, so the horizon cut is a slice
+            n_dep = int(np.searchsorted(departure, horizon, side="right"))
+            if n_dep < departure.size:
+                after = float(departure[n_dep])
+            done, delay, departure = done[:n_dep], delay[:n_dep], departure[:n_dep]
+        yield _Block(
+            epochs[1 : n + 1], src[held:], svc[held:], departure, src[done], delay, following, done, last, after
+        )
+        if last:
+            return
+        held, held_u, held_svc = 1, float(u[-1]), float(svc[-1])
+
+
+class _Reduction:
+    """A replication's fixed-size sums, added one block of its path at a
+    time, and the state each block hands to the next."""
+
+    def __init__(self, horizon: float, burn_in: float, accumulator: PathAccumulator):
+        K = accumulator.num_sources
+        self.K, self.horizon, self.burn_in, self.accumulator = K, horizon, burn_in, accumulator
+        # each source's last update (epoch, delay), from the artificial start state
+        self.update = np.zeros(K)
+        self.delay = np.zeros(K)
+        self.first = np.full(K, math.inf)  # each source's first delivery
+        self.segment = burn_in  # start of the open segment
+        self.source_sums = np.zeros((4, K))
+        # arrivals, departures, pushouts, and each of them in the window
+        self.tally = np.zeros(6, dtype=np.int64)
+
+    def add(self, blk: _Block) -> None:
+        horizon, burn_in, acc = self.horizon, self.burn_in, self.accumulator
+        dep_epoch, dep_src, dep_delay = blk.departure, blk.dep_source, blk.delay
+        b = int(np.searchsorted(dep_epoch, burn_in, side="right"))  # the window is a slice
+        pushouts = blk.pushouts(horizon)
+        self.tally += (
+            blk.arrival.size,
+            dep_epoch.size,
+            pushouts,
+            blk.arrival.size - np.searchsorted(blk.arrival, burn_in, side="right"),
+            dep_epoch.size - b,
+            pushouts - blk.pushouts(burn_in),
+        )
+        # segments start at the open one's start and at each window departure
+        # of the block before the horizon; every segment but the last ends at
+        # the next start, the last at the horizon or in a later block
+        w_epoch = dep_epoch[b:]
+        n_seg = 1 + int(np.searchsorted(w_epoch, horizon, side="left"))
+        points = np.concatenate([[self.segment], w_epoch[: n_seg - 1]])
+        ends = np.append(points[1:], horizon) if blk.last else points[1:]
+        n_rows = ends.size
+        ages = np.empty((self.K, n_rows))  # each source's age at each closed segment's start
+        for k in range(self.K):
+            # source k's updates with its last one before the block prepended
+            own = np.flatnonzero(dep_src == k)
+            Uk = np.concatenate([[self.update[k]], dep_epoch[own]])
+            Dk = np.concatenate([[self.delay[k]], dep_delay[own]])
+            pk = Dk[:-1] + np.diff(Uk)
+            if own.size and self.first[k] == math.inf:
+                pk[0] = np.nan  # a first-ever update peaks against the start state
+                self.first[k] = Uk[1]
+            w = 1 + int(np.searchsorted(own, b))  # Uk[w:] lie in the window
+            at = own[w - 1 :] - b  # window positions of its window deliveries
+            self.source_sums[:, k] += (
+                Uk.size - w,
+                Dk[w:].sum(),
+                np.nansum(pk[w - 1 :]),
+                np.isfinite(pk[w - 1 :]).sum(),
+            )
+            # its last update is Uk[w - 1] up to its first window delivery,
+            # then each of those in turn: one run of points per update
+            runs = np.diff(np.concatenate([[0], np.minimum(at + 1, n_rows), [n_rows]]))
+            ages[k] = np.repeat(Dk[w - 1 :], runs) + (points[:n_rows] - np.repeat(Uk[w - 1 :], runs))
+            if acc.cdf_grid is not None:
+                # its age ramps from burn-in or its last update, whichever is
+                # later, then from each window delivery, to its next delivery;
+                # the last ramp stays open unless the path ends here
+                start = max(Uk[w - 1], burn_in)
+                edges = np.concatenate([[start], Uk[w:], [horizon] if blk.last else []])
+                if edges.size > 1:
+                    ramps = np.concatenate([[Dk[w - 1] + (start - Uk[w - 1])], Dk[w:]])
+                    acc.add_ramps(k, ramps[: edges.size - 1], np.diff(edges))
+            self.update[k], self.delay[k] = Uk[-1], Dk[-1]
+        lengths = ends - points[:n_rows]
+        for lo in range(0, n_rows, _SEGMENT_ROWS):
+            hi = lo + _SEGMENT_ROWS
+            acc.add_segments(ages[:, lo:hi].T, lengths[lo:hi])
+        self.segment = points[-1]
+
+    def counts(self) -> ReplicationCounts:
+        arrivals, departures, pushouts, w_arrivals, w_departures, w_pushouts = (int(v) for v in self.tally)
+        return ReplicationCounts(
+            arrivals=arrivals,
+            departures=departures,
+            pushouts=pushouts,
+            # the newest packet, if it has not left by the horizon
+            in_flight=arrivals - departures - pushouts,
+            window_arrivals=w_arrivals,
+            window_departures=w_departures,
+            window_pushouts=w_pushouts,
+        )
+
+
+class _Trace:
+    """A path's events as CSV rows (epoch, kind, source, value), written
+    block by block in time order with arrivals first at equal epochs."""
+
+    def __init__(self, fh):
+        self.writer = csv.writer(fh)
+        self.writer.writerow(["epoch", "kind", "source", "value"])
+        # departures at the block's last arrival epoch, which the next
+        # block's first arrival could equal and would precede
+        self.held = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
+
+    def add(self, blk: _Block) -> None:
+        epoch, src, delay = (
+            np.concatenate(part) for part in zip(self.held, (blk.departure, blk.dep_source, blk.delay))
+        )
+        cut = epoch.size if blk.last else int(np.searchsorted(epoch, blk.arrival[-1], side="left"))
+        self.held = (epoch[cut:], src[cut:], delay[cut:])
+        arrivals = zip(blk.arrival.tolist(), repeat("arrival"), (blk.source + 1).tolist(), blk.service.tolist())
+        departures = zip(epoch[:cut].tolist(), repeat("departure"), (src[:cut] + 1).tolist(), delay[:cut].tolist())
+        for ev_epoch, kind, source, value in heapq.merge(arrivals, departures, key=lambda ev: ev[0]):
+            self.writer.writerow([repr(ev_epoch), kind, source, repr(value)])
 
 
 def run_replication(
@@ -489,9 +698,13 @@ def run_replication(
 
     The run starts empty at time 0 with every source's age state seeded
     at (update epoch 0, delay 0); statistics cover (burn_in, horizon].
-    When `trace_path` is given, every arrival (value = service
-    requirement) and departure (value = delay) up to the horizon is
-    written there as CSV rows (epoch, kind, source, value).
+    The path is generated and reduced one block of arrivals at a time, so
+    memory does not grow with the horizon.  A horizon at which float
+    epochs are spaced more than _CLOCK_RESOLUTION of the mean interarrival
+    time apart cannot resolve the path and raises ValueError.  When
+    `trace_path` is given, every arrival (value = service requirement)
+    and departure (value = delay) up to the horizon is written there as
+    CSV rows (epoch, kind, source, value), block by block.
     """
     horizon = float(horizon)
     burn_in = float(burn_in)
@@ -499,89 +712,30 @@ def run_replication(
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not (math.isfinite(burn_in) and 0 <= burn_in < horizon):
         raise ValueError(f"burn-in must satisfy 0 <= burn_in < horizon, got {burn_in}")
-    K = spec.num_sources
-    epochs, src, svc, done, dep_epoch_all, dep_src, dep_delay = _path(spec, horizon, seed, rep_index)
-    n_packets = epochs.size - 1  # the final epoch is past the horizon
-    in_flight = int(epochs[-2] + svc[-1] > horizon) if n_packets else 0
-    n_dep = dep_src.size
-    dep_epoch = dep_epoch_all[:n_dep]
-    b = int(np.searchsorted(dep_epoch, burn_in, side="right"))  # the window is a slice too
-    first_arrival = int(np.searchsorted(epochs, burn_in, side="right"))
-
-    def pushed_out(lo: int) -> int:
-        # packets lo .. n_packets - 2 that do not depart are pushed out by
-        # the next arrival, at or before the horizon
-        hi = max(n_packets - 1, lo)
-        return hi - lo - int(np.searchsorted(done, hi) - np.searchsorted(done, lo))
-
-    counts = ReplicationCounts(
-        arrivals=n_packets,
-        departures=n_dep,
-        pushouts=pushed_out(0),
-        in_flight=in_flight,
-        window_arrivals=n_packets - first_arrival,
-        window_departures=n_dep - b,
-        window_pushouts=pushed_out(max(first_arrival - 1, 0)),
-    )
-
-    # ages just after burn-in and after every window departure, and the
-    # exact path integrals over (burn_in, horizon]: a segment starts at
-    # burn-in and at each window departure before the horizon
-    w_epoch = dep_epoch[b:]
-    points = np.concatenate([[burn_in], w_epoch])
-    n_seg = 1 + int(np.searchsorted(w_epoch, horizon, side="left"))
-    starts = points[:n_seg]
-    lengths = np.append(starts[1:], horizon) - starts
-    accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
-    ages = np.empty((points.size, K))
-    source_sums = np.zeros((4, K))
-    late = []
-    for k in range(K):
-        # source k's update sequence with the artificial start state prepended
-        own = np.flatnonzero(dep_src == k)
-        Uk = np.concatenate([[0.0], dep_epoch[own]])
-        Dk = np.concatenate([[0.0], dep_delay[own]])
-        pk = Dk[:-1] + np.diff(Uk)
-        pk[:1] = np.nan  # first-ever update peaks against the start state
-        w = int(np.searchsorted(Uk, burn_in, side="right"))  # Uk[w:] lie in the window
-        at = own[w - 1 :] - b  # window positions of its window deliveries
-        source_sums[:, k] = Uk.size - w, Dk[w:].sum(), np.nansum(pk[w - 1 :]), np.isfinite(pk[w - 1 :]).sum()
-        # its last update is Uk[w - 1] up to its first window delivery, then
-        # each of those in turn: one run of points per update
-        runs = np.diff(np.concatenate([[0], at + 1, [points.size]]))
-        ages[:, k] = np.repeat(Dk[w - 1 :], runs) + (points - np.repeat(Uk[w - 1 :], runs))
-        if w == 1:  # no delivery up to burn-in: the start state until its first
-            late.append(k)
-        if accumulator.cdf_grid is not None:
-            # its age ramps from its value at burn-in, then from the delay of
-            # each of its window deliveries, to its next delivery or the horizon
-            edges = np.concatenate([[burn_in], Uk[w:], [horizon]])
-            accumulator.add_ramps(k, np.concatenate([[ages[0, k]], Dk[w:]]), np.diff(edges))
-    accumulator.add_segments(ages[:n_seg], lengths)
-
-    if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "kind", "source", "value"])
-            # both event streams are in time order; at equal epochs the
-            # merge puts arrivals first
-            arrivals = zip(epochs[:-1].tolist(), ["arrival"] * n_packets, (src + 1).tolist(), svc.tolist())
-            departures = zip(
-                dep_epoch.tolist(), ["departure"] * dep_epoch.size, (dep_src + 1).tolist(), dep_delay.tolist()
-            )
-            for ev_epoch, kind, source, value in heapq.merge(arrivals, departures, key=lambda ev: ev[0]):
-                writer.writerow([repr(ev_epoch), kind, source, repr(value)])
-
+    if math.ulp(horizon) * spec.total_rate > _CLOCK_RESOLUTION:
+        raise ValueError(
+            f"horizon {horizon:g} is too long for total arrival rate {spec.total_rate:g}: epochs near it are "
+            f"{math.ulp(horizon):.3g} apart, against a mean interarrival time of {1.0 / spec.total_rate:.3g}"
+        )
+    accumulator = PathAccumulator(s_grid=s_grid, num_sources=spec.num_sources, cdf_grid=cdf_grid)
+    reduction = _Reduction(horizon, burn_in, accumulator)
+    with contextlib.ExitStack() as stack:
+        trace = None if trace_path is None else _Trace(stack.enter_context(open(trace_path, "w", newline="")))
+        for blk in _path(spec, horizon, seed, rep_index):
+            reduction.add(blk)
+            if trace is not None:
+                trace.add(blk)
     return ReplicationResult(
         spec=spec,
         seed=seed,
         rep_index=rep_index,
         accumulator=accumulator,
-        counts=counts,
+        counts=reduction.counts(),
         horizon=horizon,
         burn_in=burn_in,
-        late_sources=tuple(late),
-        source_sums=source_sums,
+        # no delivery up to burn-in: the start state until its first
+        late_sources=tuple(int(k) for k in np.flatnonzero(reduction.first > burn_in)),
+        source_sums=reduction.source_sums,
     )
 
 
@@ -774,8 +928,10 @@ def run_replications(
 
     At most min(workers, replications, usable CPUs) processes start, the
     CPUs being those this process may run on; results do not depend on
-    how many do.  Every result is fixed-size, a worker's as a serial one's:
-    `records` are built where they are read (see `ReplicationResult`).
+    how many do.  Each replication runs in blocks of arrivals, so the
+    memory of a run does not grow with the horizon, and every result is
+    fixed-size, a worker's as a serial one's: `records` are built where
+    they are read (see `ReplicationResult`).
     Replication 0 writes its event trace to `trace_path` when one is given
     (see run_replication).
     """

@@ -6,9 +6,10 @@ The simulator accumulates whole paths at once, with
 one-segment-at-a-time versions, and the clip sum over every (segment,
 level) pair for CDF occupancy, are the oracles the tests check it against.
 `mask_thinned_replication` is `run_replication` as it thinned arrivals
-with boolean masks over every packet, the reference for its index-based
-thinning; its age columns, gathered through a running count of each
-source's window deliveries, are the reference for the run-length ones.
+with boolean masks over every packet of the whole path at once, the
+reference for its index-based thinning in blocks; its age columns,
+gathered through a running count of each source's window deliveries, are
+the reference for the run-length ones.
 """
 
 import math
@@ -20,11 +21,12 @@ from aoistats.simulator import (
     _ROLE_INTERARRIVAL,
     _ROLE_SERVICE,
     _ROLE_SOURCE,
+    _SEGMENT_ROWS,
+    _SERVICE_CHUNK,
     PalmRecords,
     PathAccumulator,
     ReplicationCounts,
     ReplicationResult,
-    _generate_arrivals,
     replication_rng,
 )
 
@@ -104,20 +106,42 @@ def clip_occupancy(grid, ages: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.array([np.clip(x[None, :] - a[:, None], 0.0, L).sum(axis=0) for a in columns])
 
 
+def arrival_epochs(lam, horizon, seed, rep_index):
+    """The arrival epochs up to the horizon and the first one past it, as
+    one running sum of the whole interarrival stream, redrawn from its
+    start with twice as many draws until it passes the horizon."""
+    n = 64
+    while True:
+        epochs = np.cumsum(replication_rng(seed, rep_index, _ROLE_INTERARRIVAL).exponential(1.0 / lam, n))
+        if epochs[-1] > horizon:
+            return epochs[: np.searchsorted(epochs, horizon, side="right") + 1]
+        n *= 2
+
+
+def service_draws(model, seed, rep_index, k, n):
+    """Source k's first n service requirements: its stream is the
+    service-role stream jumped k * 2^128 draws ahead, drawn in chunks of
+    _SERVICE_CHUNK."""
+    rng = np.random.Generator(replication_rng(seed, rep_index, _ROLE_SERVICE).bit_generator.jumped(k))
+    chunks = [model.sample(rng, _SERVICE_CHUNK) for _ in range(-(-n // _SERVICE_CHUNK))]
+    return np.concatenate([np.empty(0), *chunks])[:n]
+
+
 def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(), cdf_grid=None):
-    """`run_replication` without its trace, thinning by boolean masks: a
-    categorical source draw by `np.searchsorted`, service draws scattered
-    through `src == k`, and the departure, horizon and window sets as
-    masks over every packet or departure."""
+    """`run_replication` without its trace, on the whole path at once,
+    thinning by boolean masks: a categorical source draw by
+    `np.searchsorted`, service draws scattered through `src == k`, and
+    the departure, horizon and window sets as masks over every packet or
+    departure.  Segments go to `add_segments` in chunks of _SEGMENT_ROWS
+    from a (K, n) age table, as a run of one block does, so a path of one
+    block gives bit-identical sums."""
     horizon = float(horizon)
     burn_in = float(burn_in)
     K = spec.num_sources
     lam = spec.total_rate
-    rng_arr = replication_rng(seed, rep_index, _ROLE_INTERARRIVAL)
     rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
-    rng_svc = replication_rng(seed, rep_index, _ROLE_SERVICE)
 
-    epochs = _generate_arrivals(lam, horizon, rng_arr)
+    epochs = arrival_epochs(lam, horizon, seed, rep_index)
     n_packets = epochs.size - 1
     shares = np.cumsum(np.array(spec.rates) / lam)
     src = np.minimum(
@@ -126,9 +150,7 @@ def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(
     svc = np.empty(n_packets)
     for k in range(K):
         mask = src == k
-        n = int(mask.sum())
-        if n:
-            svc[mask] = spec.services[k].sample(rng_svc, n)
+        svc[mask] = service_draws(spec.services[k], seed, rep_index, k, int(mask.sum()))
     gaps = np.diff(epochs)
     completes = svc <= gaps
     dep_epoch_all = epochs[:-1][completes] + svc[completes]
@@ -177,23 +199,25 @@ def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(
     w_epoch = dep_epoch[in_window]
     w_src = dep_src[in_window]
     points = np.concatenate([[burn_in], w_epoch])
-    ages = np.empty((points.size, K))
+    ages = np.empty((K, points.size))
     covered = np.ones(points.size, dtype=bool)
     for k in range(K):
         j = own_w[k] - 1 + np.concatenate([[0], np.cumsum(w_src == k)])
-        ages[:, k] = own_D[k][j] + (points - own_U[k][j])
+        ages[k] = own_D[k][j] + (points - own_U[k][j])
         covered &= j >= 1
 
     starts_at = np.concatenate([[True], w_epoch < horizon])
     starts = points[starts_at]
     lengths = np.append(starts[1:], horizon) - starts
     accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
-    accumulator.add_segments(ages[starts_at], lengths)
+    seg_ages = np.ascontiguousarray(ages[:, starts_at])  # a (K, n) table, as the run's
+    for lo in range(0, lengths.size, _SEGMENT_ROWS):
+        accumulator.add_segments(seg_ages[:, lo : lo + _SEGMENT_ROWS].T, lengths[lo : lo + _SEGMENT_ROWS])
     if accumulator.cdf_grid is not None:
         for k in range(K):
             w = own_w[k]
             edges = np.concatenate([[burn_in], own_U[k][w:], [horizon]])
-            accumulator.add_ramps(k, np.concatenate([[ages[0, k]], own_D[k][w:]]), np.diff(edges))
+            accumulator.add_ramps(k, np.concatenate([[ages[k, 0]], own_D[k][w:]]), np.diff(edges))
 
     records = PalmRecords(
         epoch=w_epoch,

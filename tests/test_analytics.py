@@ -578,7 +578,8 @@ def inversion_warnings(spec, k, x):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_cdf_array_call_equals_scalar_calls(k):
-    # the gamma source warns only past the grid, where its CDF rounds to 1
+    # the det source warns just above its delay; the gamma source's CDF
+    # is 1 past the grid, where no warning is due
     x = np.append(CDF_GRID, [12.0, 20.0])
     values, messages = inversion_warnings(CDF_LONG, k, x)
     points = [inversion_warnings(CDF_LONG, k, v) for v in x]
@@ -587,7 +588,7 @@ def test_cdf_array_call_equals_scalar_calls(k):
     # one warning per point over tolerance, as the scalar calls give them
     assert messages == [m for _, ms in points for m in ms]
     assert all(len(ms) <= 1 for _, ms in points)
-    assert messages
+    assert bool(messages) == (k == 1)
     for message in messages:
         residual, x, source = WARNING_RE.fullmatch(message).groups()
         assert float(residual) > INVERSION_RESIDUAL_TOL
@@ -634,6 +635,16 @@ def test_cdf_at_extreme_thresholds():
         assert np.max(np.abs(values - want)) < 5e-6
         n_warnings += len(messages)
     assert n_warnings <= 15  # the count with the weights taken per x
+
+
+def test_cdf_does_not_warn_where_it_is_one():
+    # both contours overshoot 1 there, by different amounts; the residual
+    # compares the clipped values, the returned one among them
+    values, messages = inversion_warnings(CDF_LONG, 0, np.linspace(12.0, 1000.0, 50))
+    assert messages == [] and np.all(values == 1.0)
+    # a residual of a value below 1 still warns
+    value, messages = inversion_warnings(CDF_LONG, 1, 20.0)
+    assert value < 1.0 and len(messages) == 1
 
 
 def test_cdf_keeps_the_shape_of_x():

@@ -232,19 +232,24 @@ def test_cli_simulate_trace(tmp_path, capsys):
 
 
 LATE_CFG = "source = 3 exp(6)\nsource = 0.05 exp(6)\nhorizon = 50\nburn_in = 2\nreplications = 4\nseed = 31\n"
+# source 2's det(50) service never fits before the horizon, whatever the seed
+NEVER_CFG = LATE_CFG.replace("0.05 exp(6)", "0.05 det(50)")
 
 
 def test_cli_simulate_notes_flagged_estimates(tmp_path, capsys):
-    # source 2 delivers about once every 30 time units, so at most one
-    # replication sees a peak of it: its peak mean has no stderr
-    cfgfile = write_config(tmp_path, LATE_CFG)
+    # source 2 never delivers, so its delay and peak means have no value
+    # and no stderr
+    cfgfile = write_config(tmp_path, NEVER_CFG)
     out = tmp_path / "late.csv"
     assert main(["simulate", "--config", str(cfgfile), "--output", str(out)]) == 0
     notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: ")]
-    assert notes[-1] == "note: peak_mean[2]: too few replications with peaks for source 2 for a stderr"
-    assert [n for n in notes if not n.startswith("note: source ")] == notes[-1:]
+    assert notes[-2:] == [
+        "note: delay_mean[2]: no deliveries for source 2",
+        "note: peak_mean[2]: no peaks for source 2",
+    ]
+    assert [n for n in notes if not n.startswith("note: source ")] == notes[-2:]
     # the notes leave the CSV as the library reports it
-    cfg = parse_config(LATE_CFG)
+    cfg = parse_config(NEVER_CFG)
     report = simulator.simulate(
         cfg.spec, horizon=cfg.horizon, burn_in=cfg.burn_in, replications=cfg.replications, seed=cfg.seed
     )
@@ -257,11 +262,11 @@ def test_cli_simulate_notes_flagged_estimates(tmp_path, capsys):
 
 def test_cli_compare_notes_flagged_estimates(tmp_path, capsys):
     # compare runs the same simulation, so its FAIL rows come with the reason
-    cfgfile = write_config(tmp_path, LATE_CFG)
+    cfgfile = write_config(tmp_path, NEVER_CFG)
     assert main(["compare", "--config", str(cfgfile)]) == 2
     notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note: ")]
     assert any(n.startswith("note: source 2: first delivery after burn-in") for n in notes)
-    assert "note: peak_mean[2]: too few replications with peaks for source 2 for a stderr" in notes
+    assert "note: peak_mean[2]: no peaks for source 2" in notes
 
 
 def test_cli_compare_names_the_seed_of_each_attempt(tmp_path, capsys):
@@ -460,7 +465,8 @@ def test_cli_unusable_paths_exit_1(argv, tmp_path, capsys, monkeypatch):
 
 
 def test_cli_unallocatable_run_exits_1(tmp_path, capsys):
-    # 6e15 expected arrivals: the first array request fails at once
+    # 6e15 expected arrivals: float epochs near the horizon are 0.125 apart,
+    # against a mean gap of 1/6, so the run is refused before it starts
     cfgfile = write_config(tmp_path, SIM_CFG)
     assert main(["simulate", "--config", str(cfgfile), "--horizon", "1e15"]) == 1
     err = capsys.readouterr().err

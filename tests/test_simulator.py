@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,7 +471,7 @@ RARE = SystemSpec(rates=(3.0, 0.5), services=(Exponential(6.0), Exponential(6.0)
         # the last arrival is pushed out by the first one past the horizon
         (MIXED3, 20.0, 5.0, 2, lambda r: r.counts.in_flight == 1 and np.isnan(r.records.gap[-1])),
         # the last arrival is still in service at the horizon and departs after it
-        (MIXED3, 20.0, 5.0, 3, lambda r: r.counts.in_flight == 1 and np.isfinite(r.records.gap[-1])),
+        (MIXED3, "in service", 5.0, 3, lambda r: r.counts.in_flight == 1 and np.isfinite(r.records.gap[-1])),
         (NEVER_DELIVERS, 100.0, 10.0, 3, lambda r: r.late_sources == (1,) and r.source_sums[0, 1] == 0),
         # source 2 delivers before burn-in but not after it
         (RARE, 12.0, 10.0, 3, lambda r: r.late_sources == () and r.source_sums[0, 1] == 0),
@@ -488,6 +489,13 @@ RARE = SystemSpec(rates=(3.0, 0.5), services=(Exponential(6.0), Exponential(6.0)
     ],
 )
 def test_thinning_edge_cases_match_mask_oracle(spec, horizon, burn_in, seed, holds):
+    if horizon == "in service":
+        # a shorter horizon replays a prefix of the same draws, so a horizon
+        # inside the service of a packet that departs makes it the last
+        # arrival, still in service at the horizon
+        rec = run_replication(spec, 20.0, burn_in, seed).records
+        served = np.flatnonzero(rec.delay > 0)[-1]
+        horizon = float(rec.epoch[served] - rec.delay[served] / 2)
     args = (spec, horizon, burn_in, seed, 0, default_s_grid(spec.num_sources), np.linspace(0.0, 3.0, 7))
     got = run_replication(*args)
     assert holds(got)
@@ -504,6 +512,73 @@ def test_thinning_ties_at_burn_in_and_horizon():
     got = run_replication(*args)
     assert np.array_equal(got.records.epoch, epochs[11:-9])
     assert_same_replication(got, mask_thinned_replication(*args))
+
+
+# one source of each service family
+FAMILIES = SystemSpec(
+    rates=(1.5, 1.0, 0.8, 0.7),
+    services=(
+        Exponential(6.0),
+        Gamma(2.0, 12.0),
+        Deterministic(0.15),
+        Mixture((0.5, 0.5), (Exponential(10.0), Deterministic(0.1))),
+    ),
+)
+
+
+@pytest.mark.parametrize("block", [7, 64, 1000, 10**6])
+@pytest.mark.parametrize("burn_in", ["inside", "at the edge"])
+@pytest.mark.parametrize("cdf_grid", [None, np.linspace(0.0, 3.0, 7)], ids=["no-grid", "grid"])
+def test_results_do_not_depend_on_the_block_size(block, burn_in, cdf_grid, monkeypatch, tmp_path):
+    horizon, seed = 400.0, 21
+    (whole,) = simulator._path(FAMILIES, horizon, seed, 0)  # one block at the default size
+    arrivals = whole.arrival
+    assert 1000 < arrivals.size < simulator._BLOCK
+    # burn-in at the last arrival of the block edge nearest the middle of
+    # the path, or of the only block
+    edge = max(1, arrivals.size // 2 // block) * block
+    burn_in = arrivals[min(edge, arrivals.size) - 1] if burn_in == "at the edge" else 37.3
+    args = (FAMILIES, horizon, burn_in, seed, 0, default_s_grid(4), cdf_grid)
+    want = run_replication(*args, trace_path=tmp_path / "whole.csv")
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    monkeypatch.setattr(simulator, "_SEGMENT_ROWS", max(1, block // 3))
+    got = run_replication(*args, trace_path=tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert got.counts == want.counts and got.late_sources == want.late_sources
+    for name in ("epoch", "source", "delay", "peak", "gap", "covered"):
+        a, b = getattr(got.records, name), getattr(want.records, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True), name
+    np.testing.assert_allclose(got.source_sums, want.source_sums, rtol=1e-12, atol=0.0)
+    acc, ref = got.accumulator, want.accumulator
+    assert acc.elapsed == pytest.approx(ref.elapsed, rel=1e-12, abs=0.0)
+    for name in ("exp_integrals", "age_integrals", "cross_integrals", "cdf_occupancy"):
+        if getattr(ref, name) is None:
+            assert getattr(acc, name) is None
+        else:
+            np.testing.assert_allclose(getattr(acc, name), getattr(ref, name), rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_peak_memory_does_not_grow_with_the_horizon():
+    # a full block of arrivals by the shorter horizon, a hundred by the longer
+    rate = 0.55 * simulator._BLOCK / 1e4
+    spec = SystemSpec(rates=(rate, rate), services=(Exponential(6.0), Exponential(6.0)))
+    peaks = []
+    for horizon in (1e4, 1e6):
+        tracemalloc.start()
+        try:
+            run_replication(spec, horizon, 10.0, 1, 0, ((1.0, 1.0),))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_horizon_the_clock_cannot_resolve_is_rejected():
+    # float epochs near 1e12 are 1.2e-4 apart, against a mean gap of 1/6
+    with pytest.raises(ValueError, match="horizon 1e\\+12 is too long for total arrival rate 6"):
+        run_replication(SYMMETRIC, 1e12, 10.0, 1)
+    # near 1e8 they are 1.5e-8 apart: a long run, but a resolved one
+    assert math.ulp(1e8) * SYMMETRIC.total_rate <= simulator._CLOCK_RESOLUTION
 
 
 def test_zero_service_never_gets_pushed_out():
@@ -672,10 +747,10 @@ def _same_estimate(a, b) -> bool:
 # (spec, horizon, burn_in, replications, seed, warm_up): warm_up is what
 # the records show of the start-up, in the words of warm_up_note
 RECORD_CASES = [
-    (SYMMETRIC, 400.0, 0.0, 4, 3, "11 warm-up departures skipped"),
-    (MIXED3, 600.0, 0.0, 3, 11, "20 warm-up departures skipped"),
+    (SYMMETRIC, 400.0, 0.0, 4, 3, "12 warm-up departures skipped"),
+    (MIXED3, 600.0, 0.0, 3, 11, "16 warm-up departures skipped"),
     (MIXED3, 600.0, 30.0, 3, 12, None),
-    (LATE, 50.0, 2.0, 4, 31, "143 warm-up departures skipped"),
+    (LATE, 50.0, 2.0, 4, 31, "86 warm-up departures skipped"),
     (LATE, 5.0, 0.5, 3, 2, "a replication had no usable departures"),
 ]
 
