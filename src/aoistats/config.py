@@ -184,10 +184,11 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"command: unknown command {cmd!r}; expected one of {', '.join(_COMMANDS)}")
         else:
             cfg.command = cmd
+    horizon = cfg.horizon  # None if the file's horizon is invalid
     if "horizon" in scalars:
-        v = _parse_float(scalars["horizon"], "horizon", errors, positive=True)
-        if v is not None:
-            cfg.horizon = v
+        horizon = _parse_float(scalars["horizon"], "horizon", errors, positive=True)
+        if horizon is not None:
+            cfg.horizon = horizon
     if "burn_in" in scalars:
         v = _parse_float(scalars["burn_in"], "burn_in", errors)
         if v is not None:
@@ -195,7 +196,7 @@ def parse_config(text: str) -> RunConfig:
                 errors.append(f"burn_in: must be nonnegative, got {v}")
             else:
                 cfg.burn_in = v
-    if cfg.burn_in is not None and cfg.burn_in >= cfg.horizon:
+    if cfg.burn_in is not None and horizon is not None and cfg.burn_in >= horizon:
         errors.append(f"burn_in: must be below the horizon, got {cfg.burn_in} >= {cfg.horizon}")
     if "replications" in scalars:
         v = _parse_int(scalars["replications"], "replications", errors)

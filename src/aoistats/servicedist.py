@@ -6,6 +6,10 @@ the simulator needs exact draws from the same laws.  Each family here
 provides both, plus the exact first transform derivative and the exact
 mean, so the two sides share a single model object.
 
+Each family writes its transform once, elementwise over real or complex
+arrays; the scalar `laplace(s)` is that formula at one point, so the
+closed forms read what the joint recursion and the CDF inversion read.
+
 Supported families: exponential, gamma, deterministic (point mass), and
 one-level finite mixtures of the former three.
 """
@@ -13,6 +17,7 @@ one-level finite mixtures of the former three.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -42,6 +47,18 @@ def categorical(u, cum) -> np.ndarray:
     return idx
 
 
+def _parameter(value, what: str, bound: str = "positive") -> float:
+    """`value` as a float: a real number (numpy scalars included) that is
+    finite and positive, or nonnegative for bound="nonnegative".
+    TypeError for a bool or a non-number, ValueError out of range."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a real number, got {type(value).__name__}")
+    x = float(value)
+    if not (math.isfinite(x) and (x > 0 or (x == 0 and bound == "nonnegative"))):
+        raise ValueError(f"{what} must be {bound} and finite, got {value}")
+    return x
+
+
 def _check_argument(s) -> None:
     if isinstance(s, complex):
         raise TypeError("real transform argument expected; use laplace_complex")
@@ -58,7 +75,9 @@ class ServiceTimeModel:
     def laplace(self, s: float) -> float:
         """Transform value E[exp(-s*S)] at real s >= 0; lies in (0, 1]."""
         _check_argument(s)
-        return self._laplace(float(s))
+        # a Python float, not a numpy one, so that a step that overflows on
+        # the way to a value of 0 raises no warning
+        return float(self._laplace_array(float(s)))
 
     def laplace_derivative(self, s: float) -> float:
         """Exact first derivative of the transform at s >= 0,
@@ -88,9 +107,6 @@ class ServiceTimeModel:
         """`size` exact draws as a float ndarray."""
         raise NotImplementedError
 
-    def _laplace(self, s: float) -> float:
-        raise NotImplementedError
-
     def _laplace_array(self, z: np.ndarray):
         # elementwise over a real or complex array, with no domain check
         raise NotImplementedError
@@ -106,12 +122,7 @@ class Exponential(ServiceTimeModel):
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"exponential rate must be positive and finite, got {self.rate}")
-        object.__setattr__(self, "rate", float(self.rate))
-
-    def _laplace(self, s):
-        return self.rate / (self.rate + s)
+        object.__setattr__(self, "rate", _parameter(self.rate, "exponential rate"))
 
     def _laplace_array(self, z):
         return self.rate / (self.rate + z)
@@ -135,22 +146,16 @@ class Gamma(ServiceTimeModel):
     rate: float
 
     def __post_init__(self):
-        if not (isinstance(self.shape, (int, float)) and math.isfinite(self.shape) and self.shape > 0):
-            raise ValueError(f"gamma shape must be positive and finite, got {self.shape}")
-        if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"gamma rate must be positive and finite, got {self.rate}")
-        object.__setattr__(self, "shape", float(self.shape))
-        object.__setattr__(self, "rate", float(self.rate))
-
-    def _laplace(self, s):
-        return (1.0 + s / self.rate) ** (-self.shape)
+        object.__setattr__(self, "shape", _parameter(self.shape, "gamma shape"))
+        object.__setattr__(self, "rate", _parameter(self.rate, "gamma rate"))
 
     def _laplace_array(self, z):
-        # a complex power of a huge base is NaN; its logarithm is not
+        # a complex power of a huge base is NaN, and a real one loses digits
+        # as the shape grows; its logarithm does neither
         return np.exp(-self.shape * np.log1p(z / self.rate))
 
     def _derivative(self, s):
-        return -(self.shape / self.rate) * (1.0 + s / self.rate) ** (-self.shape - 1.0)
+        return -self.shape / (self.rate + s) * float(self._laplace_array(s))
 
     def mean(self):
         return self.shape / self.rate
@@ -166,12 +171,7 @@ class Deterministic(ServiceTimeModel):
     value: float
 
     def __post_init__(self):
-        if not (isinstance(self.value, (int, float)) and math.isfinite(self.value) and self.value >= 0):
-            raise ValueError(f"deterministic value must be nonnegative and finite, got {self.value}")
-        object.__setattr__(self, "value", float(self.value))
-
-    def _laplace(self, s):
-        return math.exp(-s * self.value)
+        object.__setattr__(self, "value", _parameter(self.value, "deterministic value", "nonnegative"))
 
     def _laplace_array(self, z):
         return np.exp(-z * self.value)
@@ -223,9 +223,6 @@ class Mixture(ServiceTimeModel):
                 raise ValueError("nested mixtures are not supported")
             if not isinstance(comp, ServiceTimeModel):
                 raise TypeError(f"mixture component must be a ServiceTimeModel, got {type(comp).__name__}")
-
-    def _laplace(self, s):
-        return math.fsum(w * c._laplace(s) for w, c in zip(self.weights, self.components))
 
     def _laplace_array(self, z):
         return sum(w * c._laplace_array(z) for w, c in zip(self.weights, self.components))

@@ -25,13 +25,14 @@ ramp starts and ends on it, with a binary search only for a key whose
 bucket holds two or more levels.
 
 A path is generated and reduced in blocks of _BLOCK arrivals, so memory
-does not grow with the horizon.  What a block carries across its edge
-is small: the arrival clock, the newest packet (whose fate waits for
-the next arrival), each source's last update epoch and delay (which
-also give its open CDF ramp and the peak of its next delivery), the
-epoch of its first delivery, the start of the open path segment, and
-the running counts and sums.  Where blocks split changes no draw and no
-event, and moves the sums only by rounding.
+does not grow with the horizon.  A block settles each packet whose
+next arrival it draws, so the newest arrival of a full block is settled
+by the next one.  What a block carries across its edge is small: the
+arrival clock (the newest arrival's epoch), each source's last update
+epoch and delay (which also give its open CDF ramp and the peak of its
+next delivery), the epoch of its first delivery, the start of the open
+path segment, and the running counts and sums.  Where blocks split
+changes no draw and no event, and moves the sums only by rounding.
 
 Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
@@ -97,7 +98,8 @@ _ROLE_INTERARRIVAL = 0
 _ROLE_SOURCE = 1
 _ROLE_SERVICE = 2
 
-# arrivals per block of a path; no result depends on it beyond rounding
+# arrivals per block of a path; no result depends on it beyond rounding.
+# At least 2, so that every block but the last settles a packet
 _BLOCK = 2**15
 # segment rows per `add_segments` call, small enough that OpenBLAS keeps
 # each product on one thread
@@ -470,13 +472,14 @@ class ReplicationResult:
 
 
 class _Block(NamedTuple):
-    """One block of a path: the packets that arrive in it, and the
-    departures settled in it, all at or before the horizon.  `following`
-    holds the next arrival of each packet settled in the block, in order
-    (for the path's last packet, the first arrival past the horizon), and
-    `done` the positions among them of those that depart.  On the last
-    block, `after` is the epoch of the departure past the horizon, NaN
-    when there is none."""
+    """One block of a path: the packets it settles, in order of arrival,
+    and their departures, all at or before the horizon.  A block settles
+    each packet whose next arrival it draws.  `following` holds those
+    next arrivals (for the path's last packet, the first arrival past the
+    horizon; for a full block's last, the next block's first packet), and
+    `done` the positions of the packets that depart.  On the last block,
+    `after` is the epoch of the departure past the horizon, NaN when
+    there is none."""
 
     arrival: np.ndarray
     source: np.ndarray
@@ -518,8 +521,8 @@ class _ServiceDraws:
 
 
 def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
-    """One replication's path from its Philox streams, as `_Block`s of
-    _BLOCK arrivals each, the last cut at the horizon."""
+    """One replication's path from its Philox streams, as `_Block`s that
+    each draw _BLOCK arrivals, the last cut at the horizon."""
     scale = 1.0 / spec.total_rate
     rng_arr = replication_rng(seed, rep_index, _ROLE_INTERARRIVAL)
     rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
@@ -528,10 +531,9 @@ def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
     services = [
         _ServiceDraws(model, np.random.Generator(service_bits.jumped(k))) for k, model in enumerate(spec.services)
     ]
-    # slot 0 of each block's arrays holds the newest packet of the block
-    # before, whose fate waits for this block's first arrival: its epoch is
-    # the clock, and its source uniform and service are carried
-    clock, held, held_u, held_svc = 0.0, 0, 0.0, 0.0
+    # epochs[0] is the clock: time 0 in the first block, then the newest
+    # arrival of the block before, which this block settles
+    clock, first = 0.0, 1
     while True:
         epochs = np.empty(_BLOCK + 1)
         epochs[0] = clock
@@ -541,20 +543,14 @@ def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
         clock = float(epochs[-1])
         n = int(np.searchsorted(epochs[1:], horizon, side="right"))
         last = n < _BLOCK  # epochs[n + 1] is the first arrival past the horizon
-        u = np.empty(n + 1)
-        u[0] = held_u
-        rng_src.random(out=u[1:])
-        src = categorical(u[1 - held :], shares)
-        svc = np.empty(n + held)
-        svc[:held] = held_svc
+        stop = min(n + 1, _BLOCK)
+        epoch, following = epochs[first:stop], epochs[first + 1 : stop + 1]
+        src = categorical(rng_src.random(epoch.size), shares)
+        svc = np.empty(epoch.size)
         for k, draws in enumerate(services):
-            own = np.flatnonzero(src[held:] == k)
-            svc[held:][own] = draws.take(own.size)
-        # each packet meets its next arrival, but the newest waits for the next block
-        epoch = epochs[1 - held : n + 1]
-        following = epochs[2 - held : n + 2 if last else None]
-        fits = svc[: following.size] <= following - epoch[: following.size]  # a tie still departs
-        done = np.flatnonzero(fits)
+            own = np.flatnonzero(src == k)
+            svc[own] = draws.take(own.size)
+        done = np.flatnonzero(svc <= following - epoch)  # a tie still departs
         delay = svc[done]
         departure = epoch[done] + delay
         after = math.nan
@@ -564,12 +560,10 @@ def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
             if n_dep < departure.size:
                 after = float(departure[n_dep])
             done, delay, departure = done[:n_dep], delay[:n_dep], departure[:n_dep]
-        yield _Block(
-            epochs[1 : n + 1], src[held:], svc[held:], departure, src[done], delay, following, done, last, after
-        )
+        yield _Block(epoch, src, svc, departure, src[done], delay, following, done, last, after)
         if last:
             return
-        held, held_u, held_svc = 1, float(u[-1]), float(svc[-1])
+        first = 0
 
 
 class _Reduction:
@@ -668,15 +662,15 @@ class _Trace:
     def __init__(self, fh):
         self.writer = csv.writer(fh)
         self.writer.writerow(["epoch", "kind", "source", "value"])
-        # departures at the block's last arrival epoch, which the next
-        # block's first arrival could equal and would precede
+        # departures at the next block's first arrival epoch, which that
+        # arrival precedes
         self.held = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0))
 
     def add(self, blk: _Block) -> None:
         epoch, src, delay = (
             np.concatenate(part) for part in zip(self.held, (blk.departure, blk.dep_source, blk.delay))
         )
-        cut = epoch.size if blk.last else int(np.searchsorted(epoch, blk.arrival[-1], side="left"))
+        cut = epoch.size if blk.last else int(np.searchsorted(epoch, blk.following[-1], side="left"))
         self.held = (epoch[cut:], src[cut:], delay[cut:])
         arrivals = zip(blk.arrival.tolist(), repeat("arrival"), (blk.source + 1).tolist(), blk.service.tolist())
         departures = zip(epoch[:cut].tolist(), repeat("departure"), (src[:cut] + 1).tolist(), delay[:cut].tolist())

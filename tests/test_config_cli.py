@@ -85,6 +85,15 @@ def test_parse_collects_every_error():
     assert str(exc.value).startswith("invalid configuration:\n  - ")
 
 
+@pytest.mark.parametrize("horizon", ["-5", "soon", "inf"])
+def test_invalid_horizon_is_the_only_error(horizon):
+    # the burn-in is not compared with a default horizon the file never set
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"source = 1 exp(2)\nhorizon = {horizon}\nburn_in = 2e4\n")
+    (error,) = exc.value.errors
+    assert error.startswith("horizon: ")
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [

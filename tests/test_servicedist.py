@@ -1,10 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aoistats.analytics import (
+    SystemSpec,
+    aoi_correlation,
+    departure_rate,
+    marginal_aoi_laplace,
+    marginal_aoi_moments,
+)
 from aoistats.servicedist import (
     Deterministic,
     Exponential,
@@ -95,6 +103,55 @@ def test_invalid_construction(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build,field,value",
+    [
+        (lambda: Exponential(np.int64(6)), "rate", 6.0),
+        (lambda: Gamma(np.float32(2), 8), "shape", 2.0),
+        (lambda: Gamma(np.float32(2), 8), "rate", 8.0),
+        (lambda: Deterministic(np.int32(0)), "value", 0.0),
+    ],
+    ids=["exp-int64", "gamma-float32-shape", "gamma-int-rate", "det-int32"],
+)
+def test_numpy_scalar_parameters(build, field, value):
+    got = getattr(build(), field)
+    assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Exponential(True),
+        lambda: Exponential(np.bool_(True)),
+        lambda: Gamma(2.0, "8"),
+        lambda: Gamma(None, 8.0),
+        lambda: Deterministic(1.0 + 0.0j),
+    ],
+    ids=["bool", "numpy-bool", "str", "none", "complex"],
+)
+def test_non_number_parameters_are_type_errors(build):
+    with pytest.raises(TypeError, match="must be a real number"):
+        build()
+
+
+def test_out_of_range_parameter_messages():
+    with pytest.raises(ValueError, match="^exponential rate must be positive and finite, got -1$"):
+        Exponential(-1)
+    with pytest.raises(ValueError, match="^gamma shape must be positive and finite, got 0$"):
+        Gamma(np.int64(0), 1.0)
+    with pytest.raises(ValueError, match="^gamma rate must be positive and finite, got nan$"):
+        Gamma(1.0, math.nan)
+    with pytest.raises(ValueError, match="^deterministic value must be nonnegative and finite, got -0.1$"):
+        Deterministic(-0.1)
+
+
+def test_transform_underflows_to_zero_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (Deterministic(2.0), Exponential(1e308), Gamma(2.0, 1e-9)):
+            assert m.laplace(1e308) == 0.0 and m.laplace_derivative(1e308) == 0.0
+
+
 def test_transform_argument_checks():
     m = Exponential(1.0)
     with pytest.raises(ValueError):
@@ -148,6 +205,30 @@ def test_first_derivative_matches_finite_difference(model, s):
     fd = model.laplace_complex(complex(s, h)).imag / h
     exact = model.laplace_derivative(s)
     assert fd == pytest.approx(exact, rel=FD_REL_TOL, abs=1e-12)
+
+
+@given(st.one_of(models(), st.just(Gamma(1e10, 1e11))), rates, s_args)
+@example(Gamma(1e10, 1e11), 1.0, 0.7)
+def test_marginal_age_transform_reads_the_scalar_transform(model, rate, s):
+    # the subset recursion over one source and the one-source formula
+    # built from `laplace` evaluate the same transform expression
+    spec = SystemSpec((rate, 1.0), (model, Exponential(2.0)))
+    v = rate * model.laplace(s + spec.total_rate)
+    assert marginal_aoi_laplace(spec, 0, s) == v / (s + v)
+
+
+def test_large_shape_gamma_tends_to_the_point_mass():
+    gamma, det = Gamma(1e10, 1e11), Deterministic(0.1)
+    g_spec, d_spec = SystemSpec((1.0, 2.0), (gamma, gamma)), SystemSpec((1.0, 2.0), (det, det))
+    pairs = [
+        (gamma.laplace(3.0), det.laplace(3.0)),
+        (gamma.laplace_derivative(3.0), det.laplace_derivative(3.0)),
+        (departure_rate(g_spec), departure_rate(d_spec)),
+        (aoi_correlation(g_spec), aoi_correlation(d_spec)),
+    ]
+    pairs += [(marginal_aoi_moments(g_spec, k).variance, marginal_aoi_moments(d_spec, k).variance) for k in range(2)]
+    for got, want in pairs:
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @given(models())

@@ -526,7 +526,7 @@ FAMILIES = SystemSpec(
 )
 
 
-@pytest.mark.parametrize("block", [7, 64, 1000, 10**6])
+@pytest.mark.parametrize("block", [2, 7, 64, 1000, 10**6])
 @pytest.mark.parametrize("burn_in", ["inside", "at the edge"])
 @pytest.mark.parametrize("cdf_grid", [None, np.linspace(0.0, 3.0, 7)], ids=["no-grid", "grid"])
 def test_results_do_not_depend_on_the_block_size(block, burn_in, cdf_grid, monkeypatch, tmp_path):
