@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from pathlib import Path
 
 from . import analytics, experiments, simulator
-from .config import ConfigError, RunConfig, parse_config
+from .config import _KEYS, ConfigError, RunConfig, _read, _window, parse_config
 
 __all__ = ["main", "entrypoint"]
+
+# config keys that simulate and compare also take as flags
+_RUN_FLAGS = ("seed", "horizon", "replications", "burn_in")
 
 
 class _UsageError(Exception):
@@ -46,10 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, type=Path, help="configuration file")
         p.add_argument("--output", type=Path, help="CSV output path (overrides config)")
         if name in ("simulate", "compare"):
-            p.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-            p.add_argument("--horizon", type=float, help="simulated time per replication")
-            p.add_argument("--replications", type=int, help="number of replications")
-            p.add_argument("--burn-in", type=float, dest="burn_in", help="warm-up span discarded per replication")
+            p.add_argument("--seed", help="RNG seed (overrides config)")
+            p.add_argument("--horizon", help="simulated time per replication")
+            p.add_argument("--replications", help="number of replications")
+            p.add_argument("--burn-in", dest="burn_in", help="warm-up span discarded per replication")
             p.add_argument("--workers", type=int, default=1, help="parallel replication processes")
         if name == "simulate":
             p.add_argument("--trace", type=Path, help="write an event trace CSV for replication 0")
@@ -63,26 +65,19 @@ def _load_config(args) -> RunConfig:
         cfg.output = str(args.output)
     if args.command not in ("simulate", "compare"):
         return cfg
-    if args.seed is not None:
-        if not 0 <= args.seed <= simulator.MAX_SEED:
-            raise ConfigError([f"--seed must lie in [0, {simulator.MAX_SEED}], got {args.seed}"])
-        cfg.seed = args.seed
-    if args.horizon is not None:
-        if not (math.isfinite(args.horizon) and args.horizon > 0):
-            raise ConfigError([f"--horizon must be positive and finite, got {args.horizon}"])
-        if args.burn_in is None and cfg.burn_in is not None and cfg.burn_in >= args.horizon:
-            raise ConfigError([f"--horizon must exceed the config's burn_in {cfg.burn_in:g}, got {args.horizon:g}"])
-        cfg.horizon = args.horizon
-    if args.replications is not None:
-        if args.replications < 2:
-            raise ConfigError([f"--replications must be at least 2, got {args.replications}"])
-        cfg.replications = args.replications
-    if args.burn_in is not None:
-        if not 0 <= args.burn_in < cfg.horizon:
-            raise ConfigError([f"--burn-in must lie in [0, horizon), got {args.burn_in}"])
-        cfg.burn_in = args.burn_in
+    # each flag is read as its config key is, and reported under the flag's name
+    errors: list[str] = []
+    flags = {key: f"--{key.replace('_', '-')}" for key in _RUN_FLAGS if getattr(args, key) is not None}
+    for key, flag in flags.items():
+        value = _read(_KEYS[key][1], getattr(args, key), flag, errors)
+        if value is not None:
+            setattr(cfg, key, value)
+    if not errors and ("burn_in" in flags or "horizon" in flags):
+        _read(_window, cfg, flags.get("burn_in") or flags["horizon"], errors)
     if args.workers < 1:
-        raise ConfigError([f"--workers must be at least 1, got {args.workers}"])
+        errors.append(f"--workers: must be at least 1, got {args.workers}")
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import SystemSpec, distinct_s_rows
-from .experiments import family_model
+from .experiments import _check_grid, family_model
 from .servicedist import format_service, parse_service
 from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
 
@@ -57,75 +57,123 @@ class RunConfig:
     sweep: SweepSettings | None = None
 
 
-def _parse_float(value: str, key: str, errors: list[str], positive=False) -> float | None:
+# A reader takes a value's text and returns the value, or raises ValueError
+# with a message that does not name the key, so that the file and the
+# command line report the same words after their own name for it.
+
+
+def _number(text: str) -> float:
     try:
-        out = float(value)
+        out = float(text)
     except ValueError:
-        errors.append(f"{key}: not a number: {value.strip()!r}")
-        return None
+        raise ValueError(f"not a number: {text.strip()!r}") from None
     if not math.isfinite(out):
-        errors.append(f"{key}: must be finite, got {value.strip()!r}")
-        return None
-    if positive and out <= 0:
-        errors.append(f"{key}: must be positive, got {value.strip()!r}")
-        return None
+        raise ValueError(f"must be finite, got {text.strip()!r}")
     return out
 
 
-def _parse_int(value: str, key: str, errors: list[str]) -> int | None:
+def _positive(text: str) -> float:
+    out = _number(text)
+    if out <= 0:
+        raise ValueError(f"must be positive, got {text.strip()!r}")
+    return out
+
+
+def _nonnegative(text: str) -> float:
+    out = _number(text)
+    if out < 0:
+        raise ValueError(f"must be nonnegative, got {text.strip()!r}")
+    return out
+
+
+def _integer(text: str) -> int:
     try:
-        return int(value.strip(), 0)
+        return int(text.strip(), 0)
     except ValueError:
-        errors.append(f"{key}: not an integer: {value.strip()!r}")
-        return None
+        raise ValueError(f"not an integer: {text.strip()!r}") from None
 
 
-def _parse_grid(value: str, errors: list[str]) -> tuple[float, ...]:
-    m = _LOGSPACE.match(value.strip())
+def _replications(text: str) -> int:
+    out = _integer(text)
+    if out < 2:
+        raise ValueError(f"need at least 2 for batch stderr, got {out}")
+    return out
+
+
+def _seed(text: str) -> int:
+    out = _integer(text)
+    if not 0 <= out <= MAX_SEED:
+        raise ValueError(f"must lie in [0, {MAX_SEED}], got {out}")
+    return out
+
+
+def _one_of(what: str, choices: tuple[str, ...]):
+    def read(text: str) -> str:
+        if text.lower() not in choices:
+            raise ValueError(f"unknown {what} {text!r}; expected one of {', '.join(choices)}")
+        return text.lower()
+
+    return read
+
+
+def _s_grid(text: str) -> tuple[tuple[float, ...], ...]:
+    rows = tuple(tuple(_nonnegative(v) for v in row.split(",")) for row in text.split(";") if row.strip())
+    if not rows:
+        raise ValueError("needs at least one vector")
+    distinct_s_rows(rows)
+    return rows
+
+
+def _grid(text: str) -> tuple[float, ...]:
+    m = _LOGSPACE.match(text.strip())
     if m:
-        lo = _parse_float(m.group(1), "sweep_grid", errors, positive=True)
-        hi = _parse_float(m.group(2), "sweep_grid", errors, positive=True)
-        n = _parse_int(m.group(3), "sweep_grid", errors)
-        if lo is None or hi is None or n is None:
-            return ()
-        if n < 2 or hi <= lo:
-            errors.append(f"sweep_grid: logspace needs hi > lo and n >= 2, got {value.strip()!r}")
-            return ()
-        return tuple(float(v) for v in np.geomspace(lo, hi, n))
-    vals: list[float] = []
-    for part in value.split(","):
-        v = _parse_float(part, "sweep_grid", errors, positive=True)
-        if v is None:
-            return ()
-        vals.append(v)
-    if len(vals) < 2:
-        errors.append("sweep_grid: needs at least 2 values")
-    elif any(b <= a for a, b in zip(vals, vals[1:])):
-        errors.append("sweep_grid: values must be strictly increasing")
-    return tuple(vals)
+        values = np.geomspace(_positive(m.group(1)), _positive(m.group(2)), _integer(m.group(3)))
+    else:
+        values = [_number(v) for v in text.split(",")]
+    return tuple(_check_grid(values))
 
 
-def _parse_s_grid(value: str, errors: list[str]) -> tuple[tuple[float, ...], ...]:
-    rows: list[tuple[float, ...]] = []
-    for chunk in value.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        row: list[float] = []
-        ok = True
-        for part in chunk.split(","):
-            v = _parse_float(part, "s_grid", errors)
-            if v is None:
-                ok = False
-                break
-            if v < 0:
-                errors.append(f"s_grid: entries must be nonnegative, got {part.strip()!r}")
-                ok = False
-                break
-            row.append(v)
-        if ok:
-            rows.append(tuple(row))
-    return tuple(rows)
+def _families(text: str) -> tuple[str, ...]:
+    families = tuple(dict.fromkeys(f.strip() for f in text.split(",") if f.strip()))
+    if not families:
+        raise ValueError("needs at least one family")
+    for family in families:
+        family_model(family, 1.0)
+    return families
+
+
+# every key but `source`: its RunConfig field (SweepSettings for sweep*) and reader
+_KEYS = {
+    "command": ("command", _one_of("command", _COMMANDS)),
+    "horizon": ("horizon", _positive),
+    "burn_in": ("burn_in", _nonnegative),
+    "replications": ("replications", _replications),
+    "seed": ("seed", _seed),
+    "s_grid": ("s_grid", _s_grid),
+    "output": ("output", str),
+    "sweep": ("kind", _one_of("kind", _SWEEP_KINDS)),
+    "sweep_lambda1": ("lambda1", _positive),
+    "sweep_lambda2": ("lambda2", _positive),
+    "sweep_mean_service": ("mean_service", _positive),
+    "sweep_grid": ("grid", _grid),
+    "sweep_families": ("families", _families),
+}
+# the key each sweep kind needs beyond sweep_lambda1, and the other kind never reads
+_SWEEP_NEEDS = {"lambda2": "sweep_mean_service", "service_rate": "sweep_lambda2"}
+
+
+def _window(cfg: RunConfig) -> None:
+    if cfg.burn_in is not None and cfg.burn_in >= cfg.horizon:
+        raise ValueError(f"burn-in must be below the horizon, got {cfg.burn_in} >= {cfg.horizon}")
+
+
+def _read(read, value, name: str, errors: list[str]):
+    """`read(value)`, or None with the problem appended to `errors` under `name`."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        errors.append(f"{name}: {exc}")
+        return None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -150,16 +198,22 @@ def parse_config(text: str) -> RunConfig:
         else:
             scalars[key] = value
 
-    known = {
-        "command", "horizon", "burn_in", "replications", "seed", "s_grid", "output",
-        "sweep", "sweep_lambda1", "sweep_lambda2", "sweep_mean_service",
-        "sweep_grid", "sweep_families",
-    }
     for key in scalars:
-        if key not in known:
+        if key not in _KEYS:
             errors.append(f"unknown key {key!r}")
 
     cfg = RunConfig()
+    values = {key: _read(read, scalars[key], key, errors) for key, (_, read) in _KEYS.items() if key in scalars}
+    sweep = {}
+    for key, value in values.items():
+        if value is not None:
+            field = _KEYS[key][0]
+            if key.startswith("sweep"):
+                sweep[field] = value
+            else:
+                setattr(cfg, field, value)
+    if values.get("horizon", cfg.horizon) is not None:  # an invalid horizon is not compared
+        _read(_window, cfg, "burn_in", errors)
 
     rates: list[float] = []
     services = []
@@ -168,58 +222,11 @@ def parse_config(text: str) -> RunConfig:
         if len(parts) != 2:
             errors.append(f"line {lineno}: source needs 'rate service-literal', got {value!r}")
             continue
-        rate = _parse_float(parts[0], f"line {lineno}: source rate", errors, positive=True)
-        try:
-            model = parse_service(parts[1])
-        except ValueError as exc:
-            errors.append(f"line {lineno}: {exc}")
-            model = None
+        rate = _read(_positive, parts[0], f"line {lineno}: source rate", errors)
+        model = _read(parse_service, parts[1], f"line {lineno}", errors)
         if rate is not None and model is not None:
             rates.append(rate)
             services.append(model)
-
-    if "command" in scalars:
-        cmd = scalars["command"].lower()
-        if cmd not in _COMMANDS:
-            errors.append(f"command: unknown command {cmd!r}; expected one of {', '.join(_COMMANDS)}")
-        else:
-            cfg.command = cmd
-    horizon = cfg.horizon  # None if the file's horizon is invalid
-    if "horizon" in scalars:
-        horizon = _parse_float(scalars["horizon"], "horizon", errors, positive=True)
-        if horizon is not None:
-            cfg.horizon = horizon
-    if "burn_in" in scalars:
-        v = _parse_float(scalars["burn_in"], "burn_in", errors)
-        if v is not None:
-            if v < 0:
-                errors.append(f"burn_in: must be nonnegative, got {v}")
-            else:
-                cfg.burn_in = v
-    if cfg.burn_in is not None and horizon is not None and cfg.burn_in >= horizon:
-        errors.append(f"burn_in: must be below the horizon, got {cfg.burn_in} >= {cfg.horizon}")
-    if "replications" in scalars:
-        v = _parse_int(scalars["replications"], "replications", errors)
-        if v is not None:
-            if v < 2:
-                errors.append(f"replications: need at least 2 for batch stderr, got {v}")
-            else:
-                cfg.replications = v
-    if "seed" in scalars:
-        v = _parse_int(scalars["seed"], "seed", errors)
-        if v is not None:
-            if not 0 <= v <= MAX_SEED:
-                errors.append(f"seed: must lie in [0, {MAX_SEED}], got {v}")
-            else:
-                cfg.seed = v
-    if "output" in scalars:
-        cfg.output = scalars["output"]
-    if "s_grid" in scalars:
-        cfg.s_grid = _parse_s_grid(scalars["s_grid"], errors)
-        try:
-            distinct_s_rows(cfg.s_grid)
-        except ValueError as exc:
-            errors.append(f"s_grid: {exc}")
 
     if rates and len(rates) == len(source_lines):
         try:
@@ -234,82 +241,40 @@ def parse_config(text: str) -> RunConfig:
                     f"s_grid: vector {row} has length {len(row)} but the system has {K} sources"
                 )
 
-    sweep_keys = [k for k in scalars if k.startswith("sweep")]
-    if sweep_keys:
-        kind = scalars.get("sweep")
-        if kind is None:
+    if any(k.startswith("sweep") for k in scalars):
+        kind = sweep.get("kind")
+        if "sweep" not in scalars:
             errors.append("sweep_*: settings given without a sweep kind (sweep = lambda2 | service_rate)")
-        elif kind not in _SWEEP_KINDS:
-            errors.append(f"sweep: unknown kind {kind!r}; expected one of {', '.join(_SWEEP_KINDS)}")
-        lambda1 = None
-        if "sweep_lambda1" in scalars:
-            lambda1 = _parse_float(scalars["sweep_lambda1"], "sweep_lambda1", errors, positive=True)
-        else:
+        if "sweep_lambda1" not in scalars:
             errors.append("sweep_lambda1: required for sweeps")
-        lambda2 = None
-        if "sweep_lambda2" in scalars:
-            lambda2 = _parse_float(scalars["sweep_lambda2"], "sweep_lambda2", errors, positive=True)
-        mean_service = None
-        if "sweep_mean_service" in scalars:
-            mean_service = _parse_float(scalars["sweep_mean_service"], "sweep_mean_service", errors, positive=True)
-        if kind == "lambda2" and "sweep_mean_service" not in scalars:
-            errors.append("sweep_mean_service: required for lambda2 sweeps")
-        if kind == "service_rate" and "sweep_lambda2" not in scalars:
-            errors.append("sweep_lambda2: required for service_rate sweeps")
-        grid: tuple[float, ...] = ()
-        if "sweep_grid" in scalars:
-            grid = _parse_grid(scalars["sweep_grid"], errors)
-        families: tuple[str, ...] = ()
-        if "sweep_families" in scalars:
-            families = tuple(f.strip() for f in scalars["sweep_families"].split(",") if f.strip())
-            for fam in families:
-                try:
-                    family_model(fam, 1.0)
-                except ValueError as exc:
-                    errors.append(f"sweep_families: {exc}")
-        if kind in _SWEEP_KINDS and lambda1 is not None:
-            cfg.sweep = SweepSettings(
-                kind=kind,
-                lambda1=lambda1,
-                lambda2=lambda2,
-                mean_service=mean_service,
-                grid=grid,
-                families=families,
-            )
+        for needer, key in _SWEEP_NEEDS.items():
+            if needer == kind and key not in scalars:
+                errors.append(f"{key}: required for {kind} sweeps")
+            elif needer != kind and kind is not None and key in scalars:
+                errors.append(f"{key}: not read by {kind} sweeps")
 
     if errors:
         raise ConfigError(errors)
+    if sweep:
+        cfg.sweep = SweepSettings(**sweep)
     return cfg
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ("; " if value and isinstance(value[0], tuple) else ", ").join(map(_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical text for `cfg`; parse_config(render_config(cfg)) == cfg."""
     lines: list[str] = []
-    if cfg.command is not None:
-        lines.append(f"command = {cfg.command}")
     if cfg.spec is not None:
         for rate, model in zip(cfg.spec.rates, cfg.spec.services):
             lines.append(f"source = {rate!r} {format_service(model)}")
-    lines.append(f"horizon = {cfg.horizon!r}")
-    if cfg.burn_in is not None:
-        lines.append(f"burn_in = {cfg.burn_in!r}")
-    lines.append(f"replications = {cfg.replications}")
-    lines.append(f"seed = {cfg.seed}")
-    if cfg.s_grid:
-        rows = "; ".join(", ".join(repr(v) for v in row) for row in cfg.s_grid)
-        lines.append(f"s_grid = {rows}")
-    if cfg.output is not None:
-        lines.append(f"output = {cfg.output}")
-    if cfg.sweep is not None:
-        sw = cfg.sweep
-        lines.append(f"sweep = {sw.kind}")
-        lines.append(f"sweep_lambda1 = {sw.lambda1!r}")
-        if sw.lambda2 is not None:
-            lines.append(f"sweep_lambda2 = {sw.lambda2!r}")
-        if sw.mean_service is not None:
-            lines.append(f"sweep_mean_service = {sw.mean_service!r}")
-        if sw.grid:
-            lines.append("sweep_grid = " + ", ".join(repr(v) for v in sw.grid))
-        if sw.families:
-            lines.append("sweep_families = " + ", ".join(sw.families))
+    for key, (field, _) in _KEYS.items():
+        owner = cfg.sweep if key.startswith("sweep") else cfg
+        value = None if owner is None else getattr(owner, field)
+        if value is not None and value != ():
+            lines.append(f"{key} = {_text(value)}")
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import csv
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import aoistats
-from aoistats import experiments, simulator
+from aoistats import config, experiments, simulator
 from aoistats.cli import main
 from aoistats.config import ConfigError, parse_config, render_config
 from aoistats.experiments import ComparisonRow
@@ -118,7 +119,11 @@ def test_invalid_horizon_is_the_only_error(horizon):
         ),
         (
             SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(50, 0.5, 9)"),
-            "hi > lo",
+            "sweep_grid: sweep grid must be strictly increasing",
+        ),
+        (
+            SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(1, 1.0000000000000002, 5)"),
+            "sweep_grid: sweep grid must be strictly increasing",
         ),
         (SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "3, 2, 1"), "strictly increasing"),
         ("seed = -1\n", "seed: must lie in [0, 18446744073709551615], got -1"),
@@ -126,6 +131,17 @@ def test_invalid_horizon_is_the_only_error(horizon):
         (
             FULL_CONFIG.replace("s_grid = 0.5, 0.5; 1, 2", "s_grid = 0.1234567, 0; 0.1234568, 0"),
             "share the label joint_laplace(0.123457,0)",
+        ),
+        (SWEEP_CONFIG + "sweep_lambda2 = 3\n", "sweep_lambda2: not read by lambda2 sweeps"),
+        (
+            "sweep = service_rate\nsweep_lambda1 = 3\nsweep_lambda2 = 1\nsweep_mean_service = 0.5\n",
+            "sweep_mean_service: not read by service_rate sweeps",
+        ),
+        ("source = 1 exp(2)\ns_grid =\n", "s_grid: needs at least one vector"),
+        ("source = 1 exp(2)\ns_grid = ;\n", "s_grid: needs at least one vector"),
+        (
+            SWEEP_CONFIG.replace("exponential, deterministic", ","),
+            "sweep_families: needs at least one family",
         ),
     ],
 )
@@ -145,6 +161,29 @@ def test_parse_sweep_config():
     assert sw.grid[0] == pytest.approx(0.5)
     assert sw.grid[-1] == pytest.approx(50.0)
     assert sw.families == ("exponential", "deterministic")
+
+
+def test_repeated_sweep_families_collapse(tmp_path, capsys):
+    text = SWEEP_CONFIG.replace("exponential, deterministic", "exponential, deterministic, exponential")
+    assert parse_config(text).sweep.families == ("exponential", "deterministic")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--output", str(out)]) == 0
+    assert capsys.readouterr().out.count("exponential: min cc") == 1
+    assert len(out.read_text().splitlines()) == 1 + 2 * 9
+
+
+def test_docs_config_tables_list_every_key():
+    doc = (ROOT / "docs" / "config.md").read_text()
+    keys = set()
+    for section in ("## Run keys", "## Sweep keys"):
+        table = doc.split(section, 1)[1].split("\n## ", 1)[0]
+        keys |= set(re.findall(r"^\| `(\w+)` \|", table, re.M))
+    for key in keys:
+        try:
+            parse_config(f"{key} = ?\n")
+        except ConfigError as exc:
+            assert f"unknown key {key!r}" not in exc.errors
+    assert keys == set(config._KEYS)
 
 
 def test_render_parse_round_trip():
@@ -226,6 +265,35 @@ def test_cli_simulate_flag_overrides(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "simulated 6 replications, horizon 400, burn-in 10, seed 9" in out
+
+
+def test_cli_flags_accept_what_keys_accept(tmp_path, capsys):
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    assert main(["simulate", "--config", str(cfgfile), "--seed", "0x10", "--replications", "0x3"]) == 0
+    assert "simulated 3 replications, horizon 500, burn-in 20, seed 16" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "-1"),
+        ("seed", "1.5"),
+        ("horizon", "-5"),
+        ("horizon", "soon"),
+        ("replications", "1"),
+        ("burn_in", "-3"),
+        ("burn_in", "500"),
+    ],
+)
+def test_flag_reports_what_its_key_reports(key, value, tmp_path, capsys):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SIM_CFG, flags=re.M)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    (error,) = exc.value.errors
+    assert error.startswith(f"{key}: ")
+    flag = "--" + key.replace("_", "-")
+    assert main(["simulate", "--config", str(write_config(tmp_path, SIM_CFG)), flag, value]) == 1
+    assert f"  - {flag}: {error[len(key) + 2:]}\n" in capsys.readouterr().err
 
 
 def test_cli_simulate_trace(tmp_path, capsys):
@@ -517,7 +585,7 @@ def test_cli_seed_checked_before_running(command, seed, tmp_path, capsys, monkey
     monkeypatch.setattr(simulator, "run_replications", must_not_run)
     cfgfile = write_config(tmp_path, SIM_CFG)
     assert main([command, "--config", str(cfgfile), "--seed", str(seed)]) == 1
-    assert f"--seed must lie in [0, 18446744073709551615], got {seed}" in capsys.readouterr().err
+    assert f"--seed: must lie in [0, 18446744073709551615], got {seed}" in capsys.readouterr().err
     cfgfile = write_config(tmp_path, SIM_CFG.replace("seed = 1", f"seed = {seed}"), "seed.cfg")
     assert main([command, "--config", str(cfgfile)]) == 1
     assert f"seed: must lie in [0, 18446744073709551615], got {seed}" in capsys.readouterr().err
