@@ -14,8 +14,10 @@ source k.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -64,12 +66,12 @@ class InversionAccuracyWarning(UserWarning):
 class SystemSpec:
     """Arrival rates and service-time models, one entry per source.
 
-    Construction validates that every rate is positive and finite and that
-    every source has a strictly positive completion probability
-    L_k(lambda) at the aggregate rate (a packet must be able to beat the
-    next arrival, otherwise no update ever happens and no stationary age
-    exists; the check also rejects specs whose completion probability
-    underflows to zero in float64).
+    Construction validates that every rate is positive and finite, as is
+    their sum, and that every source has a strictly positive completion
+    probability L_k(lambda) at the aggregate rate (a packet must be able to
+    beat the next arrival, otherwise no update ever happens and no
+    stationary age exists; the check also rejects specs whose completion
+    probability underflows to zero in float64).
     """
 
     rates: tuple[float, ...]
@@ -87,16 +89,15 @@ class SystemSpec:
         for i, r in enumerate(self.rates):
             if not (math.isfinite(r) and r > 0):
                 raise ValueError(f"source {i + 1}: arrival rate must be positive and finite, got {r}")
+        if not math.isfinite(sum(self.rates)):
+            raise ValueError("the total arrival rate overflows")
         lam = self.total_rate
-        for i, model in enumerate(self.services):
-            if not isinstance(model, ServiceTimeModel):
-                raise TypeError(
-                    f"source {i + 1}: expected a ServiceTimeModel, got {type(model).__name__}"
-                )
-            if model.laplace(lam) <= 0.0:
-                raise ValueError(
-                    f"source {i + 1}: completion probability is zero at aggregate rate {lam}"
-                )
+        with np.errstate(over="ignore"):  # a gamma transform may overflow on its way to 0
+            for i, model in enumerate(self.services):
+                if not isinstance(model, ServiceTimeModel):
+                    raise TypeError(f"source {i + 1}: expected a ServiceTimeModel, got {type(model).__name__}")
+                if model.laplace(lam) <= 0.0:
+                    raise ValueError(f"source {i + 1}: completion probability is zero at aggregate rate {lam}")
 
     @property
     def num_sources(self) -> int:
@@ -166,12 +167,20 @@ def marginal_aoi_moments(spec: SystemSpec, k: int) -> MarginalMoments:
     mean = 1 / (lambda_k L_k(lambda)); the cv depends on the system only
     through lambda_k L_k'(lambda) and equals sqrt(1 + 2 lambda_k L_k'(lambda)),
     which is strictly below 1: sampling at delivery times makes the age
-    less variable than an exponential of the same mean.
+    less variable than an exponential of the same mean.  ValueError if the
+    variance, about 1 / update rate squared, is not a positive float64:
+    an update rate below about 1e-154 or above about 1e154.
     """
     k = _check_source_index(k, spec.num_sources)
     el = _source_update_rate(spec, k)
     dl = spec.rates[k] * spec.services[k].laplace_derivative(spec.total_rate)
-    return MarginalMoments(1.0 / el, (1.0 + 2.0 * dl) / el**2, math.sqrt(max(1.0 + 2.0 * dl, 0.0)))
+    try:
+        variance = (1.0 + 2.0 * dl) / el**2
+    except (ZeroDivisionError, OverflowError):  # the squared update rate left float64
+        variance = math.nan
+    if not 0 < variance < math.inf:  # then the mean, at most 1 / el, is finite too
+        raise ValueError(f"source {k + 1}: age moments are out of float64 range at update rate {el:g}")
+    return MarginalMoments(1.0 / el, variance, math.sqrt(max(1.0 + 2.0 * dl, 0.0)))
 
 
 class SourcePalmMeans(NamedTuple):
@@ -234,17 +243,17 @@ def _subset_transform(spec: SystemSpec, support, s: np.ndarray) -> np.ndarray:
     masks, lam = np.arange(1 << n), spec.total_rate
     bits = (masks[:, None] >> np.arange(n) & 1).astype(bool)  # bits[mask, j]: j in mask
     sbar = np.zeros(masks.shape + s.shape[:-1], np.result_type(s, float))
-    with np.errstate(over="ignore"):
+    v = np.empty((n,) + sbar.shape, sbar.dtype)
+    with np.errstate(over="ignore"):  # a transform may also overflow on its way to 0
         for j in reversed(range(n)):  # sbar_H = sbar_{H - lowest} + s_lowest
             low = masks[masks & -masks == 1 << j]
             sbar[low] = sbar[low & (low - 1)] + s[..., j]
         if not np.isfinite(sbar[-1] + lam).all():
             raise ValueError("transform arguments overflow: their sum plus the aggregate rate is not finite")
-    v = np.empty((n,) + sbar.shape, sbar.dtype)
-    for j, k in enumerate(support):  # the service transforms see the point axes first
-        at = np.moveaxis(sbar[bits[:, j]] + lam, 0, -1)
-        L = spec.services[k].laplace_complex if np.iscomplexobj(at) else spec.services[k]._laplace_array
-        v[j, bits[:, j]] = np.moveaxis(spec.rates[k] * L(at), -1, 0)
+        for j, k in enumerate(support):  # the service transforms see the point axes first
+            at = np.moveaxis(sbar[bits[:, j]] + lam, 0, -1)
+            L = spec.services[k].laplace_complex if np.iscomplexobj(at) else spec.services[k]._laplace_array
+            v[j, bits[:, j]] = np.moveaxis(spec.rates[k] * L(at), -1, 0)
     F = np.zeros(sbar.shape, sbar.dtype)
     F[0], size = 1.0, bits.sum(axis=1)
     for m in range(1, n + 1):
@@ -275,10 +284,9 @@ def aoi_covariance(spec: SystemSpec) -> float:
 def aoi_correlation(spec: SystemSpec) -> float:
     """Correlation coefficient of (A_1, A_2); lies in [-1, 0]."""
     cov = aoi_covariance(spec)  # refuses K != 2
-    v1, v2 = (marginal_aoi_moments(spec, k).variance for k in range(2))
-    if not (v1 > 0 and v2 > 0):
-        raise ValueError("marginal variance is not positive; correlation undefined")
-    return cov / math.sqrt(v1 * v2)
+    v1, v2 = (marginal_aoi_moments(spec, k).variance for k in range(2))  # each positive and finite
+    product = v1 * v2  # it can leave the normal floats where neither variance does
+    return cov / (math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(v1) * math.sqrt(v2))
 
 
 def cc_lower_bound(kind: str, alpha: float | None = None) -> float:
@@ -344,9 +352,79 @@ def aoi_statistics(spec: SystemSpec) -> AoIStatistics:
     return AoIStatistics(mean, variance, cv, covariance, correlation, provenance="analytic")
 
 
+# ---------------------------------------------------------------------------
+# the report table: each reported quantity named once
+
+
+class _Quantity(NamedTuple):
+    """A reported quantity: its label name, scope, closed form and estimate.
+
+    Scope "source" gives a row per source, labelled name[k] (1-based);
+    "system" one row; "pair" one row for two sources; "s_row" a row per
+    s-row, labelled name(s_1,...,s_K).  A str closed form or estimate is
+    an AoIStatistics field read at the row's index from aoi_statistics, or
+    from estimate_statistics with its `_stderr` field.  Otherwise the
+    closed form is f(spec, index), calling public functions by name so
+    that a wrapper on one sees the call, and the estimate is _TIME_AVERAGE
+    (estimate_joint_laplace), f(replication, index) giving the numerator,
+    denominator and what a zero denominator lacks, for estimate_palm to
+    pool, or None for an analytic-only row, which `compare` does not gate.
+    """
+
+    name: str
+    scope: str
+    closed: object
+    estimate: object
+
+    def label(self, index) -> str:
+        if self.scope == "source":
+            return f"{self.name}[{index + 1}]"
+        if self.scope == "s_row":
+            return f"{self.name}(" + ",".join(f"{v:g}" for v in index) + ")"
+        return self.name
+
+
+# The table is in the simulated report's order: a run of entries of one
+# scope gives its rows index by index, so per-source runs go source by
+# source.  The analytic report takes all entries of a scope as one run,
+# scope by scope in _SCOPES order.
+_TIME_AVERAGE = object()
+_JOINT = _Quantity("joint_laplace", "s_row", lambda spec, s: joint_aoi_laplace(spec, s), _TIME_AVERAGE)
+_QUANTITIES = (
+    _JOINT,
+    _Quantity("aoi_mean", "source", "mean", "mean"),
+    _Quantity("aoi_variance", "source", "variance", "variance"),
+    _Quantity("aoi_cv", "source", "cv", None),
+    _Quantity("aoi_covariance", "pair", "covariance", None),
+    _Quantity("aoi_correlation", "pair", "correlation", "correlation"),
+    _Quantity("departure_rate", "system", lambda spec, _: departure_rate(spec),
+              lambda r, _: (r.counts.window_departures, r.window_span, "window time")),
+    _Quantity("pushout_rate", "system", lambda spec, _: pushout_rate(spec),
+              lambda r, _: (r.counts.window_pushouts, r.window_span, "window time")),
+    _Quantity("update_share", "source", lambda spec, k: source_update_share(spec, k),
+              lambda r, k: (r.source_sums[0, k], r.counts.window_departures, "deliveries")),
+    _Quantity("update_rate", "source", lambda spec, k: palm_means(spec, k).update_rate,
+              lambda r, k: (r.source_sums[0, k], r.window_span, f"deliveries for source {k + 1}")),
+    _Quantity("delay_mean", "source", lambda spec, k: palm_means(spec, k).delay_mean,
+              lambda r, k: (r.source_sums[1, k], r.source_sums[0, k], f"deliveries for source {k + 1}")),
+    _Quantity("peak_mean", "source", lambda spec, k: palm_means(spec, k).peak_mean,
+              lambda r, k: (r.source_sums[2, k], r.source_sums[3, k], f"peaks for source {k + 1}")),
+)
+_SCOPES = ("source", "system", "pair", "s_row")  # the analytic report's order
+
+
+def _report_rows(quantities, num_sources: int, s_rows):
+    """(entry, index) per report row, each run of one scope index by index."""
+    pairs = [(0, 1)] if num_sources == 2 else []
+    indices = {"source": range(num_sources), "system": [None], "pair": pairs, "s_row": s_rows}
+    for scope, run in itertools.groupby(quantities, operator.attrgetter("scope")):
+        run = list(run)
+        yield from ((q, index) for index in indices[scope] for q in run)
+
+
 def joint_laplace_label(s_row) -> str:
     """Report label of the joint transform at `s_row`, e.g. `joint_laplace(0.5,1)`."""
-    return "joint_laplace(" + ",".join(f"{v:g}" for v in s_row) + ")"
+    return _JOINT.label(s_row)
 
 
 def distinct_s_rows(s_grid) -> tuple[tuple[float, ...], ...]:
@@ -361,30 +439,20 @@ def distinct_s_rows(s_grid) -> tuple[tuple[float, ...], ...]:
 
 
 def analytic_quantities(spec: SystemSpec, s_grid) -> dict[str, float]:
-    """Every closed-form quantity the reports show, by label, in report order:
-    per source (1-based) the age mean, variance and cv, update share and rate,
-    delay and peak means; departure and pushout rates; the age covariance and
-    correlation (two sources only); the joint transform per distinct s-row.
+    """Every closed form of the report table `_QUANTITIES` by label: per
+    source (1-based) the age mean, variance and cv, update share and rate,
+    delay and peak means; departure and pushout rates; the age covariance
+    and correlation (two sources only); the joint transform per distinct
+    s-row.  The cv and covariance rows are analytic-only: `simulate` does
+    not estimate them, so `compare` does not gate them.
     """
+    s_rows = distinct_s_rows(s_grid)
     stats = aoi_statistics(spec)
-    out: dict[str, float] = {}
-    for k in range(spec.num_sources):
-        pm = palm_means(spec, k)
-        out[f"aoi_mean[{k + 1}]"] = float(stats.mean[k])
-        out[f"aoi_variance[{k + 1}]"] = float(stats.variance[k])
-        out[f"aoi_cv[{k + 1}]"] = float(stats.cv[k])
-        out[f"update_share[{k + 1}]"] = source_update_share(spec, k)
-        out[f"update_rate[{k + 1}]"] = pm.update_rate
-        out[f"delay_mean[{k + 1}]"] = pm.delay_mean
-        out[f"peak_mean[{k + 1}]"] = pm.peak_mean
-    out["departure_rate"] = departure_rate(spec)
-    out["pushout_rate"] = pushout_rate(spec)
-    if spec.num_sources == 2:
-        out["aoi_covariance"] = float(stats.covariance[0, 1])
-        out["aoi_correlation"] = float(stats.correlation[0, 1])
-    for row in distinct_s_rows(s_grid):
-        out[joint_laplace_label(row)] = joint_aoi_laplace(spec, row)
-    return out
+    by_scope = sorted(_QUANTITIES, key=lambda q: _SCOPES.index(q.scope))
+    return {
+        q.label(i): float(getattr(stats, q.closed)[i]) if isinstance(q.closed, str) else q.closed(spec, i)
+        for q, i in _report_rows(by_scope, spec.num_sources, s_rows)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import SystemSpec, distinct_s_rows
+from .analytics import SystemSpec, aoi_statistics, distinct_s_rows
 from .experiments import _check_grid, family_model
 from .servicedist import format_service, parse_service
 from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
@@ -24,6 +24,7 @@ __all__ = ["RunConfig", "SweepSettings", "ConfigError", "parse_config", "render_
 _COMMANDS = ("analytic", "simulate", "compare", "sweep")
 _SWEEP_KINDS = ("lambda2", "service_rate")
 _LOGSPACE = re.compile(r"^logspace\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
+_MAX_LOGSPACE_POINTS = 10_000  # the largest n of sweep_grid = logspace(lo, hi, n)
 
 
 class ConfigError(ValueError):
@@ -127,10 +128,19 @@ def _s_grid(text: str) -> tuple[tuple[float, ...], ...]:
 def _grid(text: str) -> tuple[float, ...]:
     m = _LOGSPACE.match(text.strip())
     if m:
-        values = np.geomspace(_positive(m.group(1)), _positive(m.group(2)), _integer(m.group(3)))
+        n = _integer(m.group(3))
+        if n > _MAX_LOGSPACE_POINTS:
+            raise ValueError(f"logspace takes at most {_MAX_LOGSPACE_POINTS} points, got {n}")
+        values = np.geomspace(_positive(m.group(1)), _positive(m.group(2)), n)
     else:
         values = [_number(v) for v in text.split(",")]
     return tuple(_check_grid(values))
+
+
+def _output_path(text: str) -> str:
+    if not text:
+        raise ValueError("needs a path")
+    return text
 
 
 def _families(text: str) -> tuple[str, ...]:
@@ -150,7 +160,7 @@ _KEYS = {
     "replications": ("replications", _replications),
     "seed": ("seed", _seed),
     "s_grid": ("s_grid", _s_grid),
-    "output": ("output", str),
+    "output": ("output", _output_path),
     "sweep": ("kind", _one_of("kind", _SWEEP_KINDS)),
     "sweep_lambda1": ("lambda1", _positive),
     "sweep_lambda2": ("lambda2", _positive),
@@ -231,6 +241,7 @@ def parse_config(text: str) -> RunConfig:
     if rates and len(rates) == len(source_lines):
         try:
             cfg.spec = SystemSpec(rates=tuple(rates), services=tuple(services))
+            aoi_statistics(cfg.spec)  # every report needs the age moments
         except (ValueError, TypeError) as exc:
             errors.append(str(exc))
     if cfg.spec is not None and cfg.s_grid:

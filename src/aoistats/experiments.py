@@ -189,15 +189,13 @@ def compare(
     s_grid=None,
     workers: int = 1,
 ) -> list[ComparisonRow]:
-    """Simulate `spec` and line up every estimate with its closed form.
-
-    Covers the time-average joint transform on the grid, per-source means
-    and variances, the correlation coefficient (two sources),
-    departure/pushout rates, update shares and rates, and the
-    per-delivery delay and peak means; each row carries the z-score
-    (difference over batch stderr) and a pass mark at Z_THRESHOLD.  The
-    closed forms are computed first, so a spec they refuse fails before
-    any replication runs.
+    """Simulate `spec` and line up every estimate with its closed form:
+    one row per row of `simulate`'s report, the rows of the report table
+    `analytics._QUANTITIES` that are not analytic-only, so the age cv and
+    covariance are not gated.  Each row carries the z-score (difference
+    over batch stderr) and a pass mark at Z_THRESHOLD.  The closed forms
+    are computed first, so a spec they refuse fails before any
+    replication runs.
     """
     if s_grid is None:
         s_grid = simulator.default_s_grid(spec.num_sources)

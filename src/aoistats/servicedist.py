@@ -128,7 +128,9 @@ class Exponential(ServiceTimeModel):
         return self.rate / (self.rate + z)
 
     def _derivative(self, s):
-        return -self.rate / (self.rate + s) ** 2
+        d = self.rate + s
+        # d ** 2 leaves float64 outside about [1e-154, 1e154], and (rate / d) / d does not
+        return -self.rate / d**2 if 1e-154 < d < 1e154 else -(self.rate / d) / d
 
     def mean(self):
         return 1.0 / self.rate
@@ -212,9 +214,9 @@ class Mixture(ServiceTimeModel):
             raise ValueError(
                 f"got {len(weights)} weights for {len(components)} components"
             )
-        for w in weights:
-            if not (math.isfinite(w) and w > 0):
-                raise ValueError(f"mixture weights must be positive and finite, got {w}")
+        for w in weights:  # each in (0, 1], so that their sum cannot overflow
+            if not 0 < w <= 1:
+                raise ValueError(f"mixture weights must lie in (0, 1], got {w}")
         total = math.fsum(weights)
         if abs(total - 1.0) > MIXTURE_WEIGHT_TOL:
             raise ValueError(f"mixture weights must sum to 1 within {MIXTURE_WEIGHT_TOL}, got {total!r}")

@@ -844,25 +844,15 @@ def estimate_statistics(results) -> AoIStatistics:
 
 
 def estimate_palm(results) -> dict[str, Estimate]:
-    """Event-count estimates by report label: the departure and pushout
-    rates over the window, then per source (1-based) the update share and
-    rate and the delivery-averaged delay and peak means."""
+    """Event-count estimates by report label, for each row of the report
+    table that pools replication sums: the departure and pushout rates,
+    then per source the update share and rate and the delay and peak means."""
     results = _one_run(results)
-    K = results[0].spec.num_sources
-    counts, delays, peaks, peak_counts = np.stack([r.source_sums for r in results], axis=1)
-    spans = np.array([r.window_span for r in results])
-    totals = np.array([r.counts.window_departures for r in results], dtype=float)
-    pushouts = np.array([r.counts.window_pushouts for r in results], dtype=float)
-    out = {
-        "departure_rate": _ratio_estimate(totals, spans, "window time"),
-        "pushout_rate": _ratio_estimate(pushouts, spans, "window time"),
-    }
-    for k in range(K):
-        label = f"deliveries for source {k + 1}"
-        out[f"update_share[{k + 1}]"] = _ratio_estimate(counts[:, k], totals, "deliveries")
-        out[f"update_rate[{k + 1}]"] = _ratio_estimate(counts[:, k], spans, label)
-        out[f"delay_mean[{k + 1}]"] = _ratio_estimate(delays[:, k], counts[:, k], label)
-        out[f"peak_mean[{k + 1}]"] = _ratio_estimate(peaks[:, k], peak_counts[:, k], f"peaks for source {k + 1}")
+    pooled = (q for q in analytics._QUANTITIES if callable(q.estimate))
+    out = {}
+    for q, k in analytics._report_rows(pooled, results[0].spec.num_sources, ()):
+        nums, dens, what = zip(*(q.estimate(r, k) for r in results))
+        out[q.label(k)] = _ratio_estimate(nums, dens, what[0])
     return out
 
 
@@ -955,8 +945,10 @@ def simulate(
     workers: int = 1,
     trace_path=None,
 ) -> SimulationReport:
-    """Simulate and estimate everything the analytic side can predict;
-    replication 0 writes its event trace to `trace_path` when one is given.
+    """Simulate and estimate every row of the report table
+    `analytics._QUANTITIES` that is not analytic-only (all but the age cv
+    and covariance), by label in table order; replication 0 writes its
+    event trace to `trace_path` when one is given.
 
     `flags` notes each source that first delivers after burn-in in some
     replication, then each flagged estimate as "<label>: <flag>"; each
@@ -976,19 +968,18 @@ def simulate(
         spec, horizon, burn_in, replications, seed, s_grid, workers=workers, trace_path=trace_path
     )
 
-    K = spec.num_sources
     stats = estimate_statistics(results)
-
-    def batch(value, stderr) -> Estimate:
-        return Estimate(float(value), float(stderr), len(results))
-
-    quantities = {analytics.joint_laplace_label(row): estimate_joint_laplace(results, row) for row in s_grid}
-    for k in range(K):
-        quantities[f"aoi_mean[{k + 1}]"] = batch(stats.mean[k], stats.mean_stderr[k])
-        quantities[f"aoi_variance[{k + 1}]"] = batch(stats.variance[k], stats.variance_stderr[k])
-    if K == 2:
-        quantities["aoi_correlation"] = batch(stats.correlation[0, 1], stats.correlation_stderr[0, 1])
-    quantities.update(estimate_palm(results))
+    palm = estimate_palm(results)
+    gated = (q for q in analytics._QUANTITIES if q.estimate is not None)
+    quantities = {}
+    for q, i in analytics._report_rows(gated, spec.num_sources, s_grid):
+        if q.estimate is analytics._TIME_AVERAGE:
+            quantities[q.label(i)] = estimate_joint_laplace(results, i)
+        elif isinstance(q.estimate, str):
+            value, stderr = getattr(stats, q.estimate)[i], getattr(stats, q.estimate + "_stderr")[i]
+            quantities[q.label(i)] = Estimate(float(value), float(stderr), len(results))
+        else:
+            quantities[q.label(i)] = palm[q.label(i)]
 
     late = Counter(k for r in results for k in r.late_sources)
     flags = [

@@ -91,6 +91,25 @@ def test_spec_validation():
         SystemSpec(rates=(100.0,), services=(Deterministic(10.0),))
 
 
+def test_moments_out_of_float64_range_name_the_source():
+    # the squared update rate underflows (3.5e-209) or overflows (1.5e160);
+    # the joint transform of such a system still exists
+    for spec in (
+        SystemSpec(rates=(0.5, 0.5), services=(Exponential(1.0), Deterministic(480.0))),
+        SystemSpec(rates=(1.0, 3e160), services=(Exponential(1.0), Exponential(6e160))),
+    ):
+        with pytest.raises(ValueError, match="^source 2: age moments are out of float64 range at update rate"):
+            marginal_aoi_moments(spec, 1)
+        assert 0.0 < joint_aoi_laplace(spec, (1.0, 0.0)) < 1.0
+
+
+def test_correlation_of_tiny_variances_is_finite():
+    # each variance is near 1e-200, so their product underflows
+    spec = SystemSpec(rates=(1e100, 1e100), services=(Exponential(1e100),) * 2)
+    unit = SystemSpec(rates=(1.0, 1.0), services=(Exponential(1.0),) * 2)
+    assert aoi_correlation(spec) == pytest.approx(aoi_correlation(unit), rel=1e-12)
+
+
 def test_source_index_checks():
     with pytest.raises(IndexError):
         marginal_aoi_laplace(SYMMETRIC, 2, 1.0)

@@ -5,6 +5,8 @@ import re
 import shutil
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -143,12 +145,37 @@ def test_invalid_horizon_is_the_only_error(horizon):
             SWEEP_CONFIG.replace("exponential, deterministic", ","),
             "sweep_families: needs at least one family",
         ),
+        ("source = 1 exp(2)\noutput =\n", "output: needs a path"),
+        (
+            SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(0.5, 50, 10001)"),
+            "sweep_grid: logspace takes at most 10000 points, got 10001",
+        ),
+        ("source = 1 mix(1e308*exp(1), 1e308*det(1))\n", "mixture weights must lie in (0, 1], got 1e+308"),
+        ("source = 1 det(480)\n", "source 1: age moments are out of float64 range at update rate 3.4566e-209"),
+        ("source = 1e308 exp(1)\nsource = 1e308 exp(1)\n", "the total arrival rate overflows"),
     ],
 )
 def test_parse_rejects(text, needle):
     with pytest.raises(ConfigError) as exc:
         parse_config(text)
     assert needle in str(exc.value)
+
+
+def test_huge_logspace_is_refused_before_it_is_built():
+    text = SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(1, 2, 1000000000)")
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="sweep_grid: logspace takes at most 10000 points, got 1000000000"):
+        parse_config(text)
+    assert time.perf_counter() - start < 0.5
+    assert f"`n` is at most {config._MAX_LOGSPACE_POINTS}" in (ROOT / "docs" / "config.md").read_text()
+    assert len(parse_config(SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(1, 2, 10000)")).sweep.grid) == 10000
+
+
+def test_overflowing_gamma_transform_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="source 1: completion probability is zero"):
+            parse_config("source = 1 gamma(1e308, 1e-300)\n")
 
 
 def test_parse_sweep_config():
@@ -606,6 +633,22 @@ def test_cli_config_errors_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid configuration" in err
     assert err.count("  - ") == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("source = 1 exp(2)\noutput =\n", "output: needs a path"),
+        ("source = 1 mix(1e308*exp(1), 1e308*det(1))\n", "mixture weights must lie in (0, 1], got 1e+308"),
+        ("source = 1 det(480)\n", "source 1: age moments are out of float64 range"),
+    ],
+)
+def test_cli_reports_extreme_inputs_as_config_errors(text, message, tmp_path, capsys):
+    # a config error on stderr, with nothing on stdout and no traceback
+    cfgfile = write_config(tmp_path, text)
+    assert main(["analytic", "--config", str(cfgfile)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "Traceback" not in err
 
 
 def test_cli_sweep_without_settings_exits_1(tmp_path, capsys):

@@ -1,0 +1,93 @@
+"""Generated config files: every text of the documented keys and service
+literals parses to a RunConfig or fails with a ConfigError, and never
+warns; every closed form of an accepted system is finite.
+
+Numbers span a wide log range, from subnormals past the largest float,
+so that the closed forms meet underflow and overflow as well as ordinary
+values.  The examples are drawn from a fixed seed.
+"""
+
+import math
+import warnings
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from aoistats.analytics import analytic_quantities
+from aoistats.config import ConfigError, RunConfig, parse_config
+from aoistats.simulator import default_s_grid
+
+# positive numbers, half of them within 1e±20, the rest anywhere from
+# below the smallest subnormal to above the largest float
+EXPONENT = st.one_of(st.integers(-20, 20), st.integers(-330, 330))
+POSITIVE = st.builds("{}.{}e{}".format, st.integers(1, 9), st.integers(0, 9), EXPONENT)
+# one number in twenty is one that no key accepts
+NUMBER = st.integers(0, 19).flatmap(
+    lambda i: st.sampled_from(["0", "-1", "inf", "nan", "x"]) if i == 0 else POSITIVE
+)
+SIMPLE = st.one_of(
+    st.builds("exp({})".format, NUMBER),
+    st.builds("gamma({}, {})".format, NUMBER, NUMBER),
+    st.builds("det({})".format, NUMBER),
+)
+
+
+@st.composite
+def mixtures(draw):
+    parts = draw(st.lists(SIMPLE, min_size=1, max_size=3))
+    equal = st.just([repr(1 / len(parts))] * len(parts))
+    weights = draw(st.one_of(equal, equal, st.lists(NUMBER, min_size=len(parts), max_size=len(parts))))
+    return "mix(" + ", ".join(f"{w}*{lit}" for w, lit in zip(weights, parts)) + ")"
+
+
+@st.composite
+def configs(draw):
+    num_sources = draw(st.integers(1, 3))
+    lines = [f"source = {draw(NUMBER)} {draw(st.one_of(SIMPLE, SIMPLE, mixtures()))}" for _ in range(num_sources)]
+    optional = {
+        "command": st.sampled_from(["analytic", "simulate", "compare", "sweep"]),
+        "horizon": NUMBER,
+        "burn_in": NUMBER,
+        "replications": st.integers(1, 10**9).map(str),
+        "seed": st.integers(-1, 2**64).map(str),
+        "s_grid": st.lists(
+            st.lists(NUMBER, min_size=num_sources, max_size=num_sources).map(", ".join), min_size=1, max_size=3
+        ).map("; ".join),
+        "output": st.sampled_from(["out.csv", "out.csv", "out.csv", ""]),
+    }
+    for key, values in optional.items():
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(f"{key} = {draw(values)}")
+    if draw(st.integers(0, 4)) == 0:
+        kind = draw(st.sampled_from(["lambda2", "service_rate"]))
+        needs = "sweep_mean_service" if kind == "lambda2" else "sweep_lambda2"
+        lines += [f"sweep = {kind}", f"sweep_lambda1 = {draw(NUMBER)}", f"{needs} = {draw(NUMBER)}"]
+        grid = st.one_of(
+            st.builds("logspace({}, {}, {})".format, NUMBER, NUMBER, st.integers(-3, 10**12)),
+            st.lists(NUMBER, min_size=1, max_size=5).map(", ".join),
+        )
+        families = st.lists(st.sampled_from(["exponential", "deterministic", "gamma(2)", "gamma(0)"]), min_size=1, max_size=3)
+        for key, values in (("sweep_grid", grid), ("sweep_families", families.map(", ".join))):
+            if draw(st.booleans()):
+                lines.append(f"{key} = {draw(values)}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@example("source = 1 mix(1e308*exp(1), 1e308*det(1))\n")
+@example("source = 1 gamma(1e308, 1e-300)\n")
+@example("source = 1 det(480)\n")
+@example("source = 1e308 exp(1)\nsource = 1e308 exp(1)\n")
+@example("source = 1 exp(1e300)\n")
+@given(configs())
+def test_generated_configs_parse_or_fail_cleanly(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
+        if cfg.spec is not None:
+            rows = analytic_quantities(cfg.spec, cfg.s_grid or default_s_grid(cfg.spec.num_sources))
+            assert all(math.isfinite(v) for v in rows.values()), rows

@@ -96,6 +96,7 @@ def test_mixture_anchor_values():
         lambda: Mixture((1.0,), (Mixture((1.0,), (Exponential(1.0),)),)),
         lambda: Mixture((), ()),
         lambda: Mixture((0.5, -0.5, 1.0), (Exponential(1.0),) * 3),
+        lambda: Mixture((1e308, 1e308), (Exponential(1.0), Deterministic(1.0))),
     ],
 )
 def test_invalid_construction(build):
@@ -150,6 +151,13 @@ def test_transform_underflows_to_zero_without_warnings():
         warnings.simplefilter("error")
         for m in (Deterministic(2.0), Exponential(1e308), Gamma(2.0, 1e-9)):
             assert m.laplace(1e308) == 0.0 and m.laplace_derivative(1e308) == 0.0
+
+
+def test_exponential_derivative_of_an_extreme_rate_is_finite():
+    # the square of rate + s leaves float64 outside about [1e-154, 1e154]
+    for rate in (1e154, 1e200, 1e300):
+        assert Exponential(rate).laplace_derivative(1.0) == pytest.approx(-1.0 / rate, rel=1e-12)
+    assert Exponential(1e-162).laplace_derivative(0.0) == pytest.approx(-1e162, rel=1e-12)
 
 
 def test_transform_argument_checks():
