@@ -283,8 +283,10 @@ def aoi_covariance(spec: SystemSpec) -> float:
 
 def aoi_correlation(spec: SystemSpec) -> float:
     """Correlation coefficient of (A_1, A_2); lies in [-1, 0]."""
+    # each positive and finite; checked first, since the covariance divides by a departure rate that underflows to 0
+    variances = [marginal_aoi_moments(spec, k).variance for k in range(spec.num_sources)]
     cov = aoi_covariance(spec)  # refuses K != 2
-    v1, v2 = (marginal_aoi_moments(spec, k).variance for k in range(2))  # each positive and finite
+    v1, v2 = variances
     product = v1 * v2  # it can leave the normal floats where neither variance does
     return cov / (math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(v1) * math.sqrt(v2))
 

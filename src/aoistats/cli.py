@@ -182,23 +182,16 @@ def _cmd_compare(cfg: RunConfig, workers: int) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep is None:
-        raise ConfigError(["sweep: the config must define sweep settings (sweep = lambda2 | service_rate)"])
+        kinds = " | ".join(experiments._SWEEPS)
+        raise ConfigError([f"sweep: the config must define sweep settings (sweep = {kinds})"])
     sw = cfg.sweep
+    kind = experiments._SWEEPS[sw.kind]
     families = sw.families or experiments.DEFAULT_FAMILIES
-    if sw.kind == "lambda2":
-        points = experiments.sweep_cc_vs_lambda2(
-            sw.lambda1, sw.mean_service, families, sw.grid or experiments.DEFAULT_LAMBDA2_GRID
-        )
-        axis = "lambda2"
-    else:
-        points = experiments.sweep_cc_vs_service_rate(
-            sw.lambda1, sw.lambda2, families, sw.grid or experiments.DEFAULT_SERVICE_RATE_GRID
-        )
-        axis = "service rate"
+    points = experiments._sweep(sw.kind, sw.lambda1, getattr(sw, kind.fixed), families, sw.grid or kind.grid)
     for family in families:
         own = [p for p in points if p.family == family]
         best = min(own, key=lambda p: p.cc)
-        print(f"{family}: min cc {best.cc:.6g} at {axis} {best.param:.6g} over {len(own)} points")
+        print(f"{family}: min cc {best.cc:.6g} at {kind.axis} {best.param:.6g} over {len(own)} points")
     experiments.write_sweep_csv(points, cfg.output or sys.stdout)
     if cfg.output:
         print(f"wrote {cfg.output}")

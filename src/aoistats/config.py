@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import SystemSpec, aoi_statistics, distinct_s_rows
-from .experiments import _check_grid, family_model
+from .experiments import _SWEEPS, _check_grid, family_model
 from .servicedist import format_service, parse_service
 from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
 
 __all__ = ["RunConfig", "SweepSettings", "ConfigError", "parse_config", "render_config"]
 
 _COMMANDS = ("analytic", "simulate", "compare", "sweep")
-_SWEEP_KINDS = ("lambda2", "service_rate")
 _LOGSPACE = re.compile(r"^logspace\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 _MAX_LOGSPACE_POINTS = 10_000  # the largest n of sweep_grid = logspace(lo, hi, n)
 
@@ -161,15 +160,13 @@ _KEYS = {
     "seed": ("seed", _seed),
     "s_grid": ("s_grid", _s_grid),
     "output": ("output", _output_path),
-    "sweep": ("kind", _one_of("kind", _SWEEP_KINDS)),
+    "sweep": ("kind", _one_of("kind", tuple(_SWEEPS))),
     "sweep_lambda1": ("lambda1", _positive),
     "sweep_lambda2": ("lambda2", _positive),
     "sweep_mean_service": ("mean_service", _positive),
     "sweep_grid": ("grid", _grid),
     "sweep_families": ("families", _families),
 }
-# the key each sweep kind needs beyond sweep_lambda1, and the other kind never reads
-_SWEEP_NEEDS = {"lambda2": "sweep_mean_service", "service_rate": "sweep_lambda2"}
 
 
 def _window(cfg: RunConfig) -> None:
@@ -255,13 +252,14 @@ def parse_config(text: str) -> RunConfig:
     if any(k.startswith("sweep") for k in scalars):
         kind = sweep.get("kind")
         if "sweep" not in scalars:
-            errors.append("sweep_*: settings given without a sweep kind (sweep = lambda2 | service_rate)")
+            errors.append(f"sweep_*: settings given without a sweep kind (sweep = {' | '.join(_SWEEPS)})")
         if "sweep_lambda1" not in scalars:
             errors.append("sweep_lambda1: required for sweeps")
-        for needer, key in _SWEEP_NEEDS.items():
-            if needer == kind and key not in scalars:
+        needs = f"sweep_{_SWEEPS[kind].fixed}" if kind else None  # beyond sweep_lambda1; another kind's key is not read
+        for key in dict.fromkeys(f"sweep_{entry.fixed}" for entry in _SWEEPS.values()):
+            if key == needs and key not in scalars:
                 errors.append(f"{key}: required for {kind} sweeps")
-            elif needer != kind and kind is not None and key in scalars:
+            elif key != needs and kind is not None and key in scalars:
                 errors.append(f"{key}: not read by {kind} sweeps")
 
     if errors:

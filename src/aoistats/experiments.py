@@ -3,7 +3,9 @@
 The two sweeps trace the age correlation coefficient of a two-source
 system along the axes that matter: the second source's arrival rate (at
 fixed common service law) and the common service rate (at fixed arrival
-rates), each for a set of service families sharing the same mean.
+rates), each for a set of service families sharing the same mean.  Each
+kind is one entry of `_SWEEPS`, which config files and `aoistats sweep` read;
+all kinds run through one loop, so a new kind is one entry.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,9 +71,7 @@ def family_model(tag: str, mean_service: float) -> ServiceTimeModel:
         except ValueError:
             raise ValueError(f"bad gamma shape in family tag {tag!r}") from None
         return Gamma(alpha, alpha / mean_service)
-    raise ValueError(
-        f"unknown family tag {tag!r}; expected 'exponential', 'deterministic', or 'gamma(alpha)'"
-    )
+    raise ValueError(f"unknown family tag {tag!r}; expected 'exponential', 'deterministic', or 'gamma(alpha)'")
 
 
 @dataclass(frozen=True)
@@ -92,42 +93,51 @@ def _check_grid(grid) -> list[float]:
     return vals
 
 
+class _SweepKind(NamedTuple):
+    axis: str  # what `aoistats sweep` calls a grid value
+    fixed: str  # the SweepSettings field held fixed beside lambda1
+    grid: tuple[float, ...]  # the default grid
+    point: Callable  # (lambda1, fixed value, grid value) -> (the two rates, the common mean service time)
+
+
+# the sweep kinds, by the name a config's `sweep` key gives them
+_SWEEPS = {
+    "lambda2": _SweepKind("lambda2", "mean_service", DEFAULT_LAMBDA2_GRID, lambda l1, mean, x: ((l1, x), mean)),
+    "service_rate": _SweepKind(
+        "service rate", "lambda2", DEFAULT_SERVICE_RATE_GRID, lambda l1, l2, x: ((l1, l2), 1.0 / x)
+    ),
+}
+
+
+def _sweep(kind: str, lambda1: float, fixed: float, families, grid) -> list[SweepPoint]:
+    """Age correlation at each value of sweep `kind`'s grid, per family."""
+    grid, point = _check_grid(grid), _SWEEPS[kind].point
+    points = []
+    for family in families:
+        for x in grid:
+            rates, mean_service = point(lambda1, fixed, x)
+            model = family_model(family, mean_service)
+            spec = SystemSpec(rates=rates, services=(model, model))
+            points.append(SweepPoint(param=x, family=family, cc=analytics.aoi_correlation(spec)))
+    return points
+
+
 def sweep_cc_vs_lambda2(
-    lambda1: float,
-    mean_service: float,
-    families=DEFAULT_FAMILIES,
-    grid=DEFAULT_LAMBDA2_GRID,
+    lambda1: float, mean_service: float, families=DEFAULT_FAMILIES, grid=DEFAULT_LAMBDA2_GRID
 ) -> list[SweepPoint]:
     """Age correlation against the second source's rate, per family.
 
     Both sources share the family's service law with mean `mean_service`;
     source 1 keeps rate `lambda1` while source 2 takes each grid value.
     """
-    grid = _check_grid(grid)
-    points = []
-    for family in families:
-        model = family_model(family, mean_service)
-        for lam2 in grid:
-            spec = SystemSpec(rates=(lambda1, lam2), services=(model, model))
-            points.append(SweepPoint(param=lam2, family=family, cc=analytics.aoi_correlation(spec)))
-    return points
+    return _sweep("lambda2", lambda1, mean_service, families, grid)
 
 
 def sweep_cc_vs_service_rate(
-    lambda1: float,
-    lambda2: float,
-    families=DEFAULT_FAMILIES,
-    grid=DEFAULT_SERVICE_RATE_GRID,
+    lambda1: float, lambda2: float, families=DEFAULT_FAMILIES, grid=DEFAULT_SERVICE_RATE_GRID
 ) -> list[SweepPoint]:
     """Age correlation against the common service rate 1/E[S], per family."""
-    grid = _check_grid(grid)
-    points = []
-    for family in families:
-        for rate in grid:
-            model = family_model(family, 1.0 / rate)
-            spec = SystemSpec(rates=(lambda1, lambda2), services=(model, model))
-            points.append(SweepPoint(param=rate, family=family, cc=analytics.aoi_correlation(spec)))
-    return points
+    return _sweep("service_rate", lambda1, lambda2, families, grid)
 
 
 def write_csv(target, header, rows) -> None:

@@ -11,7 +11,10 @@ arrays; the scalar `laplace(s)` is that formula at one point, so the
 closed forms read what the joint recursion and the CDF inversion read.
 
 Supported families: exponential, gamma, deterministic (point mass), and
-one-level finite mixtures of the former three.
+one-level finite mixtures of the former three.  Each names its config
+literal once, as its `literal` class attribute, with its dataclass fields
+in order as the literal's arguments; `parse_service` and `format_service`
+walk the table `_FAMILIES` of those that are not mixtures.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,6 +122,7 @@ class ServiceTimeModel:
 class Exponential(ServiceTimeModel):
     """Exponential service with rate mu: L(s) = mu / (mu + s)."""
 
+    literal = "exp"
     rate: float
 
     def __post_init__(self):
@@ -144,6 +148,7 @@ class Exponential(ServiceTimeModel):
 class Gamma(ServiceTimeModel):
     """Gamma service with shape alpha, rate mu: L(s) = (1 + s/mu)^(-alpha)."""
 
+    literal = "gamma"
     shape: float
     rate: float
 
@@ -154,7 +159,8 @@ class Gamma(ServiceTimeModel):
     def _laplace_array(self, z):
         # a complex power of a huge base is NaN, and a real one loses digits
         # as the shape grows; its logarithm does neither
-        return np.exp(-self.shape * np.log1p(z / self.rate))
+        log = np.log1p(z / self.rate)  # a Python float's product overflows to -inf with no warning
+        return np.exp(-self.shape * (float(log) if isinstance(z, float) else log))
 
     def _derivative(self, s):
         return -self.shape / (self.rate + s) * float(self._laplace_array(s))
@@ -170,6 +176,7 @@ class Gamma(ServiceTimeModel):
 class Deterministic(ServiceTimeModel):
     """Point mass at `value` >= 0: L(s) = exp(-s * value)."""
 
+    literal = "det"
     value: float
 
     def __post_init__(self):
@@ -200,6 +207,7 @@ class Mixture(ServiceTimeModel):
     exponential, gamma, or deterministic.
     """
 
+    literal = "mix"
     weights: tuple[float, ...]
     components: tuple[ServiceTimeModel, ...]
 
@@ -253,6 +261,7 @@ class Mixture(ServiceTimeModel):
 # distribution literals, as used by the config format
 
 
+_FAMILIES = {family.literal: family for family in (Exponential, Gamma, Deterministic)}  # the non-mixture ones
 _CALL_RE = re.compile(r"^\s*([A-Za-z_]+)\s*\((.*)\)\s*$", re.S)
 
 
@@ -281,15 +290,14 @@ def _split_args(body: str) -> list[str]:
 def parse_service(text: str) -> ServiceTimeModel:
     """Parse a distribution literal.
 
-    Grammar: ``exp(rate)``, ``gamma(shape, rate)``, ``det(value)``, and
-    ``mix(w1*lit1, w2*lit2, ...)`` where each inner literal is non-mix.
+    Grammar: ``name(args)`` with one number per field of its family in
+    `_FAMILIES`, and ``mix(w1*lit1, w2*lit2, ...)`` of non-mix literals.
     """
     m = _CALL_RE.match(text)
     if m is None:
         raise ValueError(f"bad distribution literal {text.strip()!r}; expected name(args)")
-    name = m.group(1).lower()
-    body = m.group(2)
-    if name == "mix":
+    name, body = m.group(1).lower(), m.group(2)
+    if name == Mixture.literal:
         weights, comps = [], []
         for part in _split_args(body):
             if "*" not in part:
@@ -298,36 +306,24 @@ def parse_service(text: str) -> ServiceTimeModel:
             weights.append(_parse_number(wtext, text))
             comp = parse_service(inner)
             if isinstance(comp, Mixture):
-                raise ValueError(f"nested mix() in {text.strip()!r}")
+                raise ValueError(f"nested {name}() in {text.strip()!r}")
             comps.append(comp)
         return Mixture(tuple(weights), tuple(comps))
-    args = [a for a in _split_args(body)]
-    if name == "exp":
-        if len(args) != 1:
-            raise ValueError(f"exp() takes 1 argument, got {len(args)} in {text.strip()!r}")
-        return Exponential(_parse_number(args[0], text))
-    if name == "gamma":
-        if len(args) != 2:
-            raise ValueError(f"gamma() takes 2 arguments, got {len(args)} in {text.strip()!r}")
-        return Gamma(_parse_number(args[0], text), _parse_number(args[1], text))
-    if name == "det":
-        if len(args) != 1:
-            raise ValueError(f"det() takes 1 argument, got {len(args)} in {text.strip()!r}")
-        return Deterministic(_parse_number(args[0], text))
-    raise ValueError(f"unknown distribution {name!r} in {text.strip()!r}")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown distribution {name!r} in {text.strip()!r}")
+    family, args = _FAMILIES[name], _split_args(body)
+    n = len(fields(family))
+    if len(args) != n:
+        raise ValueError(f"{name}() takes {n} argument{'s' * (n != 1)}, got {len(args)} in {text.strip()!r}")
+    return family(*(_parse_number(a, text) for a in args))
 
 
 def format_service(model: ServiceTimeModel) -> str:
     """Canonical literal for `model`; parse_service inverts it exactly."""
-    if isinstance(model, Exponential):
-        return f"exp({model.rate!r})"
-    if isinstance(model, Gamma):
-        return f"gamma({model.shape!r}, {model.rate!r})"
-    if isinstance(model, Deterministic):
-        return f"det({model.value!r})"
+    for family in _FAMILIES.values():
+        if isinstance(model, family):
+            return f"{family.literal}({', '.join(repr(getattr(model, f.name)) for f in fields(family))})"
     if isinstance(model, Mixture):
-        inner = ", ".join(
-            f"{w!r}*{format_service(c)}" for w, c in zip(model.weights, model.components)
-        )
-        return f"mix({inner})"
+        inner = ", ".join(f"{w!r}*{format_service(c)}" for w, c in zip(model.weights, model.components))
+        return f"{Mixture.literal}({inner})"
     raise TypeError(f"cannot format {type(model).__name__}")

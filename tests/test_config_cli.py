@@ -6,13 +6,14 @@ import shutil
 import subprocess
 import sys
 import time
+import tokenize
 import warnings
 from pathlib import Path
 
 import pytest
 
 import aoistats
-from aoistats import config, experiments, simulator
+from aoistats import cli, config, experiments, servicedist, simulator
 from aoistats.cli import main
 from aoistats.config import ConfigError, parse_config, render_config
 from aoistats.experiments import ComparisonRow
@@ -655,6 +656,51 @@ def test_cli_sweep_without_settings_exits_1(tmp_path, capsys):
     cfgfile = write_config(tmp_path, SIM_CFG)
     assert main(["sweep", "--config", str(cfgfile)]) == 1
     assert "sweep" in capsys.readouterr().err
+
+
+# at grid value 3e-235 both update rates underflow to 0 while each
+# completion probability stays positive
+UNDERFLOW_SWEEP = """
+sweep = service_rate
+sweep_lambda1 = 3.0e-235
+sweep_lambda2 = 3.2e-120
+sweep_grid = 3.0e-235, 9.9e-172, 9.2e7
+sweep_families = gamma(2)
+"""
+
+
+def test_sweep_through_underflowing_update_rates_is_refused(tmp_path, capsys):
+    message = "source 1: age moments are out of float64 range at update rate 0"
+    cfgfile = write_config(tmp_path, UNDERFLOW_SWEEP)
+    assert main(["sweep", "--config", str(cfgfile)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "Traceback" not in err
+    sw = parse_config(UNDERFLOW_SWEEP).sweep
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiments.sweep_cc_vs_service_rate(sw.lambda1, sw.lambda2, sw.families, sw.grid)
+
+
+def test_docs_config_tables_list_every_literal_and_sweep_kind():
+    doc = (ROOT / "docs" / "config.md").read_text()
+    sources = doc.split("## Sources", 1)[1].split("\n## ", 1)[0]
+    literals = set(re.findall(r"^\| `(\w+)\(", sources, re.M))
+    assert literals == set(servicedist._FAMILIES) | {servicedist.Mixture.literal}
+    sweep_row = re.search(r"^\| `sweep` \|(.*)$", doc, re.M).group(1)
+    assert set(re.findall(r"`(\w+)`", sweep_row)) == set(experiments._SWEEPS)
+
+
+def test_config_and_cli_name_no_sweep_kind():
+    # kinds live in experiments._SWEEPS: no string or comment of config.py
+    # or cli.py spells one as a word of its own, but for the SweepSettings
+    # field `lambda2` in config._KEYS, which shares the name of a kind
+    fields = [field for field, _ in config._KEYS.values()]
+    types = (tokenize.STRING, tokenize.COMMENT, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING))
+    for module in (config, cli):
+        with open(module.__file__) as fh:
+            text = [t.string for t in tokenize.generate_tokens(fh.readline) if t.type in types]
+        for kind in experiments._SWEEPS:
+            spelled = [t for t in text if re.search(rf"(?<!\w){kind}(?!\w)", t)]
+            assert len(spelled) == (fields.count(kind) if module is config else 0), (module.__name__, spelled)
 
 
 def console_script_commands(name="aoistats"):

@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +15,19 @@ from aoistats.analytics import (
     marginal_aoi_laplace,
     marginal_aoi_moments,
 )
+from aoistats import servicedist
 from aoistats.servicedist import (
     Deterministic,
     Exponential,
     Gamma,
     Mixture,
+    ServiceTimeModel,
     categorical,
     format_service,
     parse_service,
 )
 
+SERVICEDIST = Path(servicedist.__file__)
 FD_REL_TOL = 1e-6
 MC_DRAWS = 200_000
 
@@ -151,6 +156,8 @@ def test_transform_underflows_to_zero_without_warnings():
         warnings.simplefilter("error")
         for m in (Deterministic(2.0), Exponential(1e308), Gamma(2.0, 1e-9)):
             assert m.laplace(1e308) == 0.0 and m.laplace_derivative(1e308) == 0.0
+        # shape times log(1 + s/rate) overflows on the way to 0
+        assert Gamma(1e308, 1e-300).laplace(1.0) == 0.0 and Gamma(1e308, 1e-300).laplace_derivative(1.0) == 0.0
 
 
 def test_exponential_derivative_of_an_extreme_rate_is_finite():
@@ -410,6 +417,40 @@ def test_parse_service(text, expected):
 def test_parse_service_rejects(text):
     with pytest.raises(ValueError):
         parse_service(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("exp(1, 2)", "exp() takes 1 argument, got 2 in 'exp(1, 2)'"),
+        ("gamma(1)", "gamma() takes 2 arguments, got 1 in 'gamma(1)'"),
+        (" DET(1,2) ", "det() takes 1 argument, got 2 in 'DET(1,2)'"),
+        ("weibull(1)", "unknown distribution 'weibull' in 'weibull(1)'"),
+        ("mix(1.0*mix(1.0*exp(1)))", "nested mix() in 'mix(1.0*mix(1.0*exp(1)))'"),
+        ("gamma(2, x)", "bad number 'x' in distribution literal 'gamma(2, x)'"),
+    ],
+)
+def test_parse_service_error_wording(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_service(text)
+    assert str(info.value) == message
+
+
+def test_format_service_writes_the_family_of_a_subclass():
+    class Slow(Gamma):
+        literal = "slow"
+
+    assert format_service(Slow(2.0, 0.5)) == "gamma(2.0, 0.5)"
+    with pytest.raises(TypeError, match="^cannot format ServiceTimeModel$"):
+        format_service(ServiceTimeModel())
+
+
+def test_each_literal_name_is_written_once():
+    text = SERVICEDIST.read_text()
+    names = [family.literal for family in servicedist._FAMILIES.values()] + [Mixture.literal]
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert len(re.findall(f"[\"']{name}[\"'(]", text)) == 1, name
 
 
 @given(models())
