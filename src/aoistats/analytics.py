@@ -276,6 +276,10 @@ def aoi_covariance(spec: SystemSpec) -> float:
     """
     if spec.num_sources != 2:
         raise ValueError(f"covariance closed form needs exactly 2 sources, got {spec.num_sources}")
+    # refuses ages out of float64 range first: the departure rate below
+    # underflows to 0 with the update rates
+    for k in range(2):
+        marginal_aoi_moments(spec, k)
     lam = spec.total_rate
     total = math.fsum(m.laplace_derivative(lam) / m.laplace(lam) for m in spec.services)
     return total / departure_rate(spec)
@@ -283,10 +287,8 @@ def aoi_covariance(spec: SystemSpec) -> float:
 
 def aoi_correlation(spec: SystemSpec) -> float:
     """Correlation coefficient of (A_1, A_2); lies in [-1, 0]."""
-    # each positive and finite; checked first, since the covariance divides by a departure rate that underflows to 0
-    variances = [marginal_aoi_moments(spec, k).variance for k in range(spec.num_sources)]
-    cov = aoi_covariance(spec)  # refuses K != 2
-    v1, v2 = variances
+    cov = aoi_covariance(spec)  # refuses K != 2, and moments out of float64 range
+    v1, v2 = (marginal_aoi_moments(spec, k).variance for k in range(2))
     product = v1 * v2  # it can leave the normal floats where neither variance does
     return cov / (math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(v1) * math.sqrt(v2))
 

@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Subcommands: analytic (closed forms only), simulate (estimates with
-stderr), compare (simulation against closed forms with z-scores, exit 2
-on gate failure), sweep (correlation sweep tables).  All take a config
-file (docs/config.md); command-line flags override config values, and
-each subcommand accepts only the flags it reads.  Exit codes: 0 success,
+Each subcommand of `config._COMMANDS` runs through the function of this
+module named `_cmd_` and its name: closed forms only, estimates with
+stderr, simulation against closed forms with z-scores, or tables of the
+correlation along a parameter grid.  All take a config file
+(docs/config.md); command-line flags override config values, and each
+subcommand accepts only the flags it reads.  Exit codes: 0 success,
 1 usage/validation error, 2 comparison gate failure.
 """
 
@@ -16,11 +17,11 @@ import sys
 from pathlib import Path
 
 from . import analytics, experiments, simulator
-from .config import _KEYS, ConfigError, RunConfig, _read, _window, parse_config
+from .config import _COMMANDS, _KEYS, ConfigError, RunConfig, _read, _window, parse_config
 
 __all__ = ["main", "entrypoint"]
 
-# config keys that simulate and compare also take as flags
+# config keys that each subcommand which runs the simulator also takes as flags
 _RUN_FLAGS = ("seed", "horizon", "replications", "burn_in")
 
 
@@ -30,30 +31,25 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; this CLI reserves 2 for the
-    # compare gate, so map usage problems to exit 1 instead
+    # comparison gate, so map usage problems to exit 1 instead
     def error(self, message):
         raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="aoistats", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="{analytic,simulate,compare,sweep}")
-    for name, helptext in [
-        ("analytic", "print closed-form statistics"),
-        ("simulate", "run the simulator and print estimates"),
-        ("compare", "check simulation against the closed forms"),
-        ("sweep", "tabulate the correlation coefficient along a parameter grid"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
+    sub = parser.add_subparsers(dest="command", metavar="{" + ",".join(_COMMANDS) + "}")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", required=True, type=Path, help="configuration file")
         p.add_argument("--output", type=Path, help="CSV output path (overrides config)")
-        if name in ("simulate", "compare"):
+        if command.runs:
             p.add_argument("--seed", help="RNG seed (overrides config)")
             p.add_argument("--horizon", help="simulated time per replication")
             p.add_argument("--replications", help="number of replications")
             p.add_argument("--burn-in", dest="burn_in", help="warm-up span discarded per replication")
             p.add_argument("--workers", type=int, default=1, help="parallel replication processes")
-        if name == "simulate":
+        if command.traces:
             p.add_argument("--trace", type=Path, help="write an event trace CSV for replication 0")
     return parser
 
@@ -63,7 +59,7 @@ def _load_config(args) -> RunConfig:
     cfg = parse_config(text)
     if args.output is not None:
         cfg.output = str(args.output)
-    if args.command not in ("simulate", "compare"):
+    if not _COMMANDS[args.command].runs:
         return cfg
     # each flag is read as its config key is, and reported under the flag's name
     errors: list[str] = []
@@ -113,8 +109,8 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _cmd_analytic(cfg: RunConfig) -> int:
-    spec = _require_spec(cfg, "analytic")
+def _cmd_analytic(cfg: RunConfig, args) -> int:
+    spec = _require_spec(cfg, args.command)
     header = ("quantity", "value")
     s_grid = cfg.s_grid or simulator.default_s_grid(spec.num_sources)
     rows = analytics.analytic_quantities(spec, s_grid).items()
@@ -125,8 +121,8 @@ def _cmd_analytic(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
-    spec = _require_spec(cfg, "simulate")
+def _cmd_simulate(cfg: RunConfig, args) -> int:
+    spec = _require_spec(cfg, args.command)
     report = simulator.simulate(
         spec,
         horizon=cfg.horizon,
@@ -134,11 +130,11 @@ def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
         replications=cfg.replications,
         seed=cfg.seed,
         s_grid=cfg.s_grid or None,
-        workers=workers,
-        trace_path=trace,
+        workers=args.workers,
+        trace_path=args.trace,
     )
-    if trace is not None:
-        print(f"wrote event trace {trace}")
+    if args.trace is not None:
+        print(f"wrote event trace {args.trace}")
     print(
         f"simulated {report.replications} replications, horizon {report.horizon:g}, "
         f"burn-in {report.burn_in:g}, seed {report.seed}"
@@ -152,8 +148,8 @@ def _cmd_simulate(cfg: RunConfig, workers: int, trace) -> int:
     return 0
 
 
-def _cmd_compare(cfg: RunConfig, workers: int) -> int:
-    spec = _require_spec(cfg, "compare")
+def _cmd_compare(cfg: RunConfig, args) -> int:
+    spec = _require_spec(cfg, args.command)
     rows, passed, attempts = experiments.compare_with_retry(
         spec,
         horizon=cfg.horizon,
@@ -161,7 +157,7 @@ def _cmd_compare(cfg: RunConfig, workers: int) -> int:
         replications=cfg.replications,
         seed=cfg.seed,
         s_grid=cfg.s_grid or None,
-        workers=workers,
+        workers=args.workers,
     )
     table = [
         (r.quantity, _fmt(r.analytic), _fmt(r.simulated), _fmt(r.stderr), _fmt(r.z),
@@ -180,10 +176,10 @@ def _cmd_compare(cfg: RunConfig, workers: int) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
+def _cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         kinds = " | ".join(experiments._SWEEPS)
-        raise ConfigError([f"sweep: the config must define sweep settings (sweep = {kinds})"])
+        raise ConfigError([f"{args.command}: the config must define sweep settings (sweep = {kinds})"])
     sw = cfg.sweep
     kind = experiments._SWEEPS[sw.kind]
     families = sw.families or experiments.DEFAULT_FAMILIES
@@ -196,6 +192,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.output:
         print(f"wrote {cfg.output}")
     return 0
+
+
+_HANDLERS = {name: globals()[f"_cmd_{name}"] for name in _COMMANDS}
 
 
 def main(argv=None) -> int:
@@ -213,13 +212,7 @@ def main(argv=None) -> int:
             raise _UsageError("a subcommand is required")
         cfg = _load_config(args)
         _check_output_paths(("output", cfg.output), ("--trace", getattr(args, "trace", None)))
-        if args.command == "analytic":
-            return _cmd_analytic(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args.workers, args.trace)
-        if args.command == "compare":
-            return _cmd_compare(cfg, args.workers)
-        return _cmd_sweep(cfg)
+        return _HANDLERS[args.command](cfg, args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

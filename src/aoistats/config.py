@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,9 +22,24 @@ from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
 
 __all__ = ["RunConfig", "SweepSettings", "ConfigError", "parse_config", "render_config"]
 
-_COMMANDS = ("analytic", "simulate", "compare", "sweep")
 _LOGSPACE = re.compile(r"^logspace\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 _MAX_LOGSPACE_POINTS = 10_000  # the largest n of sweep_grid = logspace(lo, hi, n)
+
+
+class _Command(NamedTuple):
+    help: str
+    runs: bool  # takes --seed, --horizon, --replications, --burn-in and --workers
+    traces: bool  # takes --trace
+
+
+# each subcommand, a value of the `command` key: its help line and the
+# flags it takes beyond --config and --output
+_COMMANDS = {
+    "analytic": _Command("print closed-form statistics", runs=False, traces=False),
+    "simulate": _Command("run the simulator and print estimates", runs=True, traces=True),
+    "compare": _Command("check simulation against the closed forms", runs=True, traces=False),
+    "sweep": _Command("tabulate the correlation coefficient along a parameter grid", runs=False, traces=False),
+}
 
 
 class ConfigError(ValueError):
@@ -153,7 +169,7 @@ def _families(text: str) -> tuple[str, ...]:
 
 # every key but `source`: its RunConfig field (SweepSettings for sweep*) and reader
 _KEYS = {
-    "command": ("command", _one_of("command", _COMMANDS)),
+    "command": ("command", _one_of("command", tuple(_COMMANDS))),
     "horizon": ("horizon", _positive),
     "burn_in": ("burn_in", _nonnegative),
     "replications": ("replications", _replications),

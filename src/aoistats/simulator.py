@@ -59,6 +59,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -896,6 +897,35 @@ def _run_one(args) -> ReplicationResult:
     return run_replication(*args)
 
 
+# the pool that parallel runs reuse: None, or (pid of the process that
+# made it, its worker count, the executor)
+_pool = None
+
+
+def _map_in_pool(workers: int, args) -> list[ReplicationResult]:
+    """`_run_one` over `args` in this process's pool of `workers` workers.
+
+    The pool is made on first use and kept for later calls.  One of
+    another worker count is shut down before the new one forks, and one
+    inherited through fork is dropped untouched, since its workers serve
+    the process that made it.  A broken pool is dropped and the error
+    raised, so the next call makes a new one.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is not None and _pool[:2] != (pid, workers):
+        if _pool[0] == pid:
+            _pool[2].shutdown()
+        _pool = None
+    if _pool is None:
+        _pool = (pid, workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        return list(_pool[2].map(_run_one, args))
+    except BrokenProcessPool:
+        _pool = None
+        raise
+
+
 def run_replications(
     spec: SystemSpec,
     horizon: float,
@@ -912,10 +942,12 @@ def run_replications(
 
     At most min(workers, replications, usable CPUs) processes start, the
     CPUs being those this process may run on; results do not depend on
-    how many do.  Each replication runs in blocks of arrivals, so the
-    memory of a run does not grow with the horizon, and every result is
-    fixed-size, a worker's as a serial one's: `records` are built where
-    they are read (see `ReplicationResult`).
+    how many do.  The worker processes stay alive for later parallel runs
+    of this process with the same count, and end when it exits.  Each
+    replication runs in blocks of arrivals, so the memory of a run does
+    not grow with the horizon, and every result is fixed-size, a worker's
+    as a serial one's: `records` are built where they are read (see
+    `ReplicationResult`).
     Replication 0 writes its event trace to `trace_path` when one is given
     (see run_replication).
     """
@@ -930,8 +962,7 @@ def run_replications(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(workers, replications, cpus)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, args))
+        return _map_in_pool(workers, args)
     return [_run_one(a) for a in args]
 
 

@@ -103,6 +103,16 @@ def test_moments_out_of_float64_range_name_the_source():
         assert 0.0 < joint_aoi_laplace(spec, (1.0, 0.0)) < 1.0
 
 
+def test_covariance_refuses_update_rates_that_underflow():
+    # both update rates underflow to 0, and so does the departure rate the
+    # covariance divides by
+    gamma = Gamma(2.0, 2.0 * 3e-235)
+    spec = SystemSpec(rates=(3e-235, 3.2e-120), services=(gamma, gamma))
+    for quantity in (aoi_covariance, aoi_correlation):
+        with pytest.raises(ValueError, match="^source 1: age moments are out of float64 range at update rate 0$"):
+            quantity(spec)
+
+
 def test_correlation_of_tiny_variances_is_finite():
     # each variance is near 1e-200, so their product underflows
     spec = SystemSpec(rates=(1e100, 1e100), services=(Exponential(1e100),) * 2)

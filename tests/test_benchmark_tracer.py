@@ -28,9 +28,12 @@ def load_tracer():
     return module
 
 
-def test_traced_replications_and_estimators_run():
+def test_traced_replications_and_estimators_run(monkeypatch):
     system = SystemSpec(rates=(2.0, 1.0), services=(Gamma(2.0, 8.0), Deterministic(0.2)))
     originals = (simulator.estimate_palm, simulator.run_replications, simulator.PathAccumulator.add_segments)
+    # workers forked while the tracer is installed keep its wrappers, so
+    # their pool serves this test only
+    monkeypatch.setattr(simulator, "_pool", None)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
@@ -44,6 +47,8 @@ def test_traced_replications_and_estimators_run():
     finally:
         tracer.recording = False
         tracer.uninstall()
+        if simulator._pool is not None:
+            simulator._pool[2].shutdown()
     assert (simulator.estimate_palm, simulator.run_replications, simulator.PathAccumulator.add_segments) == originals
     assert palm["departure_rate"].value > 0 and np.all(np.diff(empirical) >= 0)
     assert [len(r.records) for r in serial] == [len(r.records) for r in results]

@@ -3,6 +3,7 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -419,11 +420,8 @@ class _InProcessPool:
     def __init__(self, max_workers):
         pass
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self):
+        pass
 
     def map(self, fn, args):
         return map(fn, args)
@@ -451,6 +449,8 @@ def test_cli_simulate_trace_is_replication_0_of_the_run(workers, tmp_path, capsy
         return run_replication(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "run_replication", recording)
+    # the pool reused by parallel runs is set aside for this test only
+    monkeypatch.setattr(simulator, "_pool", None)
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
     trace.unlink()
@@ -458,6 +458,32 @@ def test_cli_simulate_trace_is_replication_0_of_the_run(workers, tmp_path, capsy
     assert calls == list(range(cfg.replications))
     assert capsys.readouterr().out == first
     assert trace.read_bytes() == expected.read_bytes()
+
+
+def test_cli_compare_workers_end_with_the_process(tmp_path):
+    cfgfile = write_config(tmp_path, SIM_CFG)
+    # the subprocess imports the package this test imported, may use 2
+    # CPUs, and prints the pids of its pool's workers after the run
+    package_parent = str(Path(aoistats.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+    script = (
+        "import multiprocessing, os, sys; from aoistats.cli import main; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
+        f"code = main(['compare', '--config', {str(cfgfile)!r}, '--workers', '2']); "
+        "print(*[p.pid for p in multiprocessing.active_children()]); sys.exit(code)"
+    )
+    ran = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    pids = [int(pid) for pid in ran.stdout.splitlines()[-1].split()]
+    # a worker that outlived the subprocess is killed here, and fails the test
+    alive = []
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            alive.append(pid)
+        except ProcessLookupError:
+            pass
+    assert ran.returncode == 0 and len(pids) == 2 and alive == []
 
 
 def test_cli_compare_pass_and_fail(tmp_path, capsys, monkeypatch):
@@ -701,6 +727,19 @@ def test_config_and_cli_name_no_sweep_kind():
         for kind in experiments._SWEEPS:
             spelled = [t for t in text if re.search(rf"(?<!\w){kind}(?!\w)", t)]
             assert len(spelled) == (fields.count(kind) if module is config else 0), (module.__name__, spelled)
+
+
+def test_cli_names_no_subcommand():
+    # subcommands live in config._COMMANDS: no string or comment of cli.py
+    # spells one as a word of its own, but for the `analytic` column of the
+    # comparison table and the message that names the `sweep` key
+    allowed = {"analytic": 1, "sweep": 1}
+    types = (tokenize.STRING, tokenize.COMMENT, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING))
+    with open(cli.__file__) as fh:
+        text = [t.string for t in tokenize.generate_tokens(fh.readline) if t.type in types]
+    for name in config._COMMANDS:
+        spelled = [t for t in text if re.search(rf"(?<!\w){name}(?!\w)", t)]
+        assert len(spelled) == allowed.get(name, 0), (name, spelled)
 
 
 def console_script_commands(name="aoistats"):

@@ -1,8 +1,13 @@
 import csv
 import dataclasses
 import math
+import multiprocessing
+import os
 import pickle
+import signal
+import time
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -1181,17 +1186,85 @@ def test_worker_pool_is_capped(monkeypatch):
         def __init__(self, max_workers):
             started.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            pass
 
         def map(self, fn, args):
             return map(fn, args)
 
+    # the pool reused by parallel runs is set aside for this test only
+    monkeypatch.setattr(simulator, "_pool", None)
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     for workers, replications in ((8, 2), (8, 5), (2, 5), (1, 5)):
         run_replications(SYMMETRIC, 50.0, 5.0, replications, 1, ((1.0, 1.0),), workers=workers)
     assert started == [2, 3, 2]
+
+
+POOL_ARGS = (SYMMETRIC, 200.0, 5.0, 3, 1, ((1.0, 1.0),))
+
+
+def pool_workers():
+    return sorted(multiprocessing.active_children(), key=lambda p: p.pid)
+
+
+def test_parallel_runs_reuse_the_worker_processes(monkeypatch):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+    run_replications(*POOL_ARGS, workers=2)
+    first = [p.pid for p in pool_workers()]
+    run_replications(*POOL_ARGS, workers=2)
+    assert len(first) == 2 and [p.pid for p in pool_workers()] == first
+
+
+def test_pool_of_another_worker_count_replaces_the_workers(monkeypatch):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+    run_replications(*POOL_ARGS, workers=2)
+    old = pool_workers()
+    # the cached pool is relabelled as one of 3 workers, so that no test
+    # starts more than 2
+    pid, _, executor = simulator._pool
+    simulator._pool = (pid, 3, executor)
+    run_replications(*POOL_ARGS, workers=2)
+    new = pool_workers()
+    assert len(old) == len(new) == 2 and not {p.pid for p in old} & {p.pid for p in new}
+    assert not any(p.is_alive() for p in old)
+
+
+def test_broken_pool_raises_once_and_is_replaced(monkeypatch):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+    serial = run_replications(*POOL_ARGS, workers=1)
+    run_replications(*POOL_ARGS, workers=2)
+    os.kill(pool_workers()[0].pid, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        run_replications(*POOL_ARGS, workers=2)
+    for a, b in zip(run_replications(*POOL_ARGS, workers=2), serial, strict=True):
+        assert_same_replication(a, b)
+
+
+def test_forked_child_starts_its_own_pool(monkeypatch):
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+    serial = run_replications(*POOL_ARGS, workers=1)
+    run_replications(*POOL_ARGS, workers=2)
+    inherited = {p.pid for p in pool_workers()}
+    child = os.fork()
+    if child == 0:
+        # the child never returns to pytest: it exits 0 only if its run
+        # matched the serial one on 2 workers of its own
+        code = 1
+        try:
+            results = run_replications(*POOL_ARGS, workers=2)
+            own = {p.pid for p in pool_workers()} - inherited
+            for a, b in zip(results, serial, strict=True):
+                assert_same_replication(a, b)
+            simulator._pool[2].shutdown()
+            code = 0 if len(own) == 2 else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(child, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+        pytest.fail("the forked child's parallel run hung")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
