@@ -43,11 +43,12 @@ def categorical(u, cum) -> np.ndarray:
     """Category of each uniform `u` for cumulative shares `cum`: the number
     of cum[:-1] at or below it, by len(cum) - 1 comparisons.  This is the
     right-sided search of `cum` capped at its last index, so a share total
-    rounded below 1 never yields an index past the end."""
-    idx = np.zeros(np.shape(u), dtype=np.int64)
+    rounded below 1 never yields an index past the end.  The count runs in
+    the narrowest integer type that holds it and is returned as int64."""
+    idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(cum) - 1))
     for c in cum[:-1]:
         idx += u >= c
-    return idx
+    return idx.astype(np.int64)
 
 
 def _parameter(value, what: str, bound: str = "positive") -> float:

@@ -5,24 +5,27 @@ service requirement and the gap to the next arrival: an arrival always
 enters service immediately and departs iff its service fits in that gap
 (a tie counts as a departure).  Path generation therefore vectorizes:
 arrival epochs come from one superposed exponential clock, sources from
-one categorical draw per arrival (K - 1 comparisons with the cumulative
-shares), and the departure set is a thinning read by index and slice:
-service draws are scattered to each source's arrival indices, the
-departures are gathered once by theirs, and since departure epochs never
-decrease, the horizon cut and the burn-in window are slices; pushout
-counts follow from the departure indices.  Between departures every age
-grows with slope one, so the path integrals (exponential functionals for
-transforms, polynomial ones for moments) are accumulated segment by
-segment in closed form; nothing is discretized.  Each source's age after
-every departure is read off its own update sequence: its last update is
-one value repeated over the run of departures up to its next delivery,
-with no search.  For empirical CDFs a source's age is one ramp from each
-of its updates to the next, and occupancy below each level of a CDF grid
-is a cumulative sum, over the sorted grid, of each cell's overlap with
-the ramps: O(n_k + m) per source for its n_k window deliveries and m
-levels, since a bucket table built per source from the grid places the
-ramp starts and ends on it, with a binary search only for a key whose
-bucket holds two or more levels.
+one categorical draw per arrival, and the departure set is a thinning
+read by index and slice: each source's service draws go to its arrival
+indices, the departures are gathered once by theirs, and since departure
+epochs never decrease, the horizon cut and the burn-in window are slices;
+pushout counts follow from the departure indices.  A block's arrivals,
+and then its departures, are split by source once: by one scan per
+source for a few sources, and from _GROUP_SOURCES on by one stable radix
+sort of the source codes, which costs O(n), not O(K n).
+Between departures every age grows with slope one, so the path integrals
+(exponential functionals for transforms, polynomial ones for moments)
+are accumulated segment by segment in closed form; nothing is
+discretized.  Each source's age after every departure is read off its
+own update sequence: its last update is one value repeated over the run
+of departures up to its next delivery, with no search.  For empirical
+CDFs a source's age is one ramp from each of its updates to the next,
+and occupancy below each level of a CDF grid is a cumulative sum, over
+the sorted grid, of each cell's overlap with the ramps: O(n_k + m) per
+source for its n_k window deliveries and m levels, since a bucket table
+built per source from the grid places the ramp starts and ends on it,
+with a binary search only for a key whose bucket holds two or more
+levels.
 
 A path is generated and reduced in blocks of _BLOCK arrivals, so memory
 does not grow with the horizon.  A block settles each packet whose
@@ -105,6 +108,12 @@ _BLOCK = 2**15
 # segment rows per `add_segments` call, small enough that OpenBLAS keeps
 # each product on one thread
 _SEGMENT_ROWS = 4096
+# sources from which a block's packets are grouped by source with one
+# sort instead of one scan per source (see `_by_source`).  Per 2^15
+# arrivals the sort costs about what 4 scans do; over whole replications
+# of the first K sources of the `gate-k8-par` benchmark system, grouping
+# was slower up to K = 5 and faster from K = 6 on
+_GROUP_SOURCES = 6
 # service draws per refill of a source's stream: part of the stream
 # layout, so changing it changes the draws of a mixture
 _SERVICE_CHUNK = 4096
@@ -204,9 +213,15 @@ class PathAccumulator:
             self.cdf_occupancy = None
 
     def add_segments(self, ages: np.ndarray, lengths: np.ndarray) -> None:
-        """Vectorized bulk accumulation of the transform and moment
-        integrals and the elapsed time; rows of `ages` are segment starts,
-        every age and length finite.  Occupancy is added by `add_ramps`.
+        """Add n segments to the transform and moment integrals and the
+        elapsed time; rows of `ages` are segment starts, every age and
+        length finite.  Occupancy is added by `add_ramps`.
+
+        On a segment of length L from ages a, exp(-s . A) integrates to
+        exp(-s . a) (1 - exp(-sbar L)) / sbar for sbar = sum(s) > 0, and to
+        L for sbar = 0.  All rows s with sbar > 0 are taken at once: one
+        product of those rows with the ages, one exp of it, one expm1 of
+        the table of sbar L and one row-wise dot.
         """
         ages = np.asarray(ages, dtype=float)
         lengths = np.asarray(lengths, dtype=float)
@@ -221,14 +236,20 @@ class PathAccumulator:
         total = float(lengths.sum())
         L = lengths
         L2 = L * L
-        for j, row in enumerate(self.s_grid):
-            svec = np.array(row)
-            sbar = float(svec.sum())
-            if sbar == 0.0:
-                self.exp_integrals[j] += total
-            else:
-                w = np.exp(-(ages @ svec))
-                self.exp_integrals[j] += float(w @ (-np.expm1(-sbar * L))) / sbar
+        s = np.array(self.s_grid).reshape(-1, self.num_sources)
+        sbar = s.sum(axis=1)
+        flat = sbar == 0.0
+        self.exp_integrals[flat] += total
+        live = ~flat
+        if live.any():
+            s, sbar = s[live], sbar[live]
+            w = s @ ages.T  # s . a for every row and segment
+            np.negative(w, out=w)
+            np.exp(w, out=w)
+            decay = np.multiply.outer(-sbar, L)
+            np.expm1(decay, out=decay)  # -(1 - exp(-sbar L))
+            self.exp_integrals[live] -= np.einsum("jn,jn->j", w, decay) / sbar
+            del w, decay  # freed before the moment products allocate theirs
         self.age_integrals += ages.T @ L + L2.sum() / 2.0
         colsum_L2 = ages.T @ L2
         self.cross_integrals += (
@@ -521,6 +542,20 @@ class _ServiceDraws:
         return out
 
 
+def _by_source(src: np.ndarray, K: int) -> list[np.ndarray]:
+    """Each source's positions in `src`, in order: np.flatnonzero(src == k)
+    for k in range(K).  Below _GROUP_SOURCES sources that is what runs;
+    from it on, one stable sort of the source codes in the narrowest
+    unsigned type that holds them (8-bit up to 256 sources), which numpy
+    sorts by radix, groups them all in O(n) and a bincount bounds each
+    group."""
+    if K < _GROUP_SOURCES:
+        return [np.flatnonzero(src == k) for k in range(K)]
+    order = np.argsort(src.astype(np.min_scalar_type(K - 1)), kind="stable")
+    bounds = np.cumsum(np.bincount(src, minlength=K)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0, *bounds], bounds)]
+
+
 def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
     """One replication's path from its Philox streams, as `_Block`s that
     each draw _BLOCK arrivals, the last cut at the horizon."""
@@ -548,8 +583,7 @@ def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
         epoch, following = epochs[first:stop], epochs[first + 1 : stop + 1]
         src = categorical(rng_src.random(epoch.size), shares)
         svc = np.empty(epoch.size)
-        for k, draws in enumerate(services):
-            own = np.flatnonzero(src == k)
+        for draws, own in zip(services, _by_source(src, len(services))):
             svc[own] = draws.take(own.size)
         done = np.flatnonzero(svc <= following - epoch)  # a tie still departs
         delay = svc[done]
@@ -582,6 +616,15 @@ class _Reduction:
         self.source_sums = np.zeros((4, K))
         # arrivals, departures, pushouts, and each of them in the window
         self.tally = np.zeros(6, dtype=np.int64)
+        # room for a block's table of each source's age at each closed
+        # segment's start (a block closes at most _BLOCK + 1 segments),
+        # twice over.  The table is freed when the replication ends, and
+        # glibc keeps the free top of its heap only while that stays below
+        # twice the largest chunk it has unmapped: with room for one block
+        # the pool workers of the `gate-k8-par` benchmark gave back and
+        # faulted in again about 470-850 pages per replication, with room
+        # for two about 1.  Rows never written take no memory.
+        self.ages = np.empty(2 * K * (_BLOCK + 1))
 
     def add(self, blk: _Block) -> None:
         horizon, burn_in, acc = self.horizon, self.burn_in, self.accumulator
@@ -604,28 +647,27 @@ class _Reduction:
         points = np.concatenate([[self.segment], w_epoch[: n_seg - 1]])
         ends = np.append(points[1:], horizon) if blk.last else points[1:]
         n_rows = ends.size
-        ages = np.empty((self.K, n_rows))  # each source's age at each closed segment's start
-        for k in range(self.K):
+        ages = self.ages[: self.K * n_rows].reshape(self.K, n_rows)  # one row per source
+        for k, own in enumerate(_by_source(dep_src, self.K)):
             # source k's updates with its last one before the block prepended
-            own = np.flatnonzero(dep_src == k)
             Uk = np.concatenate([[self.update[k]], dep_epoch[own]])
             Dk = np.concatenate([[self.delay[k]], dep_delay[own]])
             pk = Dk[:-1] + np.diff(Uk)
-            if own.size and self.first[k] == math.inf:
-                pk[0] = np.nan  # a first-ever update peaks against the start state
-                self.first[k] = Uk[1]
             w = 1 + int(np.searchsorted(own, b))  # Uk[w:] lie in the window
+            peaks = pk.size - (w - 1)  # those of pk[w - 1:]
+            if own.size and self.first[k] == math.inf:
+                # a first-ever update peaks against the start state: it
+                # has no peak, so it adds 0 to the sum and none to the count
+                pk[0] = 0.0
+                peaks -= w == 1
+                self.first[k] = Uk[1]
             at = own[w - 1 :] - b  # window positions of its window deliveries
-            self.source_sums[:, k] += (
-                Uk.size - w,
-                Dk[w:].sum(),
-                np.nansum(pk[w - 1 :]),
-                np.isfinite(pk[w - 1 :]).sum(),
-            )
+            self.source_sums[:, k] += (Uk.size - w, Dk[w:].sum(), pk[w - 1 :].sum(), peaks)
             # its last update is Uk[w - 1] up to its first window delivery,
             # then each of those in turn: one run of points per update
             runs = np.diff(np.concatenate([[0], np.minimum(at + 1, n_rows), [n_rows]]))
-            ages[k] = np.repeat(Dk[w - 1 :], runs) + (points[:n_rows] - np.repeat(Uk[w - 1 :], runs))
+            np.subtract(points[:n_rows], np.repeat(Uk[w - 1 :], runs), out=ages[k])
+            ages[k] += np.repeat(Dk[w - 1 :], runs)
             if acc.cdf_grid is not None:
                 # its age ramps from burn-in or its last update, whichever is
                 # later, then from each window delivery, to its next delivery;

@@ -113,6 +113,24 @@ def test_covariance_refuses_update_rates_that_underflow():
             quantity(spec)
 
 
+def test_correlation_takes_each_source_moments_once(monkeypatch):
+    calls = []
+    moments = analytics.marginal_aoi_moments
+
+    def counting(spec, k):
+        calls.append(k)
+        return moments(spec, k)
+
+    monkeypatch.setattr(analytics, "marginal_aoi_moments", counting)
+    assert aoi_correlation(SYMMETRIC) == pytest.approx(-1.0 / 6.0, rel=1e-15)
+    assert calls == [0, 1]
+    calls.clear()
+    stats = aoi_statistics(SYMMETRIC)
+    assert stats.correlation[0, 1] == aoi_correlation(SYMMETRIC)
+    assert stats.covariance[0, 1] == aoi_covariance(SYMMETRIC)
+    assert calls == [0, 1] + [0, 1] * 2  # the statistics, then each closed form
+
+
 def test_correlation_of_tiny_variances_is_finite():
     # each variance is near 1e-200, so their product underflows
     spec = SystemSpec(rates=(1e100, 1e100), services=(Exponential(1e100),) * 2)

@@ -323,14 +323,17 @@ def searchsorted_mixture_sample(model, rng, size):
     return out
 
 
-@pytest.mark.parametrize("weights", [(1.0,), (0.5, 0.5), (0.7, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)])
+@pytest.mark.parametrize(
+    "weights", [(1.0,), (0.5, 0.5), (0.7, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), (1.0 / 300,) * 300]
+)
 def test_categorical_is_the_capped_search(weights):
     # (0.7, 0.2, 0.1) sums to 0.9999999999999999: a uniform above that
-    # still picks the last category
+    # still picks the last category; 300 categories overflow an 8-bit count
     cum = np.cumsum(weights)
     u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 0.0), np.linspace(0.0, 1.0, 101)[:-1]])
     u = u[u < 1.0]
-    assert np.array_equal(categorical(u, cum), searchsorted_category(u, cum))
+    got = categorical(u, cum)
+    assert got.dtype == np.int64 and np.array_equal(got, searchsorted_category(u, cum))
     assert [int(categorical(v, cum)) for v in u] == searchsorted_category(u, cum).tolist()
 
 

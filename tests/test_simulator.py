@@ -563,6 +563,63 @@ def test_results_do_not_depend_on_the_block_size(block, burn_in, cdf_grid, monke
             np.testing.assert_allclose(getattr(acc, name), getattr(ref, name), rtol=1e-12, atol=0.0, err_msg=name)
 
 
+@pytest.mark.parametrize("K", [2, 3, 8, 16])
+def test_grouped_and_scanned_sources_give_the_same_replication(K, monkeypatch, tmp_path):
+    # the last source is rare, so it misses some blocks of 64 arrivals
+    families = (Exponential(6.0), Mixture((0.5, 0.5), (Exponential(10.0), Deterministic(0.1))), Gamma(2.0, 12.0))
+    rates = tuple(3.0 * 0.75**k for k in range(K - 1)) + (0.05,)
+    spec = SystemSpec(rates=rates, services=tuple(families[k % 3] for k in range(K)))
+    monkeypatch.setattr(simulator, "_BLOCK", 64)
+    monkeypatch.setattr(simulator, "_SEGMENT_ROWS", 21)
+    horizon, seed = 150.0, 5
+    blocks = list(simulator._path(spec, horizon, seed, 0))
+    assert len(blocks) > 3
+    assert any((np.bincount(blk.source, minlength=K) == 0).any() for blk in blocks)
+    args = (spec, horizon, 7.3, seed, 0, default_s_grid(K), np.linspace(0.0, 3.0, 7))
+    runs, traces = [], []
+    for grouped in (False, True):
+        monkeypatch.setattr(simulator, "_GROUP_SOURCES", K if grouped else K + 1)
+        trace = tmp_path / f"grouped-{grouped}.csv"
+        run = run_replication(*args, trace_path=trace)
+        run.records  # built from the path while this split is in force
+        runs.append(run)
+        traces.append(trace.read_bytes())
+    assert_same_replication(*runs)
+    assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 300])  # 300 codes need 16 bits
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_sources_split_as_one_scan_each(K, n, monkeypatch):
+    src = np.random.default_rng(K + n).integers(0, K, n)
+    src[: n // 2] = K - 1  # and some sources have no position
+    want = [np.flatnonzero(src == k) for k in range(K)]
+    for threshold in (K, K + 1):
+        monkeypatch.setattr(simulator, "_GROUP_SOURCES", threshold)
+        got = simulator._by_source(src, K)
+        assert len(got) == K
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("burn_in", [5.0, 10.0], ids=["first-in-window", "first-before-burn-in"])
+def test_first_delivery_in_a_later_block_has_no_peak(burn_in, monkeypatch):
+    # seed 1 first delivers from the rare source at about 9.1, in the
+    # second block of 16 arrivals, and delivers from it a few times more
+    spec = SystemSpec(rates=(3.0, 0.1), services=(Exponential(6.0), Exponential(6.0)))
+    monkeypatch.setattr(simulator, "_BLOCK", 16)
+    args = (spec, 40.0, burn_in, 1)
+    delivers = [(blk.dep_source == 1).any() for blk in simulator._path(spec, 40.0, 1, 0)]
+    assert delivers.index(True) > 0 and 2 <= sum(delivers)
+    got, want = run_replication(*args), mask_thinned_replication(*args)
+    assert (1 in got.late_sources) == (burn_in == 5.0)
+    assert got.late_sources == want.late_sources
+    # fewer than 8 terms: both sums add them one by one in the same order
+    assert np.array_equal(got.source_sums[:, 1], want.source_sums[:, 1])
+    # a first-ever delivery in the window is the one without a peak
+    deliveries, peaks = got.source_sums[[0, 3], 1]
+    assert deliveries >= 2 and peaks == deliveries - (burn_in == 5.0)
+
+
 def test_peak_memory_does_not_grow_with_the_horizon():
     # a full block of arrivals by the shorter horizon, a hundred by the longer
     rate = 0.55 * simulator._BLOCK / 1e4
