@@ -35,7 +35,6 @@ __all__ = [
     "departure_rate",
     "pushout_rate",
     "source_update_share",
-    "aggregate_service_laplace",
     "marginal_aoi_laplace",
     "marginal_aoi_moments",
     "palm_means",
@@ -117,13 +116,9 @@ def _check_source_index(k, num_sources: int) -> int:
     return k
 
 
-def aggregate_service_laplace(spec: SystemSpec, s: float) -> float:
-    """Transform of the service law of a typical packet (rate-weighted mix)."""
-    return math.fsum(r * m.laplace(s) for r, m in zip(spec.rates, spec.services)) / spec.total_rate
-
-
 def departure_rate(spec: SystemSpec) -> float:
-    """Long-run rate of delivered packets, lambda * L_S(lambda).
+    """Long-run rate of delivered packets, lambda * L_S(lambda), for L_S
+    the rate-weighted mix of the L_k, the service law of a typical packet.
 
     Equivalently sum_k lambda_k L_k(lambda): each arrival survives with
     probability equal to its service transform at the aggregate rate.

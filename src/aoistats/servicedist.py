@@ -3,8 +3,8 @@
 The analytic side of the package expresses every quantity through the
 transforms L_k(s) = E[exp(-s*S_k)] of the per-source service laws, while
 the simulator needs exact draws from the same laws.  Each family here
-provides both, plus the exact first transform derivative and the exact
-mean, so the two sides share a single model object.
+provides both, plus the exact first transform derivative, whose value at
+0 gives the mean, so the two sides share a single model object.
 
 Each family writes its transform once, elementwise over real or complex
 arrays; the scalar `laplace(s)` is that formula at one point, so the
@@ -99,8 +99,8 @@ class ServiceTimeModel:
         return self._laplace_array(np.asarray(z, dtype=complex))
 
     def mean(self) -> float:
-        """Exact E[S]; equals -laplace_derivative(0.0)."""
-        raise NotImplementedError
+        """Exact E[S]; in every family it is -L'(0), minus the exact transform derivative at 0."""
+        return -self.laplace_derivative(0.0)
 
     @property
     def support_min(self) -> float:
@@ -137,9 +137,6 @@ class Exponential(ServiceTimeModel):
         # d ** 2 leaves float64 outside about [1e-154, 1e154], and (rate / d) / d does not
         return -self.rate / d**2 if 1e-154 < d < 1e154 else -(self.rate / d) / d
 
-    def mean(self):
-        return 1.0 / self.rate
-
     def sample(self, rng, size):
         # inverse CDF: exactly one uniform per draw
         return -np.log1p(-rng.random(size)) / self.rate
@@ -166,9 +163,6 @@ class Gamma(ServiceTimeModel):
     def _derivative(self, s):
         return -self.shape / (self.rate + s) * float(self._laplace_array(s))
 
-    def mean(self):
-        return self.shape / self.rate
-
     def sample(self, rng, size):
         return rng.standard_gamma(self.shape, size) / self.rate
 
@@ -188,9 +182,6 @@ class Deterministic(ServiceTimeModel):
 
     def _derivative(self, s):
         return -self.value * math.exp(-s * self.value)
-
-    def mean(self):
-        return self.value
 
     @property
     def support_min(self):
@@ -240,9 +231,6 @@ class Mixture(ServiceTimeModel):
 
     def _derivative(self, s):
         return math.fsum(w * c._derivative(s) for w, c in zip(self.weights, self.components))
-
-    def mean(self):
-        return math.fsum(w * c.mean() for w, c in zip(self.weights, self.components))
 
     @property
     def support_min(self):

@@ -346,14 +346,15 @@ def _occupancy(grid: _SortedGrid, starts: np.ndarray, lengths: np.ndarray) -> np
     The ranges [a_i, a_i + L_i] are one source's age ramps, or any age
     ranges.  Sorted, the grid splits the line into cells (x_{j-1}, x_j];
     the result is the cumulative sum of each cell's total overlap with
-    the ranges.  A range contributes its part in the cell holding
-    its start, whole cells, and its part in the cell holding its end; the
-    whole cells are counted with a difference array.  Every increment is
-    a sum of nonnegative terms, so the result never decreases along the
-    sorted grid, and it is zero exactly where every clip term is.  Costs
-    O(n + m) for n ranges and m grid points, plus a binary search for
-    each start or end whose bucket holds two or more levels (see
-    `_SortedGrid`).
+    the ranges.  Each range is placed once, in one pass over all of them:
+    its part in the cell of its start (its length if it ends there, else
+    up to the next level), its part in the cell of its end (none if that
+    is the cell of its start), and the whole cells between, counted with
+    a difference array.  Every increment is a sum of nonnegative terms,
+    so the result never decreases along the sorted grid, and it is zero
+    exactly where every clip term is.  Costs O(n + m) for n ranges and m
+    grid points, plus a binary search for each start or end whose bucket
+    holds two or more levels (see `_SortedGrid`).
     """
     xs = grid.xs
     m, n = xs.size, starts.size
@@ -363,28 +364,23 @@ def _occupancy(grid: _SortedGrid, starts: np.ndarray, lengths: np.ndarray) -> np
     first = grid.searchsorted(starts, side="right")
     last = grid.searchsorted(ends, side="left")
     spans = last > first  # some grid point lies in (a_i, a_i + L_i)
-    inside = ~spans
+    head = np.subtract(np.take(xs, first, mode="clip"), starts, out=lengths.copy(), where=spans)
+    tail = np.subtract(ends, np.take(xs, last - 1, mode="clip"), out=np.zeros(n), where=spans)
 
     # bincount adds a cell's values one after another, so many equal ones
     # (a deterministic source's ramps all start at the same age) drift
     # by up to one rounding each.  Summing runs of about m consecutive
     # ranges apart and then the runs pairwise keeps that drift to about m
-    # roundings, in a table of about n + m entries.
+    # roundings, in a table of about n + m entries for each kind of part
+    # (a whole range, a start part, an end part); the kinds are added last.
     runs = max(1, n // (m + 1))
     run = np.arange(n) * runs // max(n, 1)
-
-    def cell_sums(sel, cells, weights):
-        table = np.bincount(cells * runs + run[sel], weights, minlength=(m + 1) * runs)
-        return table.reshape(m + 1, runs).sum(axis=1)
-
-    f, l = first[spans], last[spans]
-    inc = np.zeros(m + 1)  # bincount of no values returns integers
-    inc += cell_sums(inside, first[inside], lengths[inside])
-    inc += cell_sums(spans, f, xs[f] - starts[spans])
-    inc += cell_sums(spans, l, ends[spans] - xs[l - 1])
+    cells = np.concatenate([(3 * first + spans) * runs + run, (3 * last + 2) * runs + run])
+    table = np.bincount(cells, np.concatenate([head, tail]), minlength=(m + 1) * 3 * runs)
+    inc = table.reshape(m + 1, 3, runs).sum(axis=2, dtype=float).sum(axis=1)  # a bincount of nothing is integer
     # ranges covering cell j whole: first < j < last
-    covering = np.cumsum(np.bincount(f + 1, minlength=m + 1) - np.bincount(l, minlength=m + 1))
-    inc[1:m] += covering[1:m] * np.diff(xs)
+    whole = np.bincount(first + 1, minlength=m + 2) - np.bincount(np.maximum(last, first + 1), minlength=m + 2)
+    inc[1:m] += np.cumsum(whole)[1:m] * np.diff(xs)
     occ = np.empty(m)
     occ[grid.order] = np.cumsum(inc[:m])
     return occ
@@ -950,8 +946,9 @@ def _map_in_pool(workers: int, args) -> list[ReplicationResult]:
     The pool is made on first use and kept for later calls.  One of
     another worker count is shut down before the new one forks, and one
     inherited through fork is dropped untouched, since its workers serve
-    the process that made it.  A broken pool is dropped and the error
-    raised, so the next call makes a new one.
+    the process that made it.  A broken pool is shut down without waiting,
+    its queued work cancelled, and dropped, and the error raised, so the
+    next call makes a new one.
     """
     global _pool
     pid = os.getpid()
@@ -964,6 +961,7 @@ def _map_in_pool(workers: int, args) -> list[ReplicationResult]:
     try:
         return list(_pool[2].map(_run_one, args))
     except BrokenProcessPool:
+        _pool[2].shutdown(wait=False, cancel_futures=True)
         _pool = None
         raise
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from aoistats.analytics import aggregate_service_laplace
-
 
 def joint_laplace_subset_loop(spec, s) -> float:
     """E[exp(-s . A)] as F(all sources) of the subset recursion
@@ -98,7 +96,9 @@ def joint_aoi_laplace_two_source(spec, s1: float, s2: float) -> float:
     sbar = s1 + s2
     l1, l2 = spec.rates
     m1, m2 = spec.services
-    outer = l1 * l2 / (sbar + lam * aggregate_service_laplace(spec, sbar + lam))
+    # lam L_S(sbar + lam), L_S the rate-weighted mix of the two transforms
+    mix = math.fsum(r * m.laplace(sbar + lam) for r, m in zip(spec.rates, spec.services))
+    outer = l1 * l2 / (sbar + mix)
     term1 = m1.laplace(s1 + lam) * m2.laplace(sbar + lam) / (s1 + l1 * m1.laplace(s1 + lam))
     term2 = m2.laplace(s2 + lam) * m1.laplace(sbar + lam) / (s2 + l2 * m2.laplace(s2 + lam))
     return outer * (term1 + term2)

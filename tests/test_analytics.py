@@ -13,7 +13,6 @@ from aoistats.analytics import (
     INVERSION_RESIDUAL_TOL,
     InversionAccuracyWarning,
     SystemSpec,
-    aggregate_service_laplace,
     aoi_correlation,
     aoi_covariance,
     aoi_statistics,
@@ -160,7 +159,6 @@ def test_source_index_checks():
 def test_departure_and_pushout_rates():
     assert departure_rate(SYMMETRIC) == pytest.approx(3.0, rel=1e-15)
     assert pushout_rate(SYMMETRIC) == pytest.approx(3.0, rel=1e-15)
-    assert aggregate_service_laplace(SYMMETRIC, 6.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_update_shares():

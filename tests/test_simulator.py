@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import math
-import multiprocessing
 import os
 import pickle
 import signal
@@ -304,6 +303,11 @@ def occupancy_cases(draw):
 @example((np.array([[2.0, 0.25], [0.5, 3.0]]), np.array([1.0, 0.25]), np.array([0.1, 6.0, 0.2])))
 @example((np.zeros((0, 3)), np.zeros(0), np.array([1.0, 0.0])))
 @example((np.array([[1.0]]), np.array([1e-17]), np.array([2.0, 1.0])))  # 1.0 + 1e-17 == 1.0
+# one range ends in the cell it starts in, the other spans a level from that cell
+@example((np.array([[0.25], [0.5]]), np.array([0.5, 1.0]), np.array([2.0, 1.0])))
+@example((np.array([[1.0], [0.5]]), np.array([0.5, 1.0]), np.array([2.0, 0.5, 1.0])))  # starts on levels
+@example((np.array([[0.25], [0.75]]), np.array([0.75, 0.25]), np.array([1.0, 0.5, 2.0])))  # ends on levels
+@example((np.array([[1.0], [0.5]]), np.array([0.0, 0.0]), np.array([0.5, 1.0, 2.0])))  # zero lengths on levels
 def test_occupancy_matches_clip_sum(case):
     ages, lengths, grid = case
     acc = PathAccumulator(s_grid=(), num_sources=ages.shape[1], cdf_grid=grid)
@@ -1262,7 +1266,8 @@ POOL_ARGS = (SYMMETRIC, 200.0, 5.0, 3, 1, ((1.0, 1.0),))
 
 
 def pool_workers():
-    return sorted(multiprocessing.active_children(), key=lambda p: p.pid)
+    """The worker processes of the simulator's own pool, by pid."""
+    return sorted(simulator._pool[2]._processes.values(), key=lambda p: p.pid)
 
 
 def test_parallel_runs_reuse_the_worker_processes(monkeypatch):
@@ -1291,7 +1296,13 @@ def test_broken_pool_raises_once_and_is_replaced(monkeypatch):
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
     serial = run_replications(*POOL_ARGS, workers=1)
     run_replications(*POOL_ARGS, workers=2)
+    executor = simulator._pool[2]
     os.kill(pool_workers()[0].pid, signal.SIGKILL)
+    # until the pool has seen the death, a call can be served whole by the
+    # other worker and raise nothing
+    deadline = time.monotonic() + 30.0
+    while not executor._broken and time.monotonic() < deadline:
+        time.sleep(0.01)
     with pytest.raises(BrokenProcessPool):
         run_replications(*POOL_ARGS, workers=2)
     for a, b in zip(run_replications(*POOL_ARGS, workers=2), serial, strict=True):
