@@ -269,37 +269,29 @@ def aoi_covariance(spec: SystemSpec) -> float:
     The two ages compete for the same server, so they are negatively
     correlated for every parameter choice.
     """
-    _pair_moments(spec)  # refuses K != 2, and ages out of float64 range
-    return _covariance(spec)
+    return _pair(spec)[0]
 
 
 def aoi_correlation(spec: SystemSpec) -> float:
     """Correlation coefficient of (A_1, A_2); lies in [-1, 0]."""
-    return _correlation(spec, _pair_moments(spec))
+    return _pair(spec)[1]
 
 
-def _pair_moments(spec: SystemSpec) -> list[MarginalMoments]:
-    """Both sources' moments; ValueError unless there are exactly 2
-    sources, or if either's moments are out of float64 range."""
-    if spec.num_sources != 2:
-        raise ValueError(f"covariance closed form needs exactly 2 sources, got {spec.num_sources}")
-    return [marginal_aoi_moments(spec, k) for k in range(2)]
-
-
-def _covariance(spec: SystemSpec) -> float:
-    """`aoi_covariance` of a spec whose `_pair_moments` exist: the
-    departure rate underflows to 0 with update rates they refuse."""
+def _pair(spec: SystemSpec, moments=None) -> tuple[float, float]:
+    """Cov(A_1, A_2) and the correlation, from both sources' `moments`.
+    Without them, ValueError unless there are exactly 2 sources whose
+    moments are in float64 range; the departure rate underflows to 0 only
+    with update rates that check refuses."""
+    if moments is None:
+        if spec.num_sources != 2:
+            raise ValueError(f"covariance closed form needs exactly 2 sources, got {spec.num_sources}")
+        moments = [marginal_aoi_moments(spec, k) for k in range(2)]
     lam = spec.total_rate
-    total = math.fsum(m.laplace_derivative(lam) / m.laplace(lam) for m in spec.services)
-    return total / departure_rate(spec)
-
-
-def _correlation(spec: SystemSpec, moments: list[MarginalMoments]) -> float:
-    """`aoi_correlation` from the spec's `_pair_moments`."""
+    covariance = math.fsum(m.laplace_derivative(lam) / m.laplace(lam) for m in spec.services) / departure_rate(spec)
     v1, v2 = (m.variance for m in moments)
     product = v1 * v2  # it can leave the normal floats where neither variance does
     root = math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(v1) * math.sqrt(v2)
-    return _covariance(spec) / root
+    return covariance, covariance / root
 
 
 def cc_lower_bound(kind: str, alpha: float | None = None) -> float:
@@ -360,8 +352,7 @@ def aoi_statistics(spec: SystemSpec) -> AoIStatistics:
     np.fill_diagonal(covariance, variance)
     np.fill_diagonal(correlation, 1.0)
     if K == 2:
-        covariance[0, 1] = covariance[1, 0] = _covariance(spec)
-        correlation[0, 1] = correlation[1, 0] = _correlation(spec, moments)
+        covariance[[0, 1], [1, 0]], correlation[[0, 1], [1, 0]] = _pair(spec, moments)
     return AoIStatistics(mean, variance, cv, covariance, correlation, provenance="analytic")
 
 

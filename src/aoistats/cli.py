@@ -21,7 +21,8 @@ from .config import _COMMANDS, _KEYS, ConfigError, RunConfig, _read, _window, pa
 
 __all__ = ["main", "entrypoint"]
 
-# config keys that each subcommand which runs the simulator also takes as flags
+# config keys that each subcommand which runs the simulator also takes as
+# flags, and passes on by name with the s-grid and the worker count
 _RUN_FLAGS = ("seed", "horizon", "replications", "burn_in")
 
 
@@ -90,6 +91,11 @@ def _check_output_paths(*named_paths) -> None:
             raise ValueError(f"{name} {path}: no directory {path.parent}")
 
 
+def _run_settings(cfg: RunConfig, args) -> dict:
+    """Keyword arguments of a run: `_RUN_FLAGS`, the s-grid (None for the default) and `--workers`."""
+    return {**{key: getattr(cfg, key) for key in _RUN_FLAGS}, "s_grid": cfg.s_grid or None, "workers": args.workers}
+
+
 def _require_spec(cfg: RunConfig, command: str):
     if cfg.spec is None:
         raise ConfigError([f"{command}: the config must define at least one source line"])
@@ -123,16 +129,7 @@ def _cmd_analytic(cfg: RunConfig, args) -> int:
 
 def _cmd_simulate(cfg: RunConfig, args) -> int:
     spec = _require_spec(cfg, args.command)
-    report = simulator.simulate(
-        spec,
-        horizon=cfg.horizon,
-        burn_in=cfg.burn_in,
-        replications=cfg.replications,
-        seed=cfg.seed,
-        s_grid=cfg.s_grid or None,
-        workers=args.workers,
-        trace_path=args.trace,
-    )
+    report = simulator.simulate(spec, **_run_settings(cfg, args), trace_path=args.trace)
     if args.trace is not None:
         print(f"wrote event trace {args.trace}")
     print(
@@ -150,15 +147,7 @@ def _cmd_simulate(cfg: RunConfig, args) -> int:
 
 def _cmd_compare(cfg: RunConfig, args) -> int:
     spec = _require_spec(cfg, args.command)
-    rows, passed, attempts = experiments.compare_with_retry(
-        spec,
-        horizon=cfg.horizon,
-        burn_in=cfg.burn_in,
-        replications=cfg.replications,
-        seed=cfg.seed,
-        s_grid=cfg.s_grid or None,
-        workers=args.workers,
-    )
+    rows, passed, attempts = experiments.compare_with_retry(spec, **_run_settings(cfg, args))
     table = [
         (r.quantity, _fmt(r.analytic), _fmt(r.simulated), _fmt(r.stderr), _fmt(r.z),
          "pass" if r.passed else "FAIL")

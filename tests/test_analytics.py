@@ -418,27 +418,54 @@ def test_covariance_and_correlation_anchor():
         aoi_covariance(three)
 
 
+def mixed_cross_moment(spec, i, j):
+    """E[A_i A_j], the mixed second derivative of the joint transform at 0
+    in s_i and s_j, every other argument 0: forward differences with one
+    Richardson step cancel the O(h) error, with per-source steps scaled to
+    each age scale."""
+
+    def f(a, b):
+        s = np.zeros(spec.num_sources)
+        s[i], s[j] = a, b
+        return joint_aoi_laplace(spec, s)
+
+    def mixed(hi, hj):
+        return (f(hi, hj) - f(hi, 0.0) - f(0.0, hj) + f(0.0, 0.0)) / (hi * hj)
+
+    hi, hj = (1e-4 / marginal_aoi_moments(spec, k).mean for k in (i, j))
+    return 2.0 * mixed(hi, hj) - mixed(2.0 * hi, 2.0 * hj)
+
+
 def test_covariance_matches_mixed_transform_derivative():
-    # E[A1 A2] is the mixed second derivative of the joint transform at 0;
-    # forward differences with one Richardson step cancel the O(h) error,
-    # with per-source steps scaled to each age scale
     rng = np.random.default_rng(48)
-
-    def mixed(spec, h1, h2):
-        f = lambda a, b: joint_aoi_laplace(spec, (a, b))
-        return (f(h1, h2) - f(h1, 0.0) - f(0.0, h2) + f(0.0, 0.0)) / (h1 * h2)
-
     for _ in range(10):
         spec = random_spec(rng)
         if spec.num_sources != 2:
             spec = SystemSpec(rates=spec.rates[:1] * 2, services=spec.services[:1] * 2)
         m1 = marginal_aoi_moments(spec, 0).mean
         m2 = marginal_aoi_moments(spec, 1).mean
-        h1, h2 = 1e-4 / m1, 1e-4 / m2
-        cross = 2.0 * mixed(spec, h1, h2) - mixed(spec, 2.0 * h1, 2.0 * h2)
-        assert cross - m1 * m2 == pytest.approx(
+        assert mixed_cross_moment(spec, 0, 1) - m1 * m2 == pytest.approx(
             aoi_covariance(spec), rel=1e-4, abs=1e-6 * m1 * m2
         )
+
+
+def test_pairwise_covariance_matches_mixed_transform_derivative():
+    # by the support reduction of joint_aoi_laplace, any pair of a K-source
+    # system has the two-source covariance, with every L at the total rate
+    rng = np.random.default_rng(2027)
+    specs = [EIGHT]
+    while len(specs) < 11:
+        spec = random_spec(rng, max_sources=5)
+        if spec.num_sources >= 3:
+            specs.append(spec)
+    for spec in specs:
+        lam = spec.total_rate
+        for i, j in itertools.combinations(range(spec.num_sources), 2):
+            rate = [spec.rates[k] * spec.services[k].laplace(lam) for k in (i, j)]
+            delay = [spec.services[k].laplace_derivative(lam) / spec.services[k].laplace(lam) for k in (i, j)]
+            expected = (delay[0] + delay[1]) / (rate[0] + rate[1])
+            means = [marginal_aoi_moments(spec, k).mean for k in (i, j)]
+            assert mixed_cross_moment(spec, i, j) - means[0] * means[1] == pytest.approx(expected, rel=1e-4)
 
 
 @given(
@@ -451,6 +478,29 @@ def test_two_source_dependence_is_negative(l1, l2, mu1, mu2):
     spec = SystemSpec(rates=(l1, l2), services=(Exponential(mu1), Exponential(mu2)))
     assert aoi_covariance(spec) <= 0.0
     assert -1.0 <= aoi_correlation(spec) <= 0.0
+
+
+service_rates = st.floats(min_value=0.5, max_value=15.0)
+one_family = st.one_of(
+    st.builds(Exponential, service_rates),
+    st.builds(Gamma, st.floats(min_value=0.3, max_value=5.0), service_rates),
+    st.builds(Deterministic, st.floats(min_value=0.01, max_value=0.6)),
+)
+mixture_weights = st.floats(min_value=0.05, max_value=0.95).map(lambda w: (w, 1.0 - w))
+any_family = st.one_of(one_family, st.builds(Mixture, mixture_weights, st.tuples(one_family, one_family)))
+
+
+@given(
+    st.tuples(st.floats(min_value=0.2, max_value=5.0), st.floats(min_value=0.2, max_value=5.0)),
+    st.tuples(any_family, any_family),
+)
+@settings(max_examples=60)
+def test_pair_functions_equal_the_statistics_off_diagonals(rates, services):
+    spec = SystemSpec(rates=rates, services=services)
+    stats = aoi_statistics(spec)
+    for i, j in ((0, 1), (1, 0)):
+        assert stats.covariance[i, j] == aoi_covariance(spec)
+        assert stats.correlation[i, j] == aoi_correlation(spec)
 
 
 # --- family bounds -----------------------------------------------------------

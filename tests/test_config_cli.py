@@ -512,6 +512,31 @@ def test_cli_compare_pass_and_fail(tmp_path, capsys, monkeypatch):
     assert out_csv.exists()
 
 
+def test_cli_runs_pass_the_same_settings(tmp_path, monkeypatch):
+    # both subcommands that run the simulator map the config and the flags
+    # to its settings the same way; an empty s_grid means the default grid
+    received = {}
+
+    def fake_simulate(spec, **kwargs):
+        received["simulate"] = kwargs
+        return simulator.SimulationReport(spec, 700.0, 20.0, 3, 11, (), {}, [])
+
+    def fake_retry(spec, **kwargs):
+        received["compare"] = kwargs
+        return [], True, 1
+
+    monkeypatch.setattr(simulator, "simulate", fake_simulate)
+    monkeypatch.setattr(experiments, "compare_with_retry", fake_retry)
+    flags = ["--seed", "11", "--horizon", "700", "--replications", "3", "--burn-in", "20", "--workers", "2"]
+    for cfg, s_grid in ((SIM_CFG, None), (SIM_CFG + "s_grid = 1, 2\n", ((1.0, 2.0),))):
+        cfgfile = write_config(tmp_path, cfg)
+        for name in ("simulate", "compare"):
+            assert main([name, "--config", str(cfgfile), *flags]) == 0
+        settings = dict(horizon=700.0, burn_in=20.0, replications=3, seed=11, s_grid=s_grid, workers=2)
+        assert received["simulate"] == dict(settings, trace_path=None)
+        assert received["compare"] == settings
+
+
 def test_cli_compare_end_to_end(tmp_path, capsys):
     # the real gate on the anchor system with its frozen seed
     cfg = "source = 3 exp(6)\nsource = 3 exp(6)\nhorizon = 1e4\nreplications = 32\nseed = 112358\n"
