@@ -66,7 +66,7 @@ def _load_config(args) -> RunConfig:
     errors: list[str] = []
     flags = {key: f"--{key.replace('_', '-')}" for key in _RUN_FLAGS if getattr(args, key) is not None}
     for key, flag in flags.items():
-        value = _read(_KEYS[key][1], getattr(args, key), flag, errors)
+        value = _read(_KEYS[key], getattr(args, key), flag, errors)
         if value is not None:
             setattr(cfg, key, value)
     if not errors and ("burn_in" in flags or "horizon" in flags):
@@ -80,7 +80,9 @@ def _load_config(args) -> RunConfig:
 
 def _check_output_paths(*named_paths) -> None:
     """Reject, before anything runs, a path to be written that is a
-    directory or lies in a directory that does not exist."""
+    directory, lies in a directory that does not exist, or names the same
+    file as another path to be written."""
+    named = {}
     for name, path in named_paths:
         if not path:
             continue
@@ -89,6 +91,9 @@ def _check_output_paths(*named_paths) -> None:
             raise ValueError(f"{name} {path} is a directory")
         if not path.parent.is_dir():
             raise ValueError(f"{name} {path}: no directory {path.parent}")
+        other = named.setdefault(path.resolve(), name)
+        if other != name:
+            raise ValueError(f"{name} {path} is also the {other} path")
 
 
 def _run_settings(cfg: RunConfig, args) -> dict:
@@ -169,10 +174,10 @@ def _cmd_sweep(cfg: RunConfig, args) -> int:
     if cfg.sweep is None:
         kinds = " | ".join(experiments._SWEEPS)
         raise ConfigError([f"{args.command}: the config must define sweep settings (sweep = {kinds})"])
-    sw = cfg.sweep
-    kind = experiments._SWEEPS[sw.kind]
-    families = sw.families or experiments.DEFAULT_FAMILIES
-    points = experiments._sweep(sw.kind, sw.lambda1, getattr(sw, kind.fixed), families, sw.grid or kind.grid)
+    kind = experiments._SWEEPS[cfg.sweep]
+    families = cfg.sweep_families or experiments.DEFAULT_FAMILIES
+    fixed = getattr(cfg, f"sweep_{kind.fixed}")
+    points = experiments._sweep(cfg.sweep, cfg.sweep_lambda1, fixed, families, cfg.sweep_grid or kind.grid)
     for family in families:
         own = [p for p in points if p.family == family]
         best = min(own, key=lambda p: p.cc)

@@ -2,8 +2,9 @@
 
 See docs/config.md for the grammar.  Parsing collects every validation
 problem before failing, so a bad file reports all its mistakes at once.
-`render_config` emits a canonical form that parses back to an equal
-RunConfig.
+Each key but `source` is the RunConfig field of the same name, and
+`sweep` holds the sweep kind.  `render_config` emits a canonical form
+that parses back to an equal RunConfig.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .experiments import _SWEEPS, _check_grid, family_model
 from .servicedist import format_service, parse_service
 from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
 
-__all__ = ["RunConfig", "SweepSettings", "ConfigError", "parse_config", "render_config"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "render_config"]
 
 _LOGSPACE = re.compile(r"^logspace\(\s*([^,]+)\s*,\s*([^,]+)\s*,\s*([^)]+)\s*\)$")
 _MAX_LOGSPACE_POINTS = 10_000  # the largest n of sweep_grid = logspace(lo, hi, n)
@@ -51,16 +52,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class SweepSettings:
-    kind: str
-    lambda1: float
-    lambda2: float | None = None
-    mean_service: float | None = None
-    grid: tuple[float, ...] = ()
-    families: tuple[str, ...] = ()
-
-
-@dataclass
 class RunConfig:
     spec: SystemSpec | None = None
     command: str | None = None
@@ -70,7 +61,12 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     s_grid: tuple[tuple[float, ...], ...] = ()
     output: str | None = None
-    sweep: SweepSettings | None = None
+    sweep: str | None = None
+    sweep_lambda1: float | None = None
+    sweep_lambda2: float | None = None
+    sweep_mean_service: float | None = None
+    sweep_grid: tuple[float, ...] = ()
+    sweep_families: tuple[str, ...] = ()
 
 
 # A reader takes a value's text and returns the value, or raises ValueError
@@ -159,29 +155,29 @@ def _output_path(text: str) -> str:
 
 
 def _families(text: str) -> tuple[str, ...]:
-    families = tuple(dict.fromkeys(f.strip() for f in text.split(",") if f.strip()))
+    families = {}  # each distinct service model: the first text that gives it
+    for family in filter(None, map(str.strip, text.split(","))):
+        families.setdefault(family_model(family, 1.0), family)
     if not families:
         raise ValueError("needs at least one family")
-    for family in families:
-        family_model(family, 1.0)
-    return families
+    return tuple(families.values())
 
 
-# every key but `source`: its RunConfig field (SweepSettings for sweep*) and reader
+# every key but `source`: the reader of its RunConfig field
 _KEYS = {
-    "command": ("command", _one_of("command", tuple(_COMMANDS))),
-    "horizon": ("horizon", _positive),
-    "burn_in": ("burn_in", _nonnegative),
-    "replications": ("replications", _replications),
-    "seed": ("seed", _seed),
-    "s_grid": ("s_grid", _s_grid),
-    "output": ("output", _output_path),
-    "sweep": ("kind", _one_of("kind", tuple(_SWEEPS))),
-    "sweep_lambda1": ("lambda1", _positive),
-    "sweep_lambda2": ("lambda2", _positive),
-    "sweep_mean_service": ("mean_service", _positive),
-    "sweep_grid": ("grid", _grid),
-    "sweep_families": ("families", _families),
+    "command": _one_of("command", tuple(_COMMANDS)),
+    "horizon": _positive,
+    "burn_in": _nonnegative,
+    "replications": _replications,
+    "seed": _seed,
+    "s_grid": _s_grid,
+    "output": _output_path,
+    "sweep": _one_of("kind", tuple(_SWEEPS)),
+    "sweep_lambda1": _positive,
+    "sweep_lambda2": _positive,
+    "sweep_mean_service": _positive,
+    "sweep_grid": _grid,
+    "sweep_families": _families,
 }
 
 
@@ -225,16 +221,8 @@ def parse_config(text: str) -> RunConfig:
         if key not in _KEYS:
             errors.append(f"unknown key {key!r}")
 
-    cfg = RunConfig()
-    values = {key: _read(read, scalars[key], key, errors) for key, (_, read) in _KEYS.items() if key in scalars}
-    sweep = {}
-    for key, value in values.items():
-        if value is not None:
-            field = _KEYS[key][0]
-            if key.startswith("sweep"):
-                sweep[field] = value
-            else:
-                setattr(cfg, field, value)
+    values = {key: _read(read, scalars[key], key, errors) for key, read in _KEYS.items() if key in scalars}
+    cfg = RunConfig(**{key: value for key, value in values.items() if value is not None})
     if values.get("horizon", cfg.horizon) is not None:  # an invalid horizon is not compared
         _read(_window, cfg, "burn_in", errors)
 
@@ -266,7 +254,7 @@ def parse_config(text: str) -> RunConfig:
                 )
 
     if any(k.startswith("sweep") for k in scalars):
-        kind = sweep.get("kind")
+        kind = cfg.sweep
         if "sweep" not in scalars:
             errors.append(f"sweep_*: settings given without a sweep kind (sweep = {' | '.join(_SWEEPS)})")
         if "sweep_lambda1" not in scalars:
@@ -280,8 +268,6 @@ def parse_config(text: str) -> RunConfig:
 
     if errors:
         raise ConfigError(errors)
-    if sweep:
-        cfg.sweep = SweepSettings(**sweep)
     return cfg
 
 
@@ -297,9 +283,8 @@ def render_config(cfg: RunConfig) -> str:
     if cfg.spec is not None:
         for rate, model in zip(cfg.spec.rates, cfg.spec.services):
             lines.append(f"source = {rate!r} {format_service(model)}")
-    for key, (field, _) in _KEYS.items():
-        owner = cfg.sweep if key.startswith("sweep") else cfg
-        value = None if owner is None else getattr(owner, field)
+    for key in _KEYS:
+        value = getattr(cfg, key)
         if value is not None and value != ():
             lines.append(f"{key} = {_text(value)}")
     return "\n".join(lines) + "\n"

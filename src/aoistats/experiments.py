@@ -95,7 +95,7 @@ def _check_grid(grid) -> list[float]:
 
 class _SweepKind(NamedTuple):
     axis: str  # what `aoistats sweep` calls a grid value
-    fixed: str  # the SweepSettings field held fixed beside lambda1
+    fixed: str  # the setting held fixed beside lambda1; its RunConfig field and config key are sweep_<fixed>
     grid: tuple[float, ...]  # the default grid
     point: Callable  # (lambda1, fixed value, grid value) -> (the two rates, the common mean service time)
 
@@ -175,7 +175,7 @@ class ComparisonRow:
     passed: bool
 
 
-def _row(quantity: str, analytic_value: float, est: simulator.Estimate, threshold: float) -> ComparisonRow:
+def _row(quantity: str, analytic_value: float, est: simulator.Estimate) -> ComparisonRow:
     if not (math.isfinite(est.value) and math.isfinite(est.stderr)):
         return ComparisonRow(quantity, analytic_value, est.value, est.stderr, math.nan, False)
     diff = est.value - analytic_value
@@ -187,7 +187,7 @@ def _row(quantity: str, analytic_value: float, est: simulator.Estimate, threshol
         z = 0.0 if abs(diff) <= floor else math.inf
     else:
         z = diff / est.stderr
-    return ComparisonRow(quantity, analytic_value, est.value, est.stderr, z, abs(z) <= threshold)
+    return ComparisonRow(quantity, analytic_value, est.value, est.stderr, z, abs(z) <= Z_THRESHOLD)
 
 
 def compare(
@@ -220,7 +220,7 @@ def compare(
         s_grid=s_grid,
         workers=workers,
     )
-    return [_row(label, analytic[label], est, Z_THRESHOLD) for label, est in report.quantities.items()]
+    return [_row(label, analytic[label], est) for label, est in report.quantities.items()]
 
 
 def comparison_passed(rows) -> bool:
@@ -228,16 +228,12 @@ def comparison_passed(rows) -> bool:
 
 
 def compare_with_retry(
-    spec: SystemSpec,
-    horizon: float,
-    burn_in: float | None = None,
-    replications: int = simulator.DEFAULT_REPLICATIONS,
-    seed: int = simulator.DEFAULT_SEED,
-    s_grid=None,
-    workers: int = 1,
+    spec: SystemSpec, *, seed: int = simulator.DEFAULT_SEED, **settings
 ) -> tuple[list[ComparisonRow], bool, int]:
     """Run `compare`, once more with seed + 1 if the gate fails.
 
+    `settings` are `compare`'s other keyword arguments, passed on as
+    given to every attempt.
     Every row is gated on its own, so a single run's chance of a false
     alarm grows with the row count: 21 rows for two sources on the
     default s-grid, 56 for eight sources on six s-rows.  One independent
@@ -249,15 +245,7 @@ def compare_with_retry(
     """
     for attempt in (1, 2):
         _log.info("gate attempt %d of 2, seed %d", attempt, seed + attempt - 1)
-        rows = compare(
-            spec,
-            horizon=horizon,
-            burn_in=burn_in,
-            replications=replications,
-            seed=seed + attempt - 1,
-            s_grid=s_grid,
-            workers=workers,
-        )
+        rows = compare(spec, seed=seed + attempt - 1, **settings)
         if comparison_passed(rows):
             return rows, True, attempt
     return rows, False, 2

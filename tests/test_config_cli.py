@@ -170,7 +170,7 @@ def test_huge_logspace_is_refused_before_it_is_built():
         parse_config(text)
     assert time.perf_counter() - start < 0.5
     assert f"`n` is at most {config._MAX_LOGSPACE_POINTS}" in (ROOT / "docs" / "config.md").read_text()
-    assert len(parse_config(SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(1, 2, 10000)")).sweep.grid) == 10000
+    assert len(parse_config(SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(1, 2, 10000)")).sweep_grid) == 10000
 
 
 def test_overflowing_gamma_transform_warns_nothing():
@@ -182,23 +182,29 @@ def test_overflowing_gamma_transform_warns_nothing():
 
 def test_parse_sweep_config():
     cfg = parse_config(SWEEP_CONFIG)
-    sw = cfg.sweep
-    assert sw.kind == "lambda2"
-    assert sw.lambda1 == 3.0
-    assert sw.mean_service == pytest.approx(1.0 / 6.0)
-    assert len(sw.grid) == 9
-    assert sw.grid[0] == pytest.approx(0.5)
-    assert sw.grid[-1] == pytest.approx(50.0)
-    assert sw.families == ("exponential", "deterministic")
+    assert cfg.sweep == "lambda2"
+    assert cfg.sweep_lambda1 == 3.0
+    assert cfg.sweep_mean_service == pytest.approx(1.0 / 6.0)
+    assert len(cfg.sweep_grid) == 9
+    assert cfg.sweep_grid[0] == pytest.approx(0.5)
+    assert cfg.sweep_grid[-1] == pytest.approx(50.0)
+    assert cfg.sweep_families == ("exponential", "deterministic")
 
 
 def test_repeated_sweep_families_collapse(tmp_path, capsys):
     text = SWEEP_CONFIG.replace("exponential, deterministic", "exponential, deterministic, exponential")
-    assert parse_config(text).sweep.families == ("exponential", "deterministic")
+    assert parse_config(text).sweep_families == ("exponential", "deterministic")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(write_config(tmp_path, text)), "--output", str(out)]) == 0
     assert capsys.readouterr().out.count("exponential: min cc") == 1
     assert len(out.read_text().splitlines()) == 1 + 2 * 9
+
+
+def test_sweep_families_giving_one_model_count_once():
+    text = SWEEP_CONFIG.replace(
+        "exponential, deterministic", "exponential, Exponential, gamma(2), gamma( 2 ), gamma(2.0), gamma(0.5)"
+    )
+    assert parse_config(text).sweep_families == ("exponential", "gamma(2)", "gamma(0.5)")
 
 
 def test_docs_config_tables_list_every_key():
@@ -599,11 +605,14 @@ def test_cli_usage_errors_exit_1(argv, tmp_path, capsys):
         ["simulate", "--config", "CFG_DIR_OUTPUT"],
         ["compare", "--config", "CFG", "--output", "MISSING"],
         ["simulate", "--config", "CFG", "--trace", "MISSING"],
+        ["simulate", "--config", "CFG", "--output", "FILE", "--trace", "FILE"],
+        ["simulate", "--config", "CFG_FILE_OUTPUT", "--trace", "SAME_FILE"],
     ],
 )
 def test_cli_unusable_paths_exit_1(argv, tmp_path, capsys, monkeypatch):
     # a directory, or a file in a missing directory, where a file is read or
-    # written is rejected before any replication runs
+    # written is rejected before any replication runs, and so is one file,
+    # however spelled, given both for the estimates and for the trace
     def must_not_run(*args, **kwargs):
         raise AssertionError("replications ran")
 
@@ -613,6 +622,9 @@ def test_cli_unusable_paths_exit_1(argv, tmp_path, capsys, monkeypatch):
         "CFG_DIR_OUTPUT": write_config(tmp_path, SIM_CFG + f"output = {tmp_path}\n", "dir-output.cfg"),
         "DIR": tmp_path,
         "MISSING": tmp_path / "missing" / "out.csv",
+        "FILE": tmp_path / "x.csv",
+        "SAME_FILE": tmp_path / ".." / tmp_path.name / "x.csv",
+        "CFG_FILE_OUTPUT": write_config(tmp_path, SIM_CFG + f"output = {tmp_path / 'x.csv'}\n", "file-output.cfg"),
     }
     argv = [str(paths.get(a, a)) for a in argv]
     assert main(argv) == 1
@@ -726,9 +738,9 @@ def test_sweep_through_underflowing_update_rates_is_refused(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfgfile)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and message in err and "Traceback" not in err
-    sw = parse_config(UNDERFLOW_SWEEP).sweep
+    cfg = parse_config(UNDERFLOW_SWEEP)
     with pytest.raises(ValueError, match=re.escape(message)):
-        experiments.sweep_cc_vs_service_rate(sw.lambda1, sw.lambda2, sw.families, sw.grid)
+        experiments.sweep_cc_vs_service_rate(cfg.sweep_lambda1, cfg.sweep_lambda2, cfg.sweep_families, cfg.sweep_grid)
 
 
 def test_docs_config_tables_list_every_literal_and_sweep_kind():
@@ -742,16 +754,14 @@ def test_docs_config_tables_list_every_literal_and_sweep_kind():
 
 def test_config_and_cli_name_no_sweep_kind():
     # kinds live in experiments._SWEEPS: no string or comment of config.py
-    # or cli.py spells one as a word of its own, but for the SweepSettings
-    # field `lambda2` in config._KEYS, which shares the name of a kind
-    fields = [field for field, _ in config._KEYS.values()]
+    # or cli.py spells one as a word of its own
     types = (tokenize.STRING, tokenize.COMMENT, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING))
     for module in (config, cli):
         with open(module.__file__) as fh:
             text = [t.string for t in tokenize.generate_tokens(fh.readline) if t.type in types]
         for kind in experiments._SWEEPS:
             spelled = [t for t in text if re.search(rf"(?<!\w){kind}(?!\w)", t)]
-            assert len(spelled) == (fields.count(kind) if module is config else 0), (module.__name__, spelled)
+            assert spelled == [], (module.__name__, spelled)
 
 
 def test_cli_names_no_subcommand():

@@ -192,15 +192,15 @@ def test_compare_gate_passes_on_anchor_system():
 def test_compare_row_edge_cases():
     from aoistats.simulator import Estimate
 
-    exact = experiments._row("q", 1.0, Estimate(1.0, 0.0, 8), 3.0)
+    exact = experiments._row("q", 1.0, Estimate(1.0, 0.0, 8))
     assert exact.z == 0.0 and exact.passed
-    off = experiments._row("q", 1.0, Estimate(1.5, 0.0, 8), 3.0)
+    off = experiments._row("q", 1.0, Estimate(1.5, 0.0, 8))
     assert math.isinf(off.z) and not off.passed
-    broken = experiments._row("q", 1.0, Estimate(math.nan, 0.1, 8), 3.0)
+    broken = experiments._row("q", 1.0, Estimate(math.nan, 0.1, 8))
     assert not broken.passed
     # deterministic quantities leave only rounding noise in the batch
     # stderr; 12-digit agreement must not be scored as a blowout
-    noise = experiments._row("q", 0.1, Estimate(0.1 + 1e-17, 4e-18, 8), 3.0)
+    noise = experiments._row("q", 0.1, Estimate(0.1 + 1e-17, 4e-18, 8))
     assert noise.z == 0.0 and noise.passed
 
 
@@ -208,15 +208,20 @@ def test_compare_retry_uses_fresh_seed(monkeypatch):
     calls = []
 
     def fake_compare(spec, **kwargs):
-        calls.append(kwargs["seed"])
+        calls.append(kwargs)
         passed = len(calls) > 1
         return [ComparisonRow("q", 1.0, 1.0, 0.1, 0.0, passed)]
 
     monkeypatch.setattr(experiments, "compare", fake_compare)
     spec = SystemSpec(rates=(1.0,), services=(Exponential(2.0),))
-    rows, passed, attempts = compare_with_retry(spec, horizon=10.0, seed=40)
+    settings = {"horizon": 10.0, "burn_in": 2.0, "replications": 4, "s_grid": ((0.5,),), "workers": 3}
+    rows, passed, attempts = compare_with_retry(spec, seed=40, **settings)
     assert passed and attempts == 2
-    assert calls == [40, 41]
+    assert calls == [{**settings, "seed": 40}, {**settings, "seed": 41}]
+    # a setting after `spec` is never taken for the seed
+    with pytest.raises(TypeError):
+        compare_with_retry(spec, 1e4)
+    assert len(calls) == 2
 
 
 def test_compare_checks_closed_forms_before_simulating(monkeypatch):
