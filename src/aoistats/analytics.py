@@ -45,7 +45,8 @@ __all__ = [
     "aoi_statistics",
     "marginal_aoi_cdf",
     "joint_laplace_label",
-    "distinct_s_rows",
+    "default_s_grid",
+    "s_rows",
     "analytic_quantities",
     "TALBOT_NODES",
     "INVERSION_RESIDUAL_TOL",
@@ -147,7 +148,7 @@ def marginal_aoi_laplace(spec: SystemSpec, k: int, s: float) -> float:
     subset recursion over {k}, lambda_k L_k(s + lambda) / (s + lambda_k L_k(s + lambda)).
     """
     k = _check_source_index(k, spec.num_sources)
-    return float(_subset_transform(spec, [k], np.array([float(s)])))
+    return float(_subset_transform(spec, [k], np.array(_s_row((s,), 1, spec.total_rate))))
 
 
 class MarginalMoments(NamedTuple):
@@ -215,9 +216,7 @@ def joint_aoi_laplace(spec: SystemSpec, s) -> float:
     in [0, 1], so rescaling time cannot overflow it.  Cost grows as
     |S| 2^|S|, with |S| capped at 16; the all-zero row gives exactly 1.
     """
-    svec = np.asarray(s, dtype=float)
-    if svec.ndim != 1 or svec.size != spec.num_sources:
-        raise ValueError(f"argument vector must be 1-D of length {spec.num_sources}, got shape {svec.shape}")
+    svec = np.array(_s_row(s, spec.num_sources, spec.total_rate))
     support = np.flatnonzero(svec)
     return float(_subset_transform(spec, support, svec[support]))
 
@@ -227,14 +226,12 @@ def _subset_transform(spec: SystemSpec, support, s: np.ndarray) -> np.ndarray:
     complex arguments of the n sources of `support`, over leading axes of
     points.  Subsets are bitmasks over the support, filled one size at a
     time; each L_k is evaluated on the masks that hold k, and sums run in
-    ascending k.  ValueError if n > _MAX_SUPPORT, a real argument is not
-    finite and nonnegative, or sbar + lambda overflows.
+    ascending k.  ValueError if n > _MAX_SUPPORT.  Real arguments come
+    checked by `_s_row`; complex ones only from `_talbot_cdf`'s contour.
     """
     n = len(support)
     if n > _MAX_SUPPORT:
         raise ValueError(f"argument touches {n} sources, above the cap of {_MAX_SUPPORT}")
-    if not (np.iscomplexobj(s) or (np.isfinite(s) & (s >= 0)).all()):
-        raise ValueError(f"transform arguments must be nonnegative and finite, got {s}")
     masks, lam = np.arange(1 << n), spec.total_rate
     bits = (masks[:, None] >> np.arange(n) & 1).astype(bool)  # bits[mask, j]: j in mask
     sbar = np.zeros(masks.shape + s.shape[:-1], np.result_type(s, float))
@@ -243,8 +240,6 @@ def _subset_transform(spec: SystemSpec, support, s: np.ndarray) -> np.ndarray:
         for j in reversed(range(n)):  # sbar_H = sbar_{H - lowest} + s_lowest
             low = masks[masks & -masks == 1 << j]
             sbar[low] = sbar[low & (low - 1)] + s[..., j]
-        if not np.isfinite(sbar[-1] + lam).all():
-            raise ValueError("transform arguments overflow: their sum plus the aggregate rate is not finite")
         for j, k in enumerate(support):  # the service transforms see the point axes first
             at = np.moveaxis(sbar[bits[:, j]] + lam, 0, -1)
             L = spec.services[k].laplace_complex if np.iscomplexobj(at) else spec.services[k]._laplace_array
@@ -417,10 +412,10 @@ _QUANTITIES = (
 _SCOPES = ("source", "system", "pair", "s_row")  # the analytic report's order
 
 
-def _report_rows(quantities, num_sources: int, s_rows):
+def _report_rows(quantities, num_sources: int, rows):
     """(entry, index) per report row, each run of one scope index by index."""
     pairs = [(0, 1)] if num_sources == 2 else []
-    indices = {"source": range(num_sources), "system": [None], "pair": pairs, "s_row": s_rows}
+    indices = {"source": range(num_sources), "system": [None], "pair": pairs, "s_row": rows}
     for scope, run in itertools.groupby(quantities, operator.attrgetter("scope")):
         run = list(run)
         yield from ((q, index) for index in indices[scope] for q in run)
@@ -431,9 +426,44 @@ def joint_laplace_label(s_row) -> str:
     return _JOINT.label(s_row)
 
 
-def distinct_s_rows(s_grid) -> tuple[tuple[float, ...], ...]:
-    """`s_grid` as float tuples without repeats; ValueError if two differ but share a label."""
-    rows = tuple(dict.fromkeys(tuple(float(v) for v in row) for row in s_grid))
+def default_s_grid(num_sources: int) -> tuple[tuple[float, ...], ...]:
+    """Default transform-argument vectors: constants plus a staggered one."""
+    K = int(num_sources)
+    cyc = (0.5, 1.0, 2.0)
+    rows = [
+        (0.0,) * K,
+        (0.5,) * K,
+        (1.0,) * K,
+        (2.0,) * K,
+        tuple(cyc[i % 3] for i in range(K)),
+        (3.0,) * K,
+    ]
+    return tuple(dict.fromkeys(rows))
+
+
+def _s_row(row, num_sources: int, rate: float = 0.0) -> tuple[float, ...]:
+    """`row` as a float tuple; ValueError unless it is 1-D of length `num_sources`
+    with nonnegative finite arguments whose sum plus `rate` is finite."""
+    s = np.asarray(row, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"argument vector must be 1-D, got shape {s.shape}")
+    row = tuple(s.tolist())
+    if len(row) != num_sources:
+        raise ValueError(f"argument vector {row} has length {len(row)} but the system has {num_sources} sources")
+    if not all(0.0 <= v < math.inf for v in row):
+        raise ValueError(f"transform arguments must be nonnegative and finite, got {row}")
+    if not math.isfinite(sum(row) + rate):  # the plain sum: math.fsum raises OverflowError
+        raise ValueError("transform arguments overflow: their sum plus the aggregate rate is not finite")
+    return row
+
+
+def s_rows(spec: SystemSpec, s_grid=None) -> tuple[tuple[float, ...], ...]:
+    """The s-rows of a run on `spec`: `s_grid`, or default_s_grid's rows
+    when None, each checked by `_s_row` at the aggregate rate, as float
+    tuples without repeats; ValueError if two differ but share a label."""
+    if s_grid is None:
+        s_grid = default_s_grid(spec.num_sources)
+    rows = tuple(dict.fromkeys(_s_row(row, spec.num_sources, spec.total_rate) for row in s_grid))
     seen: dict[str, tuple[float, ...]] = {}
     for row in rows:
         label = joint_laplace_label(row)
@@ -442,20 +472,20 @@ def distinct_s_rows(s_grid) -> tuple[tuple[float, ...], ...]:
     return rows
 
 
-def analytic_quantities(spec: SystemSpec, s_grid) -> dict[str, float]:
+def analytic_quantities(spec: SystemSpec, s_grid=None) -> dict[str, float]:
     """Every closed form of the report table `_QUANTITIES` by label: per
     source (1-based) the age mean, variance and cv, update share and rate,
     delay and peak means; departure and pushout rates; the age covariance
-    and correlation (two sources only); the joint transform per distinct
-    s-row.  The cv and covariance rows are analytic-only: `simulate` does
-    not estimate them, so `compare` does not gate them.
+    and correlation (two sources only); the joint transform per row of
+    `s_rows(spec, s_grid)`.  The cv and covariance rows are analytic-only:
+    `simulate` does not estimate them, so `compare` does not gate them.
     """
-    s_rows = distinct_s_rows(s_grid)
+    rows = s_rows(spec, s_grid)
     stats = aoi_statistics(spec)
     by_scope = sorted(_QUANTITIES, key=lambda q: _SCOPES.index(q.scope))
     return {
         q.label(i): float(getattr(stats, q.closed)[i]) if isinstance(q.closed, str) else q.closed(spec, i)
-        for q, i in _report_rows(by_scope, spec.num_sources, s_rows)
+        for q, i in _report_rows(by_scope, spec.num_sources, rows)
     }
 
 

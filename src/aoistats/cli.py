@@ -123,8 +123,7 @@ def _fmt(v: float) -> str:
 def _cmd_analytic(cfg: RunConfig, args) -> int:
     spec = _require_spec(cfg, args.command)
     header = ("quantity", "value")
-    s_grid = cfg.s_grid or simulator.default_s_grid(spec.num_sources)
-    rows = analytics.analytic_quantities(spec, s_grid).items()
+    rows = analytics.analytic_quantities(spec, cfg.s_grid or None).items()
     _print_table(header, [(name, _fmt(value)) for name, value in rows], sys.stdout)
     if cfg.output:
         experiments.write_csv(cfg.output, header, rows)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytics import SystemSpec, aoi_statistics, distinct_s_rows
+from .analytics import SystemSpec, aoi_statistics, s_rows
 from .experiments import _SWEEPS, _check_grid, family_model
 from .servicedist import format_service, parse_service
 from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
@@ -132,7 +132,6 @@ def _s_grid(text: str) -> tuple[tuple[float, ...], ...]:
     rows = tuple(tuple(_nonnegative(v) for v in row.split(",")) for row in text.split(";") if row.strip())
     if not rows:
         raise ValueError("needs at least one vector")
-    distinct_s_rows(rows)
     return rows
 
 
@@ -245,13 +244,8 @@ def parse_config(text: str) -> RunConfig:
             aoi_statistics(cfg.spec)  # every report needs the age moments
         except (ValueError, TypeError) as exc:
             errors.append(str(exc))
-    if cfg.spec is not None and cfg.s_grid:
-        K = cfg.spec.num_sources
-        for row in cfg.s_grid:
-            if len(row) != K:
-                errors.append(
-                    f"s_grid: vector {row} has length {len(row)} but the system has {K} sources"
-                )
+    if cfg.spec is not None and cfg.s_grid:  # each row's length, sum and label need the system
+        _read(lambda grid: s_rows(cfg.spec, grid), cfg.s_grid, "s_grid", errors)
 
     if any(k.startswith("sweep") for k in scalars):
         kind = cfg.sweep

@@ -204,12 +204,9 @@ def compare(
     `analytics._QUANTITIES` that are not analytic-only, so the age cv and
     covariance are not gated.  Each row carries the z-score (difference
     over batch stderr) and a pass mark at Z_THRESHOLD.  The closed forms
-    are computed first, so a spec they refuse fails before any
+    are computed first, so a spec or s-grid they refuse fails before any
     replication runs.
     """
-    if s_grid is None:
-        s_grid = simulator.default_s_grid(spec.num_sources)
-    s_grid = analytics.distinct_s_rows(s_grid)
     analytic = analytics.analytic_quantities(spec, s_grid)
     report = simulator.simulate(
         spec,

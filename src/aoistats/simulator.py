@@ -85,7 +85,6 @@ __all__ = [
     "SimulationReport",
     "replication_rng",
     "default_burn_in",
-    "default_s_grid",
     "run_replication",
     "simulate",
     "estimate_joint_laplace",
@@ -146,35 +145,20 @@ def default_burn_in(spec: SystemSpec) -> float:
     return max(100.0 / slowest, 1000.0 / spec.total_rate)
 
 
-def default_s_grid(num_sources: int) -> tuple[tuple[float, ...], ...]:
-    """Default transform-argument vectors: constants plus a staggered one."""
-    K = int(num_sources)
-    cyc = (0.5, 1.0, 2.0)
-    rows = [
-        (0.0,) * K,
-        (0.5,) * K,
-        (1.0,) * K,
-        (2.0,) * K,
-        tuple(cyc[i % 3] for i in range(K)),
-        (3.0,) * K,
-    ]
-    return tuple(dict.fromkeys(rows))
-
-
 @dataclass
 class PathAccumulator:
     """Closed-form path integrals over one or more replications.
 
-    Tracks, per requested argument vector, the integral of
-    exp(-s . A(t)); per source the integral of A_k; all pairwise
-    integrals of A_j A_k, whose diagonal holds those of A_k^2;
-    optionally, per source, the occupancy time below each level of
-    `cdf_grid` (a nonempty 1-D array of finite levels, in any order,
-    whose span is finite too).  `add_segments` adds the joint path, one
-    segment per stretch between two departures of any source;
-    `add_ramps` adds one source's occupancy from its age ramps, one per
-    stretch between two of its own updates, which must cover the same
-    time.
+    Tracks, per argument vector (each checked by `analytics._s_row`,
+    with no rate), the integral of exp(-s . A(t)); per source the
+    integral of A_k; all pairwise integrals of A_j A_k, whose diagonal
+    holds those of A_k^2; optionally, per source, the occupancy time
+    below each level of `cdf_grid` (a nonempty 1-D array of finite
+    levels, in any order, whose span is finite too).  `add_segments`
+    adds the joint path, one segment per stretch between two departures
+    of any source; `add_ramps` adds one source's occupancy from its age
+    ramps, one per stretch between two of its own updates, which must
+    cover the same time.
     """
 
     s_grid: tuple[tuple[float, ...], ...]
@@ -188,15 +172,7 @@ class PathAccumulator:
 
     def __post_init__(self):
         K = self.num_sources
-        grid = []
-        for row in self.s_grid:
-            row = tuple(float(v) for v in row)
-            if len(row) != K:
-                raise ValueError(f"argument vector {row} has length {len(row)}, expected {K}")
-            if any(v < 0 or not math.isfinite(v) for v in row):
-                raise ValueError(f"transform arguments must be nonnegative and finite: {row}")
-            grid.append(row)
-        self.s_grid = tuple(grid)
+        self.s_grid = tuple(analytics._s_row(row, K) for row in self.s_grid)
         self.exp_integrals = np.zeros(len(self.s_grid))
         self.age_integrals = np.zeros(K)
         self.cross_integrals = np.zeros((K, K))
@@ -243,10 +219,11 @@ class PathAccumulator:
         live = ~flat
         if live.any():
             s, sbar = s[live], sbar[live]
-            w = s @ ages.T  # s . a for every row and segment
+            with np.errstate(over="ignore"):  # s . a or sbar L may overflow to inf: exp and expm1 are exact there
+                w = s @ ages.T  # s . a for every row and segment
+                decay = np.multiply.outer(-sbar, L)
             np.negative(w, out=w)
             np.exp(w, out=w)
-            decay = np.multiply.outer(-sbar, L)
             np.expm1(decay, out=decay)  # -(1 - exp(-sbar L))
             self.exp_integrals[live] -= np.einsum("jn,jn->j", w, decay) / sbar
             del w, decay  # freed before the moment products allocate theirs
@@ -829,13 +806,12 @@ def _ratio_estimate(nums, dens, kind: str) -> Estimate:
 def estimate_joint_laplace(results, s) -> Estimate:
     """Time-average estimate of E[exp(-s . A)]: the integrals of
     exp(-s . A) summed over replications, over their summed time."""
-    results = _one_run(results)
-    row = tuple(float(v) for v in np.asarray(s, dtype=float).reshape(-1))
-    grid = results[0].accumulator.s_grid
+    accs = [r.accumulator for r in _one_run(results)]
+    row = analytics._s_row(s, accs[0].num_sources)
+    grid = accs[0].s_grid
     if row not in grid:
         raise ValueError(f"argument vector {row} was not simulated; grid is {grid}")
     j = grid.index(row)
-    accs = [r.accumulator for r in results]
     return _ratio_estimate([a.exp_integrals[j] for a in accs], [a.elapsed for a in accs], "time")
 
 
@@ -1018,8 +994,8 @@ def simulate(
 ) -> SimulationReport:
     """Simulate and estimate every row of the report table
     `analytics._QUANTITIES` that is not analytic-only (all but the age cv
-    and covariance), by label in table order; replication 0 writes its
-    event trace to `trace_path` when one is given.
+    and covariance), by label in table order, at each row `analytics.s_rows`
+    gives `s_grid`; replication 0 writes its event trace to `trace_path`, if any.
 
     `flags` notes each source that first delivers after burn-in in some
     replication, then each flagged estimate as "<label>: <flag>"; each
@@ -1032,9 +1008,7 @@ def simulate(
                 f"default burn-in {burn_in:g} reaches the horizon {horizon:g}; "
                 "pass burn_in explicitly or extend the horizon"
             )
-    if s_grid is None:
-        s_grid = default_s_grid(spec.num_sources)
-    s_grid = analytics.distinct_s_rows(s_grid)
+    s_grid = analytics.s_rows(spec, s_grid)
     results = run_replications(
         spec, horizon, burn_in, replications, seed, s_grid, workers=workers, trace_path=trace_path
     )

@@ -17,6 +17,7 @@ from aoistats.analytics import (
     SystemSpec,
     aoi_correlation,
     cc_lower_bound,
+    default_s_grid,
     departure_rate,
     joint_aoi_laplace,
     marginal_aoi_cdf,
@@ -29,7 +30,6 @@ from aoistats.analytics import (
 from aoistats.experiments import sweep_cc_vs_lambda2, sweep_cc_vs_service_rate
 from aoistats.servicedist import Deterministic, Exponential, Gamma
 from aoistats.simulator import (
-    default_s_grid,
     estimate_joint_laplace,
     estimate_marginal_cdf,
     estimate_palm,

@@ -17,6 +17,7 @@ from aoistats.analytics import (
     aoi_covariance,
     aoi_statistics,
     cc_lower_bound,
+    default_s_grid,
     departure_rate,
     joint_aoi_laplace,
     marginal_aoi_cdf,
@@ -27,7 +28,6 @@ from aoistats.analytics import (
     source_update_share,
 )
 from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture, ServiceTimeModel
-from aoistats.simulator import default_s_grid
 from ordering_oracles import (
     joint_aoi_laplace_two_source,
     joint_laplace_permutation_sum,

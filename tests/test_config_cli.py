@@ -828,14 +828,36 @@ def test_cli_identical_s_rows_collapse(command, tmp_path, capsys):
     assert "joint_laplace(1,1)" in labels and "joint_laplace(0.5,2)" in labels
 
 
-@pytest.mark.parametrize("command", ["analytic", "simulate", "compare"])
-def test_cli_colliding_s_row_labels_exit_1(command, tmp_path, capsys):
-    cfgfile = write_config(tmp_path, S_GRID_CFG.format("0.1234567, 0; 0.1234568, 0; 1, 1; 1, 1"))
+# each refused s-grid by id suffix: the grid and its whole config error
+S_GRID_REFUSALS = {
+    "": (
+        "0.1234567, 0; 0.1234568, 0; 1, 1; 1, 1",
+        "s_grid: argument vectors (0.1234567, 0.0) and (0.1234568, 0.0) share the label joint_laplace(0.123457,0)",
+    ),
+    # each argument is finite, but their sum is not
+    "-overflow": (
+        "1, 1; 1e308, 1e308",
+        "s_grid: transform arguments overflow: their sum plus the aggregate rate is not finite",
+    ),
+    "-negative": ("1, 1; 0.5, -2", "s_grid: must be nonnegative, got '-2'"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,grid,message",
+    [
+        pytest.param(command, grid, message, id=command + suffix)
+        for command in ("analytic", "simulate", "compare")
+        for suffix, (grid, message) in S_GRID_REFUSALS.items()
+    ],
+)
+def test_cli_colliding_s_row_labels_exit_1(command, grid, message, tmp_path, capsys):
+    cfgfile = write_config(tmp_path, S_GRID_CFG.format(grid))
     trace = tmp_path / "trace.csv"
     argv = [command, "--config", str(cfgfile)] + (["--trace", str(trace)] if command == "simulate" else [])
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert "share the label joint_laplace(0.123457,0)" in captured.err
+    assert captured.err == f"invalid configuration:\n  - {message}\n"
     assert captured.out == ""
     assert not trace.exists()
 

@@ -4,7 +4,7 @@ and `compare` joins the simulated labels onto the analytic ones."""
 import pytest
 
 from aoistats import simulator
-from aoistats.analytics import SystemSpec, analytic_quantities, distinct_s_rows
+from aoistats.analytics import SystemSpec, analytic_quantities, s_rows
 from aoistats.experiments import compare
 from aoistats.servicedist import Deterministic, Exponential, Gamma
 from aoistats.simulator import simulate
@@ -66,7 +66,7 @@ def test_label_order_is_frozen_and_consistent(spec, grid, analytic, simulated):
 
 
 def test_identical_s_rows_collapse():
-    assert distinct_s_rows([(1, 1), (0.5, 2.0), (1.0, 1.0)]) == ((1.0, 1.0), (0.5, 2.0))
+    assert s_rows(K2, [(1, 1), (0.5, 2.0), (1.0, 1.0)]) == ((1.0, 1.0), (0.5, 2.0))
     labels = list(analytic_quantities(K2, [(1, 1), (0.5, 2), (1, 1)]))
     assert labels[-2:] == ["joint_laplace(1,1)", "joint_laplace(0.5,2)"]
     report = simulate(K2, s_grid=[(1, 1), (1.0, 1.0)], **RUN)
@@ -74,17 +74,20 @@ def test_identical_s_rows_collapse():
 
 
 def test_colliding_s_row_labels_are_rejected_before_simulating(monkeypatch):
-    grid = [(0.1234567, 0.0), (0.1234568, 0.0)]
-
     def must_not_run(*args, **kwargs):
         raise AssertionError("simulation started despite colliding labels")
 
     monkeypatch.setattr(simulator, "run_replications", must_not_run)
-    for call in (
-        lambda: distinct_s_rows(grid),
-        lambda: analytic_quantities(K2, grid),
-        lambda: simulate(K2, s_grid=grid, **RUN),
-        lambda: compare(K2, s_grid=grid, **RUN),
+    for grid, message in (
+        ([(0.1234567, 0.0), (0.1234568, 0.0)], r"share the label joint_laplace\(0.123457,0\)"),
+        # each argument is finite, but their sum is not
+        ([(1.0, 1.0), (1e308, 1e308)], "transform arguments overflow"),
     ):
-        with pytest.raises(ValueError, match=r"share the label joint_laplace\(0.123457,0\)"):
-            call()
+        for call in (
+            lambda: s_rows(K2, grid),
+            lambda: analytic_quantities(K2, grid),
+            lambda: simulate(K2, s_grid=grid, **RUN),
+            lambda: compare(K2, s_grid=grid, **RUN),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()

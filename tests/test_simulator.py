@@ -6,6 +6,7 @@ import pickle
 import signal
 import time
 import tracemalloc
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from aoistats.analytics import (
     SystemSpec,
     aoi_correlation,
+    default_s_grid,
     departure_rate,
     joint_aoi_laplace,
     joint_laplace_label,
@@ -30,7 +32,6 @@ from aoistats.simulator import (
     Estimate,
     PathAccumulator,
     default_burn_in,
-    default_s_grid,
     estimate_joint_laplace,
     estimate_marginal_cdf,
     estimate_palm,
@@ -1099,6 +1100,17 @@ def test_simulate_report_round_trip():
         assert est.batches == 8
         assert est.stderr >= 0.0
     assert report.flags == []
+
+
+def test_huge_transform_argument_warns_nothing():
+    # the row's sum is finite, but s . a and sbar L overflow to inf, where
+    # exp gives 0 and expm1 gives -1 exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulate(SYMMETRIC, horizon=200.0, burn_in=10.0, replications=2, seed=3, s_grid=[(1e308, 0.0), (1, 1)])
+    est = report.quantities["joint_laplace(1e+308,0)"]
+    assert 0.0 <= est.value < 1e-300 and est.stderr < 1e-300
+    assert joint_aoi_laplace(SYMMETRIC, (1e308, 0.0)) < 1e-300
 
 
 def test_simulate_default_burn_in_guard():
