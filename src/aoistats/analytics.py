@@ -360,20 +360,21 @@ class _Quantity(NamedTuple):
 
     Scope "source" gives a row per source, labelled name[k] (1-based);
     "system" one row; "pair" one row for two sources; "s_row" a row per
-    s-row, labelled name(s_1,...,s_K).  A str closed form or estimate is
-    an AoIStatistics field read at the row's index from aoi_statistics, or
-    from estimate_statistics with its `_stderr` field.  Otherwise the
-    closed form is f(spec, index), calling public functions by name so
-    that a wrapper on one sees the call, and the estimate is _TIME_AVERAGE
-    (estimate_joint_laplace), f(replication, index) giving the numerator,
-    denominator and what a zero denominator lacks, for estimate_palm to
-    pool, or None for an analytic-only row, which `compare` does not gate.
+    s-row, labelled name(s_1,...,s_K).  The closed form is an AoIStatistics
+    field of aoi_statistics read at the row's index, or f(spec, index),
+    calling public functions by name so that a wrapper on one sees the
+    call.  A simulated row has one estimate: `average`, a time average
+    g(sums, index) of a run's path sums (see simulator._time_average), or
+    `palm`, f(replication, index) giving the numerator, denominator and
+    what a zero denominator lacks, for simulator._ratio_estimate to pool.
+    A row with neither is analytic-only, and `compare` does not gate it.
     """
 
     name: str
     scope: str
     closed: object
-    estimate: object
+    average: object = None
+    palm: object = None
 
     def label(self, index) -> str:
         if self.scope == "source":
@@ -383,31 +384,45 @@ class _Quantity(NamedTuple):
         return self.name
 
 
+def _age_moments(t):
+    """The age means, covariances and correlations over the time of path
+    sums `t`, read by PathAccumulator field name: a replication's, or a
+    run's pooled or stacked along a last axis, over which they broadcast."""
+    mean = t.age_integrals / t.elapsed
+    cov = t.cross_integrals / t.elapsed - mean[:, None] * mean[None, :]
+    diag = np.arange(len(mean))
+    sd = np.sqrt(np.maximum(cov[diag, diag], 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = cov / (sd[:, None] * sd[None, :])
+    corr[diag, diag] = 1.0
+    return mean, cov, corr
+
+
 # The table is in the simulated report's order: a run of entries of one
 # scope gives its rows index by index, so per-source runs go source by
 # source.  The analytic report takes all entries of a scope as one run,
 # scope by scope in _SCOPES order.
-_TIME_AVERAGE = object()
-_JOINT = _Quantity("joint_laplace", "s_row", lambda spec, s: joint_aoi_laplace(spec, s), _TIME_AVERAGE)
+_JOINT = _Quantity("joint_laplace", "s_row", lambda spec, s: joint_aoi_laplace(spec, s),
+                   average=lambda t, s: t.exp_integrals[t.s_grid.index(s)] / t.elapsed)
 _QUANTITIES = (
     _JOINT,
-    _Quantity("aoi_mean", "source", "mean", "mean"),
-    _Quantity("aoi_variance", "source", "variance", "variance"),
-    _Quantity("aoi_cv", "source", "cv", None),
-    _Quantity("aoi_covariance", "pair", "covariance", None),
-    _Quantity("aoi_correlation", "pair", "correlation", "correlation"),
+    _Quantity("aoi_mean", "source", "mean", average=lambda t, k: _age_moments(t)[0][k]),
+    _Quantity("aoi_variance", "source", "variance", average=lambda t, k: _age_moments(t)[1][k, k]),
+    _Quantity("aoi_cv", "source", "cv"),
+    _Quantity("aoi_covariance", "pair", "covariance"),
+    _Quantity("aoi_correlation", "pair", "correlation", average=lambda t, jk: _age_moments(t)[2][jk]),
     _Quantity("departure_rate", "system", lambda spec, _: departure_rate(spec),
-              lambda r, _: (r.counts.window_departures, r.window_span, "window time")),
+              palm=lambda r, _: (r.counts.window_departures, r.window_span, "window time")),
     _Quantity("pushout_rate", "system", lambda spec, _: pushout_rate(spec),
-              lambda r, _: (r.counts.window_pushouts, r.window_span, "window time")),
+              palm=lambda r, _: (r.counts.window_pushouts, r.window_span, "window time")),
     _Quantity("update_share", "source", lambda spec, k: source_update_share(spec, k),
-              lambda r, k: (r.source_sums[0, k], r.counts.window_departures, "deliveries")),
+              palm=lambda r, k: (r.source_sums[0, k], r.counts.window_departures, "deliveries")),
     _Quantity("update_rate", "source", lambda spec, k: palm_means(spec, k).update_rate,
-              lambda r, k: (r.source_sums[0, k], r.window_span, f"deliveries for source {k + 1}")),
+              palm=lambda r, k: (r.source_sums[0, k], r.window_span, f"deliveries for source {k + 1}")),
     _Quantity("delay_mean", "source", lambda spec, k: palm_means(spec, k).delay_mean,
-              lambda r, k: (r.source_sums[1, k], r.source_sums[0, k], f"deliveries for source {k + 1}")),
+              palm=lambda r, k: (r.source_sums[1, k], r.source_sums[0, k], f"deliveries for source {k + 1}")),
     _Quantity("peak_mean", "source", lambda spec, k: palm_means(spec, k).peak_mean,
-              lambda r, k: (r.source_sums[2, k], r.source_sums[3, k], f"peaks for source {k + 1}")),
+              palm=lambda r, k: (r.source_sums[2, k], r.source_sums[3, k], f"peaks for source {k + 1}")),
 )
 _SCOPES = ("source", "system", "pair", "s_row")  # the analytic report's order
 
@@ -447,7 +462,7 @@ def _s_row(row, num_sources: int, rate: float = 0.0) -> tuple[float, ...]:
     s = np.asarray(row, dtype=float)
     if s.ndim != 1:
         raise ValueError(f"argument vector must be 1-D, got shape {s.shape}")
-    row = tuple(s.tolist())
+    row = tuple((s + 0.0).tolist())  # -0.0 + 0.0 is 0.0, so -0 is labelled and kept as 0
     if len(row) != num_sources:
         raise ValueError(f"argument vector {row} has length {len(row)} but the system has {num_sources} sources")
     if not all(0.0 <= v < math.inf for v in row):

@@ -23,7 +23,7 @@ CDFs a source's age is one ramp from each of its updates to the next,
 and occupancy below each level of a CDF grid is a cumulative sum, over
 the sorted grid, of each cell's overlap with the ramps: O(n_k + m) per
 source for its n_k window deliveries and m levels, since a bucket table
-built per source from the grid places the ramp starts and ends on it,
+built once from the grid places the ramp starts and ends on it,
 with a binary search only for a key whose bucket holds two or more
 levels.
 
@@ -46,15 +46,18 @@ requirements from its own stream, the service-role stream jumped
 k * 2^128 draws ahead for source k, in chunks of _SERVICE_CHUNK, so the
 n-th packet of a source gets the same service however blocks split.
 
-Estimators combine the replications of one run by one rule: the value
-is a sum over replications divided by a sum, and the standard error is
-the sample standard deviation of the per-replication ratios divided by
-sqrt(replications); age statistics are plug-ins of such pooled sums.
+Estimators combine the replications of one run by one rule: each sum
+of a replication is pooled over the run by np.sum, an estimate is a
+function g of pooled sums, and its standard error is the sample standard
+deviation of g per replication divided by sqrt(replications).  For the
+time averages (transforms, age moments, CDFs) g reads the path sums of
+the accumulators; for the Palm rows it is a ratio of counts or sums.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
 import heapq
 import logging
@@ -154,11 +157,11 @@ class PathAccumulator:
     integral of A_k; all pairwise integrals of A_j A_k, whose diagonal
     holds those of A_k^2; optionally, per source, the occupancy time
     below each level of `cdf_grid` (a nonempty 1-D array of finite
-    levels, in any order, whose span is finite too).  `add_segments`
-    adds the joint path, one segment per stretch between two departures
-    of any source; `add_ramps` adds one source's occupancy from its age
-    ramps, one per stretch between two of its own updates, which must
-    cover the same time.
+    levels, in any order, whose span is finite too), sorted once into a
+    `_SortedGrid`.  `add_segments` adds the joint path, one segment per
+    stretch between two departures of any source; `add_ramps` adds one
+    source's occupancy from its age ramps, one per stretch between two of
+    its own updates, which must cover the same time.
     """
 
     s_grid: tuple[tuple[float, ...], ...]
@@ -185,6 +188,7 @@ class PathAccumulator:
                 raise ValueError(f"CDF grid must span a finite range, got {x!r}")
             self.cdf_grid = x
             self.cdf_occupancy = np.zeros((K, x.size))
+            self._sorted = _SortedGrid(x)
         else:
             self.cdf_occupancy = None
 
@@ -257,7 +261,7 @@ class PathAccumulator:
             raise ValueError("ramp starts and lengths must be finite")
         if np.any(lengths < 0):
             raise ValueError("ramp lengths must be nonnegative")
-        self.cdf_occupancy[k] += _occupancy(_SortedGrid(self.cdf_grid), starts, lengths)
+        self.cdf_occupancy[k] += _occupancy(self._sorted, starts, lengths)
 
 
 # buckets per grid level in the table that places ramp starts and ends
@@ -278,6 +282,7 @@ class _SortedGrid:
     """
 
     def __init__(self, grid: np.ndarray):
+        self.grid = grid
         self.order = np.argsort(grid)
         self.xs = grid[self.order]
         n_b = _BUCKETS_PER_LEVEL * self.xs.size
@@ -297,6 +302,10 @@ class _SortedGrid:
         self.level = np.full(n_b + 3, np.nan)
         self.level[one] = self.xs[self.below[one]]
         self.crowded = count > 1
+
+    def __reduce__(self):
+        # a pickle keeps the grid alone, which its accumulator holds anyway
+        return _SortedGrid, (self.grid,)
 
     def _bucket(self, values: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):  # an overflow to ±inf keeps the order
@@ -784,10 +793,35 @@ def _one_run(results) -> list[ReplicationResult]:
     return results
 
 
+def _run_sums(results) -> tuple[PathAccumulator, PathAccumulator]:
+    """The path sums of one run's `results` (see `_one_run`), pooled over
+    its replications by np.sum, and stacked along a last, replication
+    axis: each in a copy of the first replication's accumulator, which
+    keeps the grids."""
+    accs = [r.accumulator for r in _one_run(results)]
+    pooled, stacked = copy.copy(accs[0]), copy.copy(accs[0])
+    for name in ("elapsed", "exp_integrals", "age_integrals", "cross_integrals", "cdf_occupancy"):
+        if getattr(accs[0], name) is not None:  # no occupancy without a CDF grid
+            per = np.stack([getattr(a, name) for a in accs], axis=-1)
+            setattr(stacked, name, per)
+            setattr(pooled, name, per.sum(axis=-1))
+    return pooled, stacked
+
+
+def _time_average(sums, g, index):
+    """The one rule for a time average g(sums, index) of a run's `sums`
+    (see `_run_sums`): its value is g of the pooled sums, and its standard
+    error the sample standard deviation of g per replication, over the
+    stacked sums, divided by sqrt(replications)."""
+    pooled, stacked = sums
+    per = g(stacked, index)
+    return g(pooled, index), np.std(per, axis=-1, ddof=1) / math.sqrt(per.shape[-1])
+
+
 def _ratio_estimate(nums, dens, kind: str) -> Estimate:
-    """The one rule that combines replications: the value sums numerators
-    over denominators, the stderr comes from the per-replication ratios;
-    a replication with no `kind` (a ratio not finite) is flagged."""
+    """The Palm rule: the value sums numerators over denominators, the
+    stderr comes from the per-replication ratios; a replication with no
+    `kind` (a ratio not finite) is flagged."""
     nums = np.asarray(nums, dtype=float)
     dens = np.asarray(dens, dtype=float)
     if dens.sum() == 0:
@@ -806,53 +840,33 @@ def _ratio_estimate(nums, dens, kind: str) -> Estimate:
 def estimate_joint_laplace(results, s) -> Estimate:
     """Time-average estimate of E[exp(-s . A)]: the integrals of
     exp(-s . A) summed over replications, over their summed time."""
-    accs = [r.accumulator for r in _one_run(results)]
-    row = analytics._s_row(s, accs[0].num_sources)
-    grid = accs[0].s_grid
-    if row not in grid:
-        raise ValueError(f"argument vector {row} was not simulated; grid is {grid}")
-    j = grid.index(row)
-    return _ratio_estimate([a.exp_integrals[j] for a in accs], [a.elapsed for a in accs], "time")
+    pooled, stacked = sums = _run_sums(results)
+    row = analytics._s_row(s, pooled.num_sources)
+    if row not in pooled.s_grid:
+        raise ValueError(f"argument vector {row} was not simulated; grid is {pooled.s_grid}")
+    value, stderr = _time_average(sums, analytics._JOINT.average, row)
+    return Estimate(float(value), float(stderr), stacked.elapsed.size)
 
 
 def estimate_statistics(results) -> AoIStatistics:
-    """Simulated per-source age statistics with batch-means stderr.
-
-    Point values are plug-ins from the integrals summed over
-    replications; standard errors recompute the same statistic per
-    replication and take the spread, as `_ratio_estimate` does.
-    """
-
-    def stats_from(T, age, cross):
-        # broadcasts over any leading axes of T
-        T = np.asarray(T)[..., None]
-        mean = age / T
-        cov = cross / T[..., None] - mean[..., :, None] * mean[..., None, :]
-        var = np.diagonal(cov, axis1=-2, axis2=-1).copy()  # a writable array, not a view of cov
-        sd = np.sqrt(np.maximum(var, 0.0))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = cov / (sd[..., :, None] * sd[..., None, :])
-        diag = np.arange(age.shape[-1])
-        corr[..., diag, diag] = 1.0
-        return mean, var, cov, corr
-
-    accs = [r.accumulator for r in _one_run(results)]
-    T = np.array([a.elapsed for a in accs])
-    age = np.stack([a.age_integrals for a in accs])
-    cross = np.stack([a.cross_integrals for a in accs])
-    mean, var, cov, corr = stats_from(math.fsum(T), age.sum(axis=0), cross.sum(axis=0))
-    root_b = math.sqrt(len(accs))
-    mean_se, var_se, cov_se, corr_se = (np.std(p, axis=0, ddof=1) / root_b for p in stats_from(T, age, cross))
-    cv = np.sqrt(np.maximum(var, 0.0)) / mean
+    """Simulated per-source age statistics with batch-means stderr: each
+    of `analytics._age_moments` by `_time_average`, the variance as the
+    covariance diagonal."""
+    sums = _run_sums(results)
+    (mean, mean_se), (cov, cov_se), (corr, corr_se) = (
+        _time_average(sums, lambda t, i: analytics._age_moments(t)[i], i) for i in range(3)
+    )
+    diag = np.arange(len(mean))
+    var = cov[diag, diag]
     return AoIStatistics(
         mean=mean,
         variance=var,
-        cv=cv,
+        cv=np.sqrt(np.maximum(var, 0.0)) / mean,
         covariance=cov,
         correlation=corr,
         provenance="simulated",
         mean_stderr=mean_se,
-        variance_stderr=var_se,
+        variance_stderr=cov_se[diag, diag],
         covariance_stderr=cov_se,
         correlation_stderr=corr_se,
     )
@@ -863,10 +877,10 @@ def estimate_palm(results) -> dict[str, Estimate]:
     table that pools replication sums: the departure and pushout rates,
     then per source the update share and rate and the delay and peak means."""
     results = _one_run(results)
-    pooled = (q for q in analytics._QUANTITIES if callable(q.estimate))
+    pooled = (q for q in analytics._QUANTITIES if q.palm is not None)
     out = {}
     for q, k in analytics._report_rows(pooled, results[0].spec.num_sources, ()):
-        nums, dens, what = zip(*(q.estimate(r, k) for r in results))
+        nums, dens, what = zip(*(q.palm(r, k) for r in results))
         out[q.label(k)] = _ratio_estimate(nums, dens, what[0])
     return out
 
@@ -874,14 +888,12 @@ def estimate_palm(results) -> dict[str, Estimate]:
 def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical P(A_k <= x) on the replications' CDF grid: the time below
     each level summed over replications, over their summed time."""
-    results = _one_run(results)
-    k = analytics._check_source_index(k, results[0].spec.num_sources)
-    grid = results[0].accumulator.cdf_grid
-    if grid is None:
+    pooled, _ = sums = _run_sums(results)
+    k = analytics._check_source_index(k, pooled.num_sources)
+    if pooled.cdf_grid is None:
         raise ValueError("replications were run without a CDF grid")
-    occ = np.sum([r.accumulator.cdf_occupancy[k] for r in results], axis=0)
-    T = math.fsum(r.accumulator.elapsed for r in results)
-    return grid.copy(), occ / T
+    value, _ = _time_average(sums, lambda t, k: t.cdf_occupancy[k] / t.elapsed, k)
+    return pooled.cdf_grid.copy(), value
 
 
 # ---------------------------------------------------------------------------
@@ -1013,17 +1025,14 @@ def simulate(
         spec, horizon, burn_in, replications, seed, s_grid, workers=workers, trace_path=trace_path
     )
 
-    stats = estimate_statistics(results)
+    sums = _run_sums(results)
     palm = estimate_palm(results)
-    gated = (q for q in analytics._QUANTITIES if q.estimate is not None)
     quantities = {}
-    for q, i in analytics._report_rows(gated, spec.num_sources, s_grid):
-        if q.estimate is analytics._TIME_AVERAGE:
-            quantities[q.label(i)] = estimate_joint_laplace(results, i)
-        elif isinstance(q.estimate, str):
-            value, stderr = getattr(stats, q.estimate)[i], getattr(stats, q.estimate + "_stderr")[i]
+    for q, i in analytics._report_rows(analytics._QUANTITIES, spec.num_sources, s_grid):
+        if q.average is not None:
+            value, stderr = _time_average(sums, q.average, i)
             quantities[q.label(i)] = Estimate(float(value), float(stderr), len(results))
-        else:
+        elif q.palm is not None:
             quantities[q.label(i)] = palm[q.label(i)]
 
     late = Counter(k for r in results for k in r.late_sources)

@@ -1,6 +1,8 @@
 """Report labels: each side names its quantities once, in a frozen order,
 and `compare` joins the simulated labels onto the analytic ones."""
 
+import math
+
 import pytest
 
 from aoistats import simulator
@@ -71,6 +73,12 @@ def test_identical_s_rows_collapse():
     assert labels[-2:] == ["joint_laplace(1,1)", "joint_laplace(0.5,2)"]
     report = simulate(K2, s_grid=[(1, 1), (1.0, 1.0)], **RUN)
     assert report.s_grid == ((1.0, 1.0),)
+    # -0 is 0, in the row and in its label, whichever spelling comes first
+    for grid in ([(-0.0, 0.0)], [(0.0, 0.0), (-0.0, 0.0)], [(-0.0, 0.0), (0.0, -0.0)]):
+        rows = s_rows(K2, grid)
+        assert rows == ((0.0, 0.0),) and math.copysign(1.0, rows[0][0]) == 1.0
+        assert list(analytic_quantities(K2, grid))[-1] == "joint_laplace(0,0)"
+    assert list(simulate(K2, s_grid=[(-0.0, 0.0)], **RUN).quantities)[0] == "joint_laplace(0,0)"
 
 
 def test_colliding_s_row_labels_are_rejected_before_simulating(monkeypatch):

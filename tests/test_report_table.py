@@ -18,11 +18,9 @@ def test_every_entry_has_an_estimator_or_the_analytic_only_mark():
     for q in analytics._QUANTITIES:
         assert q.scope in analytics._SCOPES, q.name
         assert callable(q.closed) or q.closed in FIELDS, q.name
-        estimate = q.estimate
-        if isinstance(estimate, str):  # a field read with its stderr
-            assert estimate in FIELDS and f"{estimate}_stderr" in FIELDS, q.name
-        else:
-            assert estimate is None or estimate is analytics._TIME_AVERAGE or callable(estimate), q.name
+        # at most one estimate kind: a time average g or a Palm ratio
+        assert q.average is None or q.palm is None, q.name
+        assert all(f is None or callable(f) for f in (q.average, q.palm)), q.name
 
 
 def test_each_label_name_is_written_once_in_the_source():
@@ -41,6 +39,6 @@ def test_simulated_rows_are_the_table_rows_not_marked_analytic_only():
     simulated = simulate(spec, horizon=300.0, burn_in=10.0, replications=2, seed=3, s_grid=grid).quantities
     only = {label for label in analytic if label not in simulated}
     assert only == {"aoi_cv[1]", "aoi_cv[2]", "aoi_covariance"}
-    marked = [q for q in analytics._QUANTITIES if q.estimate is None]
+    marked = [q for q in analytics._QUANTITIES if q.average is None and q.palm is None]
     assert {q.name for q in marked} == {"aoi_cv", "aoi_covariance"}
     assert set(simulated) <= set(analytic)

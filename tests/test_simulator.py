@@ -258,6 +258,21 @@ def test_accumulator_layout_checks():
     assert acc.elapsed == 0.0 and not acc.exp_integrals.any() and not acc.cross_integrals.any()
 
 
+def test_sorted_grid_is_built_once_per_accumulator(monkeypatch):
+    built = []
+
+    class Counted(simulator._SortedGrid):
+        def __init__(self, grid):
+            built.append(grid.size)
+            super().__init__(grid)
+
+    monkeypatch.setattr(simulator, "_SortedGrid", Counted)
+    spec = SystemSpec(rates=(2.0, 1.0), services=(Exponential(4.0), Deterministic(0.2)))
+    r = run_replication(spec, 3e4, 10.0, 5, 0, (), cdf_grid=np.linspace(0.05, 3.0, 20))
+    assert r.counts.arrivals > 2 * simulator._BLOCK  # three blocks, each adding ramps of both sources
+    assert built == [20]
+
+
 def test_pickled_accumulator_rebuilds_its_sorted_grid():
     starts, lengths = np.array([0.1, 0.3]), np.array([1.0, 0.4])
     acc = PathAccumulator(s_grid=(), num_sources=1, cdf_grid=[1.0, 0.25, 0.5])
@@ -912,15 +927,22 @@ def test_statistics_three_sources_are_finite(mixed3_results):
         assert abs(stats.mean[k] - truth.mean) < Z_GATE * stats.mean_stderr[k]
 
 
+def pooled(values):
+    """np.sum of each entry's values over the replications, the first axis
+    of `values`: how every estimator pools a replication sum.  A stderr
+    takes np.std of each entry's per-replication values the same way."""
+    return np.apply_along_axis(np.sum, 0, np.array(values))
+
+
 def statistics_by_replication(results):
     """`estimate_statistics` as a loop that recomputes every statistic one
     replication at a time, reading the integrals of A_k^2 from the cross
     diagonal: the reference for its form over a replication axis."""
 
     def stats_from(accs):
-        T = math.fsum(a.elapsed for a in accs)
-        age = np.sum([a.age_integrals for a in accs], axis=0)
-        cross = np.sum([a.cross_integrals for a in accs], axis=0)
+        T = pooled([a.elapsed for a in accs])
+        age = pooled([a.age_integrals for a in accs])
+        cross = pooled([a.cross_integrals for a in accs])
         mean = age / T
         var = np.diagonal(cross) / T - mean**2
         cov = cross / T - np.outer(mean, mean)
@@ -934,7 +956,9 @@ def statistics_by_replication(results):
     mean, var, cov, corr = stats_from([r.accumulator for r in results])
     per_rep = [stats_from([r.accumulator]) for r in results]
     root_b = math.sqrt(len(results))
-    mean_se, var_se, cov_se, corr_se = (np.std([p[i] for p in per_rep], axis=0, ddof=1) / root_b for i in range(4))
+    mean_se, var_se, cov_se, corr_se = (
+        np.apply_along_axis(np.std, 0, [p[i] for p in per_rep], ddof=1) / root_b for i in range(4)
+    )
     return dict(
         mean=mean, variance=var, cv=np.sqrt(np.maximum(var, 0.0)) / mean, covariance=cov, correlation=corr,
         mean_stderr=mean_se, variance_stderr=var_se, covariance_stderr=cov_se, correlation_stderr=corr_se,
@@ -1047,6 +1071,37 @@ def test_every_rate_and_transform_is_a_pooled_ratio(symmetric_results):
         nums, dens = np.array([a.exp_integrals[j] for a in accs]), np.array([a.elapsed for a in accs])
         assert est.value == float(nums.sum() / dens.sum())
         assert est.stderr == float((nums / dens).std(ddof=1) / math.sqrt(len(accs)))
+    # every other time average is a function g of sums pooled the same way,
+    # with the spread of g per replication as its stderr; simulate runs the
+    # fixture's replications again
+    report = simulate(SYMMETRIC, 1e4, 100.0, 16, 7).quantities
+    T = np.array([a.elapsed for a in accs])
+    age, cross = np.array([a.age_integrals for a in accs]), np.array([a.cross_integrals for a in accs])
+
+    def moments(T, age, cross):  # means, variances, correlation, one replication or pooled
+        mean = age / T
+        var = [cross[k, k] / T - mean[k] * mean[k] for k in range(2)]
+        sd = [np.sqrt(np.maximum(v, 0.0)) for v in var]
+        return mean, var, (cross[0, 1] / T - mean[0] * mean[1]) / (sd[0] * sd[1])
+
+    mean, var, corr = moments(T.sum(), pooled(age), pooled(cross))
+    per = [moments(a.elapsed, a.age_integrals, a.cross_integrals) for a in accs]
+    cases = [(report["aoi_correlation"], corr, [p[2] for p in per])]
+    for k in range(2):
+        cases.append((report[f"aoi_mean[{k + 1}]"], mean[k], [p[0][k] for p in per]))
+        cases.append((report[f"aoi_variance[{k + 1}]"], var[k], [p[1][k] for p in per]))
+    for est, value, per_rep in cases:
+        assert est.value == value and est.batches == len(accs) and est.flag is None
+        assert est.stderr == float(np.std(per_rep, ddof=1) / math.sqrt(len(accs)))
+    spec = SystemSpec(rates=(2.0, 1.0), services=(Exponential(4.0), Deterministic(0.2)))
+    grid = np.linspace(0.05, 3.0, 9)
+    results = run_replications(spec, 500.0, 10.0, 16, 5, (), cdf_grid=grid)
+    for k in range(2):
+        occ = np.array([r.accumulator.cdf_occupancy[k] for r in results])
+        T = np.array([r.accumulator.elapsed for r in results])
+        got_grid, values = estimate_marginal_cdf(results, k)
+        assert np.array_equal(got_grid, grid)
+        assert np.array_equal(values, pooled(occ) / T.sum())
 
 
 def test_estimators_reject_replications_of_different_runs():
