@@ -360,21 +360,20 @@ class _Quantity(NamedTuple):
 
     Scope "source" gives a row per source, labelled name[k] (1-based);
     "system" one row; "pair" one row for two sources; "s_row" a row per
-    s-row, labelled name(s_1,...,s_K).  The closed form is an AoIStatistics
-    field of aoi_statistics read at the row's index, or f(spec, index),
+    s-row, labelled name(s_1,...,s_K).  The closed form is f(spec, index),
     calling public functions by name so that a wrapper on one sees the
-    call.  A simulated row has one estimate: `average`, a time average
-    g(sums, index) of a run's path sums (see simulator._time_average), or
-    `palm`, f(replication, index) giving the numerator, denominator and
-    what a zero denominator lacks, for simulator._ratio_estimate to pool.
-    A row with neither is analytic-only, and `compare` does not gate it.
+    call; the estimate is g(sums, index) of a run's pooled or stacked sums,
+    which simulator._estimate, the one rule, turns into the row's Estimate.
+    `lacks` names what a replication without a finite g lacks, {} standing
+    for a source row's 1-based source.  A row with no estimate is
+    analytic-only, and `compare` does not gate it.
     """
 
     name: str
     scope: str
     closed: object
-    average: object = None
-    palm: object = None
+    estimate: object = None
+    lacks: str = "window time"
 
     def label(self, index) -> str:
         if self.scope == "source":
@@ -403,26 +402,32 @@ def _age_moments(t):
 # source.  The analytic report takes all entries of a scope as one run,
 # scope by scope in _SCOPES order.
 _JOINT = _Quantity("joint_laplace", "s_row", lambda spec, s: joint_aoi_laplace(spec, s),
-                   average=lambda t, s: t.exp_integrals[t.s_grid.index(s)] / t.elapsed)
+                   lambda t, s: t.exp_integrals[t.s_grid.index(s)] / t.elapsed)
+# the rows that pool event counts and delivery sums (simulator.estimate_palm)
+_PALM = (
+    _Quantity("departure_rate", "system", lambda spec, _: departure_rate(spec),
+              lambda t, _: t.window_departures / t.window_span),
+    _Quantity("pushout_rate", "system", lambda spec, _: pushout_rate(spec),
+              lambda t, _: t.window_pushouts / t.window_span),
+    _Quantity("update_share", "source", lambda spec, k: source_update_share(spec, k),
+              lambda t, k: t.source_sums[0, k] / t.window_departures, "deliveries"),
+    _Quantity("update_rate", "source", lambda spec, k: palm_means(spec, k).update_rate,
+              lambda t, k: t.source_sums[0, k] / t.window_span, "deliveries for source {}"),
+    _Quantity("delay_mean", "source", lambda spec, k: palm_means(spec, k).delay_mean,
+              lambda t, k: t.source_sums[1, k] / t.source_sums[0, k], "deliveries for source {}"),
+    _Quantity("peak_mean", "source", lambda spec, k: palm_means(spec, k).peak_mean,
+              lambda t, k: t.source_sums[2, k] / t.source_sums[3, k], "peaks for source {}"),
+)
 _QUANTITIES = (
     _JOINT,
-    _Quantity("aoi_mean", "source", "mean", average=lambda t, k: _age_moments(t)[0][k]),
-    _Quantity("aoi_variance", "source", "variance", average=lambda t, k: _age_moments(t)[1][k, k]),
-    _Quantity("aoi_cv", "source", "cv"),
-    _Quantity("aoi_covariance", "pair", "covariance"),
-    _Quantity("aoi_correlation", "pair", "correlation", average=lambda t, jk: _age_moments(t)[2][jk]),
-    _Quantity("departure_rate", "system", lambda spec, _: departure_rate(spec),
-              palm=lambda r, _: (r.counts.window_departures, r.window_span, "window time")),
-    _Quantity("pushout_rate", "system", lambda spec, _: pushout_rate(spec),
-              palm=lambda r, _: (r.counts.window_pushouts, r.window_span, "window time")),
-    _Quantity("update_share", "source", lambda spec, k: source_update_share(spec, k),
-              palm=lambda r, k: (r.source_sums[0, k], r.counts.window_departures, "deliveries")),
-    _Quantity("update_rate", "source", lambda spec, k: palm_means(spec, k).update_rate,
-              palm=lambda r, k: (r.source_sums[0, k], r.window_span, f"deliveries for source {k + 1}")),
-    _Quantity("delay_mean", "source", lambda spec, k: palm_means(spec, k).delay_mean,
-              palm=lambda r, k: (r.source_sums[1, k], r.source_sums[0, k], f"deliveries for source {k + 1}")),
-    _Quantity("peak_mean", "source", lambda spec, k: palm_means(spec, k).peak_mean,
-              palm=lambda r, k: (r.source_sums[2, k], r.source_sums[3, k], f"peaks for source {k + 1}")),
+    _Quantity("aoi_mean", "source", lambda spec, k: marginal_aoi_moments(spec, k).mean,
+              lambda t, k: _age_moments(t)[0][k]),
+    _Quantity("aoi_variance", "source", lambda spec, k: marginal_aoi_moments(spec, k).variance,
+              lambda t, k: _age_moments(t)[1][k, k]),
+    _Quantity("aoi_cv", "source", lambda spec, k: marginal_aoi_moments(spec, k).cv),
+    _Quantity("aoi_covariance", "pair", lambda spec, _: aoi_covariance(spec)),
+    _Quantity("aoi_correlation", "pair", lambda spec, _: aoi_correlation(spec), lambda t, jk: _age_moments(t)[2][jk]),
+    *_PALM,
 )
 _SCOPES = ("source", "system", "pair", "s_row")  # the analytic report's order
 
@@ -496,12 +501,8 @@ def analytic_quantities(spec: SystemSpec, s_grid=None) -> dict[str, float]:
     `simulate` does not estimate them, so `compare` does not gate them.
     """
     rows = s_rows(spec, s_grid)
-    stats = aoi_statistics(spec)
     by_scope = sorted(_QUANTITIES, key=lambda q: _SCOPES.index(q.scope))
-    return {
-        q.label(i): float(getattr(stats, q.closed)[i]) if isinstance(q.closed, str) else q.closed(spec, i)
-        for q, i in _report_rows(by_scope, spec.num_sources, rows)
-    }
+    return {q.label(i): q.closed(spec, i) for q, i in _report_rows(by_scope, spec.num_sources, rows)}
 
 
 # ---------------------------------------------------------------------------

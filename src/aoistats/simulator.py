@@ -47,11 +47,11 @@ k * 2^128 draws ahead for source k, in chunks of _SERVICE_CHUNK, so the
 n-th packet of a source gets the same service however blocks split.
 
 Estimators combine the replications of one run by one rule: each sum
-of a replication is pooled over the run by np.sum, an estimate is a
-function g of pooled sums, and its standard error is the sample standard
-deviation of g per replication divided by sqrt(replications).  For the
-time averages (transforms, age moments, CDFs) g reads the path sums of
-the accumulators; for the Palm rows it is a ratio of counts or sums.
+of a replication is pooled over the run by np.sum, and every simulated
+report row, a time average, a rate or a delivery mean, is a function g of
+the pooled sums.  Its standard error is the sample standard deviation of
+g per replication, over those where g is finite, divided by the square
+root of their count; a replication where g is not finite is flagged.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ import csv
 import heapq
 import logging
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -772,9 +773,20 @@ class Estimate:
     flag: str | None = None
 
 
-def _one_run(results) -> list[ReplicationResult]:
-    """`results` as a list, checked to be replications of one run: at
-    least two, of one system, with one s-grid and one CDF grid or none."""
+# each sum of a replication that an estimate reads, by its path from the
+# ReplicationResult; a run's sums name it by the path's last part
+_SUMS = (
+    "accumulator.elapsed", "accumulator.exp_integrals", "accumulator.age_integrals", "accumulator.cross_integrals",
+    "accumulator.cdf_occupancy", "source_sums", "counts.window_departures", "counts.window_pushouts", "window_span",
+)
+
+
+def _run_sums(results) -> tuple[PathAccumulator, PathAccumulator]:
+    """The `_SUMS` of `results`, checked to be replications of one run (at
+    least two, of one system, with one s-grid and one CDF grid or none),
+    pooled over them by np.sum, and stacked along a last, replication
+    axis: each set in a copy of the first replication's accumulator, which
+    keeps the grids."""
     results = list(results)
     if len(results) < 2:
         raise ValueError(f"need at least 2 replications, got {len(results)}")
@@ -790,72 +802,61 @@ def _one_run(results) -> list[ReplicationResult]:
         # equal when both are None, unequal when one is
         if not np.array_equal(r.accumulator.cdf_grid, first.accumulator.cdf_grid):
             raise ValueError("replications were run with different CDF grids")
-    return results
-
-
-def _run_sums(results) -> tuple[PathAccumulator, PathAccumulator]:
-    """The path sums of one run's `results` (see `_one_run`), pooled over
-    its replications by np.sum, and stacked along a last, replication
-    axis: each in a copy of the first replication's accumulator, which
-    keeps the grids."""
-    accs = [r.accumulator for r in _one_run(results)]
-    pooled, stacked = copy.copy(accs[0]), copy.copy(accs[0])
-    for name in ("elapsed", "exp_integrals", "age_integrals", "cross_integrals", "cdf_occupancy"):
-        if getattr(accs[0], name) is not None:  # no occupancy without a CDF grid
-            per = np.stack([getattr(a, name) for a in accs], axis=-1)
+    pooled, stacked = copy.copy(first.accumulator), copy.copy(first.accumulator)
+    for path, values in zip(_SUMS, zip(*map(operator.attrgetter(*_SUMS), results))):
+        if values[0] is not None:  # no occupancy without a CDF grid
+            per = np.stack(values, axis=-1)
+            name = path.rpartition(".")[2]
             setattr(stacked, name, per)
             setattr(pooled, name, per.sum(axis=-1))
     return pooled, stacked
 
 
-def _time_average(sums, g, index):
-    """The one rule for a time average g(sums, index) of a run's `sums`
-    (see `_run_sums`): its value is g of the pooled sums, and its standard
-    error the sample standard deviation of g per replication, over the
-    stacked sums, divided by sqrt(replications)."""
+def _stderr(per):
+    """The sample standard deviation of per-replication values, along their
+    last axis, divided by the square root of their count."""
+    return np.std(per, axis=-1, ddof=1) / math.sqrt(per.shape[-1])
+
+
+def _estimate(sums, q, index) -> Estimate:
+    """The one rule for every simulated row: report table entry `q`'s
+    estimate at `index` from a run's `sums` (see `_run_sums`).  The value
+    is q.estimate of the pooled sums; over the stacked sums it gives one
+    value per replication, and the finite ones give the stderr by `_stderr`
+    and the batch count.  A replication whose value is not finite lacks
+    what q.lacks names, and the estimate is flagged."""
     pooled, stacked = sums
-    per = g(stacked, index)
-    return g(pooled, index), np.std(per, axis=-1, ddof=1) / math.sqrt(per.shape[-1])
-
-
-def _ratio_estimate(nums, dens, kind: str) -> Estimate:
-    """The Palm rule: the value sums numerators over denominators, the
-    stderr comes from the per-replication ratios; a replication with no
-    `kind` (a ratio not finite) is flagged."""
-    nums = np.asarray(nums, dtype=float)
-    dens = np.asarray(dens, dtype=float)
-    if dens.sum() == 0:
-        return Estimate(math.nan, math.nan, len(nums), flag=f"no {kind}")
-    value = float(nums.sum() / dens.sum())
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per = nums / dens
-    per = per[np.isfinite(per)]
-    if per.size < 2:
-        return Estimate(value, math.nan, per.size, flag=f"too few replications with {kind} for a stderr")
-    missing = len(nums) - per.size
-    flag = f"{missing} replications had no {kind}" if missing else None
-    return Estimate(value, float(per.std(ddof=1) / math.sqrt(per.size)), per.size, flag)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a ratio over a zero count is flagged below
+        value = float(q.estimate(pooled, index))
+        per = q.estimate(stacked, index)
+    lacks = q.lacks.format(index + 1) if q.scope == "source" else q.lacks
+    if not math.isfinite(value):
+        return Estimate(math.nan, math.nan, per.size, flag=f"no {lacks}")
+    finite = per[np.isfinite(per)]
+    if finite.size < 2:
+        return Estimate(value, math.nan, finite.size, flag=f"too few replications with {lacks} for a stderr")
+    missing = per.size - finite.size
+    flag = f"{missing} replications had no {lacks}" if missing else None
+    return Estimate(value, float(_stderr(finite)), finite.size, flag)
 
 
 def estimate_joint_laplace(results, s) -> Estimate:
     """Time-average estimate of E[exp(-s . A)]: the integrals of
     exp(-s . A) summed over replications, over their summed time."""
-    pooled, stacked = sums = _run_sums(results)
+    pooled, _ = sums = _run_sums(results)
     row = analytics._s_row(s, pooled.num_sources)
     if row not in pooled.s_grid:
         raise ValueError(f"argument vector {row} was not simulated; grid is {pooled.s_grid}")
-    value, stderr = _time_average(sums, analytics._JOINT.average, row)
-    return Estimate(float(value), float(stderr), stacked.elapsed.size)
+    return _estimate(sums, analytics._JOINT, row)
 
 
 def estimate_statistics(results) -> AoIStatistics:
-    """Simulated per-source age statistics with batch-means stderr: each
-    of `analytics._age_moments` by `_time_average`, the variance as the
-    covariance diagonal."""
-    sums = _run_sums(results)
-    (mean, mean_se), (cov, cov_se), (corr, corr_se) = (
-        _time_average(sums, lambda t, i: analytics._age_moments(t)[i], i) for i in range(3)
-    )
+    """Simulated per-source age statistics with batch-means stderr:
+    `analytics._age_moments` of the pooled sums, with `_stderr` of them
+    per replication, the variance as the covariance diagonal."""
+    pooled, stacked = _run_sums(results)
+    mean, cov, corr = analytics._age_moments(pooled)
+    mean_se, cov_se, corr_se = (_stderr(per) for per in analytics._age_moments(stacked))
     diag = np.arange(len(mean))
     var = cov[diag, diag]
     return AoIStatistics(
@@ -876,24 +877,19 @@ def estimate_palm(results) -> dict[str, Estimate]:
     """Event-count estimates by report label, for each row of the report
     table that pools replication sums: the departure and pushout rates,
     then per source the update share and rate and the delay and peak means."""
-    results = _one_run(results)
-    pooled = (q for q in analytics._QUANTITIES if q.palm is not None)
-    out = {}
-    for q, k in analytics._report_rows(pooled, results[0].spec.num_sources, ()):
-        nums, dens, what = zip(*(q.palm(r, k) for r in results))
-        out[q.label(k)] = _ratio_estimate(nums, dens, what[0])
-    return out
+    sums = _run_sums(results)
+    rows = analytics._report_rows(analytics._PALM, sums[0].num_sources, ())
+    return {q.label(k): _estimate(sums, q, k) for q, k in rows}
 
 
 def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical P(A_k <= x) on the replications' CDF grid: the time below
     each level summed over replications, over their summed time."""
-    pooled, _ = sums = _run_sums(results)
+    pooled, _ = _run_sums(results)
     k = analytics._check_source_index(k, pooled.num_sources)
     if pooled.cdf_grid is None:
         raise ValueError("replications were run without a CDF grid")
-    value, _ = _time_average(sums, lambda t, k: t.cdf_occupancy[k] / t.elapsed, k)
-    return pooled.cdf_grid.copy(), value
+    return pooled.cdf_grid.copy(), pooled.cdf_occupancy[k] / pooled.elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -934,9 +930,11 @@ def _map_in_pool(workers: int, args) -> list[ReplicationResult]:
     The pool is made on first use and kept for later calls.  One of
     another worker count is shut down before the new one forks, and one
     inherited through fork is dropped untouched, since its workers serve
-    the process that made it.  A broken pool is shut down without waiting,
-    its queued work cancelled, and dropped, and the error raised, so the
-    next call makes a new one.
+    the process that made it.  Executor.map submits the whole call before
+    it returns, so a pool that map finds broken broke before the call, and
+    a new one runs it; one that breaks during the call is dropped and the
+    error raised, so the next call makes a new one.  A broken pool is shut
+    down without waiting, its queued work cancelled.
     """
     global _pool
     pid = os.getpid()
@@ -947,7 +945,13 @@ def _map_in_pool(workers: int, args) -> list[ReplicationResult]:
     if _pool is None:
         _pool = (pid, workers, ProcessPoolExecutor(max_workers=workers))
     try:
-        return list(_pool[2].map(_run_one, args))
+        try:
+            results = _pool[2].map(_run_one, args)
+        except BrokenProcessPool:
+            _pool[2].shutdown(wait=False, cancel_futures=True)
+            _pool = (pid, workers, ProcessPoolExecutor(max_workers=workers))
+            results = _pool[2].map(_run_one, args)
+        return list(results)
     except BrokenProcessPool:
         _pool[2].shutdown(wait=False, cancel_futures=True)
         _pool = None
@@ -1026,14 +1030,8 @@ def simulate(
     )
 
     sums = _run_sums(results)
-    palm = estimate_palm(results)
-    quantities = {}
-    for q, i in analytics._report_rows(analytics._QUANTITIES, spec.num_sources, s_grid):
-        if q.average is not None:
-            value, stderr = _time_average(sums, q.average, i)
-            quantities[q.label(i)] = Estimate(float(value), float(stderr), len(results))
-        elif q.palm is not None:
-            quantities[q.label(i)] = palm[q.label(i)]
+    rows = analytics._report_rows(analytics._QUANTITIES, spec.num_sources, s_grid)
+    quantities = {q.label(i): _estimate(sums, q, i) for q, i in rows if q.estimate is not None}
 
     late = Counter(k for r in results for k in r.late_sources)
     flags = [

@@ -3,14 +3,37 @@
 A replication reduces its window departures to per-source delivery sums
 where it runs (ReplicationResult.source_sums), and the library's
 estimators read only those.  palm_from_records is the record-walking form
-they replace; warm_up_note reads the records' coverage of the start-up.
+they replace, pooled by ratio_estimate, a ratio rule of its own;
+warm_up_note reads the records' coverage of the start-up.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from aoistats.simulator import Estimate, _one_run, _ratio_estimate
+from aoistats.simulator import Estimate
+
+
+def ratio_estimate(nums, dens, kind: str) -> Estimate:
+    """The ratio rule over per-replication numerators and denominators:
+    the value sums numerators over denominators, the stderr comes from the
+    per-replication ratios; a replication with no `kind` (a ratio not
+    finite) is flagged."""
+    nums = np.asarray(nums, dtype=float)
+    dens = np.asarray(dens, dtype=float)
+    if dens.sum() == 0:
+        return Estimate(math.nan, math.nan, len(nums), flag=f"no {kind}")
+    value = float(nums.sum() / dens.sum())
+    with np.errstate(invalid="ignore", divide="ignore"):
+        per = nums / dens
+    per = per[np.isfinite(per)]
+    if per.size < 2:
+        return Estimate(value, math.nan, per.size, flag=f"too few replications with {kind} for a stderr")
+    missing = len(nums) - per.size
+    flag = f"{missing} replications had no {kind}" if missing else None
+    return Estimate(value, float(per.std(ddof=1) / math.sqrt(per.size)), per.size, flag)
 
 
 def warm_up_note(results) -> str | None:
@@ -31,14 +54,14 @@ def warm_up_note(results) -> str | None:
 def palm_from_records(results) -> dict[str, Estimate]:
     """estimate_palm over the records; pushouts leave no record, so the
     pushout rate reads the counts."""
-    results = _one_run(results)
+    results = list(results)
     K = results[0].accumulator.num_sources
     totals = np.array([len(r.records) for r in results], dtype=float)
     spans = np.array([r.window_span for r in results])
     pushouts = np.array([r.counts.window_pushouts for r in results], dtype=float)
     out: dict[str, Estimate] = {
-        "departure_rate": _ratio_estimate(totals, spans, "window time"),
-        "pushout_rate": _ratio_estimate(pushouts, spans, "window time"),
+        "departure_rate": ratio_estimate(totals, spans, "window time"),
+        "pushout_rate": ratio_estimate(pushouts, spans, "window time"),
     }
     for k in range(K):
         masks = [r.records.source == k for r in results]
@@ -48,8 +71,8 @@ def palm_from_records(results) -> dict[str, Estimate]:
         peak_sums = [float(np.nansum(p)) for p in peaks]
         peak_counts = [int(np.isfinite(p).sum()) for p in peaks]
         label = f"deliveries for source {k + 1}"
-        out[f"update_share[{k + 1}]"] = _ratio_estimate(counts, totals, "deliveries")
-        out[f"update_rate[{k + 1}]"] = _ratio_estimate(counts, spans, label)
-        out[f"delay_mean[{k + 1}]"] = _ratio_estimate(delay_sums, counts, label)
-        out[f"peak_mean[{k + 1}]"] = _ratio_estimate(peak_sums, peak_counts, f"peaks for source {k + 1}")
+        out[f"update_share[{k + 1}]"] = ratio_estimate(counts, totals, "deliveries")
+        out[f"update_rate[{k + 1}]"] = ratio_estimate(counts, spans, label)
+        out[f"delay_mean[{k + 1}]"] = ratio_estimate(delay_sums, counts, label)
+        out[f"peak_mean[{k + 1}]"] = ratio_estimate(peak_sums, peak_counts, f"peaks for source {k + 1}")
     return out

@@ -1,26 +1,39 @@
 """The report table: each quantity is named once, with its closed form and
 either how the simulation estimates it or the analytic-only mark."""
 
-import dataclasses
 import re
 from pathlib import Path
 
-from aoistats import analytics
-from aoistats.analytics import AoIStatistics, SystemSpec, analytic_quantities
-from aoistats.servicedist import Exponential
-from aoistats.simulator import simulate
+import numpy as np
+
+from aoistats import analytics, simulator
+from aoistats.analytics import SystemSpec, analytic_quantities
+from aoistats.servicedist import Deterministic, Exponential, Gamma
+from aoistats.simulator import run_replications, simulate
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "aoistats"
-FIELDS = {f.name for f in dataclasses.fields(AoIStatistics)}
 
 
 def test_every_entry_has_an_estimator_or_the_analytic_only_mark():
     for q in analytics._QUANTITIES:
         assert q.scope in analytics._SCOPES, q.name
-        assert callable(q.closed) or q.closed in FIELDS, q.name
-        # at most one estimate kind: a time average g or a Palm ratio
-        assert q.average is None or q.palm is None, q.name
-        assert all(f is None or callable(f) for f in (q.average, q.palm)), q.name
+        assert callable(q.closed) and (q.estimate is None or callable(q.estimate)), q.name
+    # the one rule reads every simulated row's g as one value per
+    # replication on the stacked sums and a scalar on the pooled sums; a
+    # two-source system gives the pair rows too
+    for spec in (
+        SystemSpec(rates=(1.0, 2.0, 3.0), services=(Exponential(6.0), Gamma(2.0, 12.0), Deterministic(0.1))),
+        SystemSpec(rates=(1.0, 2.0), services=(Gamma(2.0, 12.0), Deterministic(0.1))),
+    ):
+        rows = analytics.s_rows(spec)
+        pooled, stacked = simulator._run_sums(run_replications(spec, 200.0, 10.0, 3, 5, rows))
+        table = analytics._report_rows(analytics._QUANTITIES, spec.num_sources, rows)
+        simulated = [(q, i) for q, i in table if q.estimate is not None]
+        scopes = set(analytics._SCOPES) if spec.num_sources == 2 else set(analytics._SCOPES) - {"pair"}
+        assert {q.scope for q, _ in simulated} == scopes
+        for q, i in simulated:
+            assert np.shape(q.estimate(stacked, i)) == (3,), q.label(i)
+            assert np.ndim(q.estimate(pooled, i)) == 0, q.label(i)
 
 
 def test_each_label_name_is_written_once_in_the_source():
@@ -39,6 +52,6 @@ def test_simulated_rows_are_the_table_rows_not_marked_analytic_only():
     simulated = simulate(spec, horizon=300.0, burn_in=10.0, replications=2, seed=3, s_grid=grid).quantities
     only = {label for label in analytic if label not in simulated}
     assert only == {"aoi_cv[1]", "aoi_cv[2]", "aoi_covariance"}
-    marked = [q for q in analytics._QUANTITIES if q.average is None and q.palm is None]
+    marked = [q for q in analytics._QUANTITIES if q.estimate is None]
     assert {q.name for q in marked} == {"aoi_cv", "aoi_covariance"}
     assert set(simulated) <= set(analytic)

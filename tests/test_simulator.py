@@ -885,6 +885,37 @@ def test_late_source_detection():
     assert late_total >= 3  # source 2 updates about once every 30 time units
 
 
+# (horizon, burn_in, replications, seed) of a LATE run, and each flagged
+# row's (value is NaN, batches, flag): no window delivery of source 2 in
+# any replication, in only some, and in too few for a stderr
+FLAG_CASES = [
+    ((5.0, 0.5, 3, 2), {
+        "delay_mean[2]": (True, 3, "no deliveries for source 2"),
+        "peak_mean[2]": (True, 3, "no peaks for source 2"),
+    }),
+    ((40.0, 20.0, 8, 5), {
+        "delay_mean[2]": (False, 4, "4 replications had no deliveries for source 2"),
+        "peak_mean[2]": (False, 2, "6 replications had no peaks for source 2"),
+    }),
+    ((40.0, 20.0, 3, 0), {
+        "delay_mean[2]": (False, 1, "too few replications with deliveries for source 2 for a stderr"),
+        "peak_mean[2]": (False, 1, "too few replications with peaks for source 2 for a stderr"),
+    }),
+]
+
+
+@pytest.mark.parametrize("run, flagged", FLAG_CASES)
+def test_estimate_flags_name_what_replications_lack(run, flagged):
+    horizon, burn_in, replications, seed = run
+    report = simulate(LATE, horizon=horizon, burn_in=burn_in, replications=replications, seed=seed)
+    assert report.flags[1:] == [f"{label}: {flag}" for label, (_, _, flag) in flagged.items()]
+    assert report.flags[0].startswith("source 2: first delivery after burn-in")
+    for label, est in report.quantities.items():
+        got = (math.isnan(est.value), est.batches, est.flag)
+        assert got == flagged.get(label, (False, replications, None)), label
+        assert math.isnan(est.stderr) == (math.isnan(est.value) or est.batches < 2), label
+
+
 # --- estimators against the closed forms -------------------------------------
 
 
@@ -1359,19 +1390,46 @@ def test_pool_of_another_worker_count_replaces_the_workers(monkeypatch):
     assert not any(p.is_alive() for p in old)
 
 
-def test_broken_pool_raises_once_and_is_replaced(monkeypatch):
+def test_pool_broken_before_a_call_is_replaced_for_it(monkeypatch):
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
     serial = run_replications(*POOL_ARGS, workers=1)
     run_replications(*POOL_ARGS, workers=2)
     executor = simulator._pool[2]
-    os.kill(pool_workers()[0].pid, signal.SIGKILL)
+    killed = pool_workers()[0]
+    os.kill(killed.pid, signal.SIGKILL)
     # until the pool has seen the death, a call can be served whole by the
-    # other worker and raise nothing
+    # other worker and never reach a new pool
     deadline = time.monotonic() + 30.0
     while not executor._broken and time.monotonic() < deadline:
         time.sleep(0.01)
+    assert executor._broken
+    for a, b in zip(run_replications(*POOL_ARGS, workers=2), serial, strict=True):
+        assert_same_replication(a, b)
+    assert simulator._pool[2] is not executor and killed.pid not in {p.pid for p in pool_workers()}
+
+
+@dataclasses.dataclass(frozen=True)
+class DiesInWorkers(Exponential):
+    """Exponential service whose draws end any process but the one that
+    made it, with exit status 1."""
+
+    parent: int = dataclasses.field(default_factory=os.getpid)
+
+    def sample(self, rng, size):
+        if os.getpid() != self.parent:
+            os._exit(1)
+        return super().sample(rng, size)
+
+
+def test_broken_pool_raises_once_and_is_replaced(monkeypatch):
+    # a worker that dies during a call breaks the pool: that call raises,
+    # and the next runs on a new pool
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+    serial = run_replications(*POOL_ARGS, workers=1)
+    dying = SystemSpec(rates=(3.0, 3.0), services=(DiesInWorkers(6.0), Exponential(6.0)))
     with pytest.raises(BrokenProcessPool):
-        run_replications(*POOL_ARGS, workers=2)
+        run_replications(dying, *POOL_ARGS[1:], workers=2)
+    assert simulator._pool is None
     for a, b in zip(run_replications(*POOL_ARGS, workers=2), serial, strict=True):
         assert_same_replication(a, b)
 
