@@ -272,18 +272,15 @@ def aoi_correlation(spec: SystemSpec) -> float:
     return _pair(spec)[1]
 
 
-def _pair(spec: SystemSpec, moments=None) -> tuple[float, float]:
-    """Cov(A_1, A_2) and the correlation, from both sources' `moments`.
-    Without them, ValueError unless there are exactly 2 sources whose
-    moments are in float64 range; the departure rate underflows to 0 only
-    with update rates that check refuses."""
-    if moments is None:
-        if spec.num_sources != 2:
-            raise ValueError(f"covariance closed form needs exactly 2 sources, got {spec.num_sources}")
-        moments = [marginal_aoi_moments(spec, k) for k in range(2)]
+def _pair(spec: SystemSpec) -> tuple[float, float]:
+    """Cov(A_1, A_2) and the correlation; ValueError unless there are
+    exactly 2 sources whose moments are in float64 range.  The departure
+    rate underflows to 0 only with update rates that check refuses."""
+    if spec.num_sources != 2:
+        raise ValueError(f"covariance closed form needs exactly 2 sources, got {spec.num_sources}")
+    v1, v2 = (marginal_aoi_moments(spec, k).variance for k in range(2))
     lam = spec.total_rate
     covariance = math.fsum(m.laplace_derivative(lam) / m.laplace(lam) for m in spec.services) / departure_rate(spec)
-    v1, v2 = (m.variance for m in moments)
     product = v1 * v2  # it can leave the normal floats where neither variance does
     root = math.sqrt(product) if sys.float_info.min <= product < math.inf else math.sqrt(v1) * math.sqrt(v2)
     return covariance, covariance / root
@@ -314,13 +311,11 @@ def cc_lower_bound(kind: str, alpha: float | None = None) -> float:
 
 @dataclass
 class AoIStatistics:
-    """Per-source age statistics plus pairwise dependence.
+    """Closed-form per-source age statistics plus pairwise dependence.
 
-    Produced either from the closed forms (`provenance == "analytic"`,
-    stderr fields None) or from simulation output
-    (`provenance == "simulated"`, stderr fields filled).  The analytic
-    pairwise covariance/correlation exists only for two sources; for
-    K >= 3 the off-diagonal entries are NaN.
+    The pairwise covariance/correlation exists only for two sources; for
+    K >= 3 the off-diagonal entries are NaN.  Simulated statistics are
+    report rows: see simulator.simulate.
     """
 
     mean: np.ndarray
@@ -328,15 +323,10 @@ class AoIStatistics:
     cv: np.ndarray
     covariance: np.ndarray
     correlation: np.ndarray
-    provenance: str = "analytic"
-    mean_stderr: np.ndarray | None = None
-    variance_stderr: np.ndarray | None = None
-    covariance_stderr: np.ndarray | None = None
-    correlation_stderr: np.ndarray | None = None
 
 
 def aoi_statistics(spec: SystemSpec) -> AoIStatistics:
-    """Analytic AoIStatistics for `spec`."""
+    """The closed-form AoIStatistics of `spec`."""
     K = spec.num_sources
     moments = [marginal_aoi_moments(spec, k) for k in range(K)]
     mean = np.array([m.mean for m in moments])
@@ -347,8 +337,8 @@ def aoi_statistics(spec: SystemSpec) -> AoIStatistics:
     np.fill_diagonal(covariance, variance)
     np.fill_diagonal(correlation, 1.0)
     if K == 2:
-        covariance[[0, 1], [1, 0]], correlation[[0, 1], [1, 0]] = _pair(spec, moments)
-    return AoIStatistics(mean, variance, cv, covariance, correlation, provenance="analytic")
+        covariance[[0, 1], [1, 0]], correlation[[0, 1], [1, 0]] = _pair(spec)
+    return AoIStatistics(mean, variance, cv, covariance, correlation)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +353,8 @@ class _Quantity(NamedTuple):
     s-row, labelled name(s_1,...,s_K).  The closed form is f(spec, index),
     calling public functions by name so that a wrapper on one sees the
     call; the estimate is g(sums, index) of a run's pooled or stacked sums,
-    which simulator._estimate, the one rule, turns into the row's Estimate.
+    which simulator._quantities turns into the row's Estimate by
+    simulator._estimate, the one rule.
     `lacks` names what a replication without a finite g lacks, {} standing
     for a source row's 1-based source.  A row with no estimate is
     analytic-only, and `compare` does not gate it.
@@ -383,18 +374,20 @@ class _Quantity(NamedTuple):
         return self.name
 
 
-def _age_moments(t):
-    """The age means, covariances and correlations over the time of path
-    sums `t`, read by PathAccumulator field name: a replication's, or a
-    run's pooled or stacked along a last axis, over which they broadcast."""
-    mean = t.age_integrals / t.elapsed
-    cov = t.cross_integrals / t.elapsed - mean[:, None] * mean[None, :]
-    diag = np.arange(len(mean))
-    sd = np.sqrt(np.maximum(cov[diag, diag], 0.0))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = cov / (sd[:, None] * sd[None, :])
-    corr[diag, diag] = 1.0
-    return mean, cov, corr
+def _age_covariance(t, j, k):
+    """Cov(A_j, A_k) over the time of path sums `t`, read by
+    PathAccumulator field name: a replication's, or a run's pooled or
+    stacked along a last axis, over which it broadcasts.  Its j = k entry
+    is the variance of A_j."""
+    T = t.elapsed
+    return t.cross_integrals[j, k] / T - (t.age_integrals[j] / T) * (t.age_integrals[k] / T)
+
+
+def _age_correlation(t, j, k):
+    """Corr(A_j, A_k) over the time of path sums `t`: the covariance over
+    the product of the two standard deviations, each variance clipped at 0."""
+    sd_j, sd_k = (np.sqrt(np.maximum(_age_covariance(t, i, i), 0.0)) for i in (j, k))
+    return _age_covariance(t, j, k) / (sd_j * sd_k)
 
 
 # The table is in the simulated report's order: a run of entries of one
@@ -403,8 +396,16 @@ def _age_moments(t):
 # scope by scope in _SCOPES order.
 _JOINT = _Quantity("joint_laplace", "s_row", lambda spec, s: joint_aoi_laplace(spec, s),
                    lambda t, s: t.exp_integrals[t.s_grid.index(s)] / t.elapsed)
-# the rows that pool event counts and delivery sums (simulator.estimate_palm)
-_PALM = (
+_QUANTITIES = (
+    _JOINT,
+    _Quantity("aoi_mean", "source", lambda spec, k: marginal_aoi_moments(spec, k).mean,
+              lambda t, k: t.age_integrals[k] / t.elapsed),
+    _Quantity("aoi_variance", "source", lambda spec, k: marginal_aoi_moments(spec, k).variance,
+              lambda t, k: _age_covariance(t, k, k)),
+    _Quantity("aoi_cv", "source", lambda spec, k: marginal_aoi_moments(spec, k).cv),
+    _Quantity("aoi_covariance", "pair", lambda spec, _: aoi_covariance(spec)),
+    _Quantity("aoi_correlation", "pair", lambda spec, _: aoi_correlation(spec),
+              lambda t, jk: _age_correlation(t, *jk)),
     _Quantity("departure_rate", "system", lambda spec, _: departure_rate(spec),
               lambda t, _: t.window_departures / t.window_span),
     _Quantity("pushout_rate", "system", lambda spec, _: pushout_rate(spec),
@@ -417,17 +418,6 @@ _PALM = (
               lambda t, k: t.source_sums[1, k] / t.source_sums[0, k], "deliveries for source {}"),
     _Quantity("peak_mean", "source", lambda spec, k: palm_means(spec, k).peak_mean,
               lambda t, k: t.source_sums[2, k] / t.source_sums[3, k], "peaks for source {}"),
-)
-_QUANTITIES = (
-    _JOINT,
-    _Quantity("aoi_mean", "source", lambda spec, k: marginal_aoi_moments(spec, k).mean,
-              lambda t, k: _age_moments(t)[0][k]),
-    _Quantity("aoi_variance", "source", lambda spec, k: marginal_aoi_moments(spec, k).variance,
-              lambda t, k: _age_moments(t)[1][k, k]),
-    _Quantity("aoi_cv", "source", lambda spec, k: marginal_aoi_moments(spec, k).cv),
-    _Quantity("aoi_covariance", "pair", lambda spec, _: aoi_covariance(spec)),
-    _Quantity("aoi_correlation", "pair", lambda spec, _: aoi_correlation(spec), lambda t, jk: _age_moments(t)[2][jk]),
-    *_PALM,
 )
 _SCOPES = ("source", "system", "pair", "s_row")  # the analytic report's order
 

@@ -46,12 +46,15 @@ requirements from its own stream, the service-role stream jumped
 k * 2^128 draws ahead for source k, in chunks of _SERVICE_CHUNK, so the
 n-th packet of a source gets the same service however blocks split.
 
-Estimators combine the replications of one run by one rule: each sum
-of a replication is pooled over the run by np.sum, and every simulated
-report row, a time average, a rate or a delivery mean, is a function g of
-the pooled sums.  Its standard error is the sample standard deviation of
+Every simulated number of a run is a row of the report table, and
+`_quantities`, which `simulate` calls, estimates them all by one rule:
+each sum of a replication is pooled over the run by np.sum, and every
+row, a time average, a rate or a delivery mean, is a function g of the
+pooled sums.  Its standard error is the sample standard deviation of
 g per replication, over those where g is finite, divided by the square
 root of their count; a replication where g is not finite is flagged.
+The empirical CDF (`estimate_marginal_cdf`) pools occupancy the same
+way, with no standard error.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analytics
-from .analytics import AoIStatistics, SystemSpec
+from .analytics import SystemSpec
 from .servicedist import categorical
 
 __all__ = [
@@ -91,9 +94,6 @@ __all__ = [
     "default_burn_in",
     "run_replication",
     "simulate",
-    "estimate_joint_laplace",
-    "estimate_statistics",
-    "estimate_palm",
     "estimate_marginal_cdf",
 ]
 
@@ -840,46 +840,14 @@ def _estimate(sums, q, index) -> Estimate:
     return Estimate(value, float(_stderr(finite)), finite.size, flag)
 
 
-def estimate_joint_laplace(results, s) -> Estimate:
-    """Time-average estimate of E[exp(-s . A)]: the integrals of
-    exp(-s . A) summed over replications, over their summed time."""
-    pooled, _ = sums = _run_sums(results)
-    row = analytics._s_row(s, pooled.num_sources)
-    if row not in pooled.s_grid:
-        raise ValueError(f"argument vector {row} was not simulated; grid is {pooled.s_grid}")
-    return _estimate(sums, analytics._JOINT, row)
-
-
-def estimate_statistics(results) -> AoIStatistics:
-    """Simulated per-source age statistics with batch-means stderr:
-    `analytics._age_moments` of the pooled sums, with `_stderr` of them
-    per replication, the variance as the covariance diagonal."""
-    pooled, stacked = _run_sums(results)
-    mean, cov, corr = analytics._age_moments(pooled)
-    mean_se, cov_se, corr_se = (_stderr(per) for per in analytics._age_moments(stacked))
-    diag = np.arange(len(mean))
-    var = cov[diag, diag]
-    return AoIStatistics(
-        mean=mean,
-        variance=var,
-        cv=np.sqrt(np.maximum(var, 0.0)) / mean,
-        covariance=cov,
-        correlation=corr,
-        provenance="simulated",
-        mean_stderr=mean_se,
-        variance_stderr=cov_se[diag, diag],
-        covariance_stderr=cov_se,
-        correlation_stderr=corr_se,
-    )
-
-
-def estimate_palm(results) -> dict[str, Estimate]:
-    """Event-count estimates by report label, for each row of the report
-    table that pools replication sums: the departure and pushout rates,
-    then per source the update share and rate and the delay and peak means."""
+def _quantities(results) -> dict[str, Estimate]:
+    """The estimate of every row of the report table `analytics._QUANTITIES`
+    that is not analytic-only, by label in table order, from replications
+    of one run (see `_run_sums`): a joint-transform row per row of their
+    s-grid, each by `_estimate`."""
     sums = _run_sums(results)
-    rows = analytics._report_rows(analytics._PALM, sums[0].num_sources, ())
-    return {q.label(k): _estimate(sums, q, k) for q, k in rows}
+    rows = analytics._report_rows(analytics._QUANTITIES, sums[0].num_sources, sums[0].s_grid)
+    return {q.label(i): _estimate(sums, q, i) for q, i in rows if q.estimate is not None}
 
 
 def estimate_marginal_cdf(results, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1008,10 +976,11 @@ def simulate(
     workers: int = 1,
     trace_path=None,
 ) -> SimulationReport:
-    """Simulate and estimate every row of the report table
-    `analytics._QUANTITIES` that is not analytic-only (all but the age cv
-    and covariance), by label in table order, at each row `analytics.s_rows`
-    gives `s_grid`; replication 0 writes its event trace to `trace_path`, if any.
+    """Simulate and estimate, by `_quantities`, every row of the report
+    table `analytics._QUANTITIES` that is not analytic-only (all but the
+    age cv and covariance), by label in table order, at each row
+    `analytics.s_rows` gives `s_grid`; replication 0 writes its event trace
+    to `trace_path`, if any.
 
     `flags` notes each source that first delivers after burn-in in some
     replication, then each flagged estimate as "<label>: <flag>"; each
@@ -1029,9 +998,7 @@ def simulate(
         spec, horizon, burn_in, replications, seed, s_grid, workers=workers, trace_path=trace_path
     )
 
-    sums = _run_sums(results)
-    rows = analytics._report_rows(analytics._QUANTITIES, spec.num_sources, s_grid)
-    quantities = {q.label(i): _estimate(sums, q, i) for q, i in rows if q.estimate is not None}
+    quantities = _quantities(results)
 
     late = Counter(k for r in results for k in r.late_sources)
     flags = [

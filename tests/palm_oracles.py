@@ -52,8 +52,8 @@ def warm_up_note(results) -> str | None:
 
 
 def palm_from_records(results) -> dict[str, Estimate]:
-    """estimate_palm over the records; pushouts leave no record, so the
-    pushout rate reads the counts."""
+    """The delivery rows of simulator._quantities, from the records;
+    pushouts leave no record, so the pushout rate reads the counts."""
     results = list(results)
     K = results[0].accumulator.num_sources
     totals = np.array([len(r.records) for r in results], dtype=float)

@@ -20,6 +20,7 @@ from aoistats.analytics import (
     default_s_grid,
     departure_rate,
     joint_aoi_laplace,
+    joint_laplace_label,
     marginal_aoi_cdf,
     marginal_aoi_laplace,
     marginal_aoi_moments,
@@ -29,13 +30,7 @@ from aoistats.analytics import (
 )
 from aoistats.experiments import sweep_cc_vs_lambda2, sweep_cc_vs_service_rate
 from aoistats.servicedist import Deterministic, Exponential, Gamma
-from aoistats.simulator import (
-    estimate_joint_laplace,
-    estimate_marginal_cdf,
-    estimate_palm,
-    estimate_statistics,
-    run_replications,
-)
+from aoistats.simulator import _quantities, estimate_marginal_cdf, run_replications
 from segment_oracles import AoISnapshot, segment_integral_exponential, segment_integral_moments
 
 ANCHOR = SystemSpec(rates=(3.0, 3.0), services=(Exponential(6.0), Exponential(6.0)))
@@ -79,14 +74,15 @@ def mixed3_run():
 
 def test_acceptance_1_exponential_anchor_mean(anchor_run):
     results, elapsed = anchor_run
-    stats = estimate_statistics(results)
+    quantities = _quantities(results)
     ok = elapsed < 30.0
     worst_z = worst_rel = 0.0
     for k in range(2):
         truth = marginal_aoi_moments(ANCHOR, k).mean
         assert truth == 2.0 / 3.0  # closed form is exact here
-        z = (stats.mean[k] - truth) / stats.mean_stderr[k]
-        rel = abs(stats.mean[k] - truth) / truth
+        mean = quantities[f"aoi_mean[{k + 1}]"]
+        z = (mean.value - truth) / mean.stderr
+        rel = abs(mean.value - truth) / truth
         worst_z = max(worst_z, abs(z))
         worst_rel = max(worst_rel, rel)
         ok = ok and abs(z) < 3.0 and rel < 0.01
@@ -106,8 +102,8 @@ def test_acceptance_2_correlation_anchors(anchor_run, det_run):
     ok = ok and abs(cc_lower_bound("deterministic") - DET_CC) < 1e-15
     zs = []
     for results, truth in ((anchor_run[0], cc_exp), (det_run, cc_det)):
-        stats = estimate_statistics(results)
-        zs.append((stats.correlation[0, 1] - truth) / stats.correlation_stderr[0, 1])
+        cc = _quantities(results)["aoi_correlation"]
+        zs.append((cc.value - truth) / cc.stderr)
     ok = ok and all(abs(z) < 3.0 for z in zs)
     verdict(
         2,
@@ -124,9 +120,10 @@ def test_acceptance_3_joint_transform_vs_simulation(mixed2_run, mixed3_run):
     for spec, results in ((MIXED2, mixed2_run), (MIXED3, mixed3_run)):
         rows = [s for s in default_s_grid(spec.num_sources) if sum(s) > 0.0]
         assert len(rows) >= 5
+        quantities = _quantities(results)
         for s in rows:
             truth = joint_aoi_laplace(spec, s)
-            est = estimate_joint_laplace(results, s)
+            est = quantities[joint_laplace_label(s)]
             z = (est.value - truth) / est.stderr
             worst = max(worst, abs(z))
             ok = ok and abs(z) < 3.0
@@ -143,7 +140,7 @@ def test_acceptance_5_rates_and_shares(anchor_run, mixed3_run):
     ok = True
     worst = 0.0
     for spec, results in ((ANCHOR, anchor_run[0]), (MIXED3, mixed3_run)):
-        palm = estimate_palm(results)
+        palm = _quantities(results)
         checks = [(palm["departure_rate"], departure_rate(spec)), (palm["pushout_rate"], pushout_rate(spec))]
         for k in range(spec.num_sources):
             checks.append((palm[f"update_share[{k + 1}]"], source_update_share(spec, k)))
@@ -158,7 +155,7 @@ def test_acceptance_6_peak_delay_identity(anchor_run, mixed3_run):
     ok = True
     worst = 0.0
     for spec, results in ((ANCHOR, anchor_run[0]), (MIXED3, mixed3_run)):
-        palm = estimate_palm(results)
+        palm = _quantities(results)
         for k in range(spec.num_sources):
             pm = palm_means(spec, k)
             diffs = []

@@ -205,6 +205,12 @@ def test_sweep_families_giving_one_model_count_once():
         "exponential, deterministic", "exponential, Exponential, gamma(2), gamma( 2 ), gamma(2.0), gamma(0.5)"
     )
     assert parse_config(text).sweep_families == ("exponential", "gamma(2)", "gamma(0.5)")
+    # a shape-1 gamma is the exponential law, under whichever spelling comes first
+    for families, kept in [
+        ("exponential, gamma(1), gamma(1.0)", ("exponential",)),
+        ("gamma(1), deterministic, Exponential", ("gamma(1)", "deterministic")),
+    ]:
+        assert parse_config(SWEEP_CONFIG.replace("exponential, deterministic", families)).sweep_families == kept
 
 
 def test_docs_config_tables_list_every_key():

@@ -26,16 +26,14 @@ from aoistats.analytics import (
     pushout_rate,
     source_update_share,
 )
-from aoistats import simulator
+from aoistats import analytics, simulator
 from aoistats.servicedist import Deterministic, Exponential, Gamma, Mixture
 from aoistats.simulator import (
     Estimate,
     PathAccumulator,
+    _quantities,
     default_burn_in,
-    estimate_joint_laplace,
     estimate_marginal_cdf,
-    estimate_palm,
-    estimate_statistics,
     replication_rng,
     run_replication,
     run_replications,
@@ -841,7 +839,8 @@ RECORD_CASES = [
 def test_palm_estimators_match_record_oracles(spec, horizon, burn_in, replications, seed, warm_up):
     results = [run_replication(spec, horizon, burn_in, seed, rep, ()) for rep in range(replications)]
     assert warm_up_note(results) == warm_up
-    got, want = estimate_palm(results), palm_from_records(results)
+    want = palm_from_records(results)
+    got = {label: est for label, est in _quantities(results).items() if label in want}
     assert list(got) == list(want)
     for label in got:
         assert _same_estimate(got[label], want[label]), label
@@ -916,46 +915,65 @@ def test_estimate_flags_name_what_replications_lack(run, flagged):
         assert math.isnan(est.stderr) == (math.isnan(est.value) or est.batches < 2), label
 
 
+@pytest.mark.parametrize(
+    "spec, run",
+    [(SYMMETRIC, (2e3, 50.0, 8, 3)), (MIXED3, (2e3, 50.0, 8, 4)), (LATE, FLAG_CASES[1][0])],
+)
+def test_simulate_reports_what_quantities_estimates(spec, run):
+    # the tests that read _quantities check what simulate, and so the CLI,
+    # reports: one estimator path, equal to the last bit
+    horizon, burn_in, replications, seed = run
+    report = simulate(spec, horizon=horizon, burn_in=burn_in, replications=replications, seed=seed)
+    quantities = _quantities(run_replications(spec, horizon, burn_in, replications, seed, analytics.s_rows(spec)))
+
+    def exact(estimates):
+        return [(label, repr(e.value), repr(e.stderr), e.batches, e.flag) for label, e in estimates.items()]
+
+    assert exact(report.quantities) == exact(quantities)
+
+
 # --- estimators against the closed forms -------------------------------------
 
 
 def test_joint_laplace_estimates(symmetric_results):
+    quantities = _quantities(symmetric_results)
     for s in default_s_grid(2):
         truth = joint_aoi_laplace(SYMMETRIC, s)
-        ta = estimate_joint_laplace(symmetric_results, s)
+        ta = quantities[joint_laplace_label(s)]
         if sum(s) == 0.0:
             assert ta.value == 1.0 and ta.stderr == 0.0
             continue
         assert abs(zscore(ta, truth)) < Z_GATE
 
 
-def test_unsimulated_vector_is_rejected(symmetric_results):
-    with pytest.raises(ValueError):
-        estimate_joint_laplace(symmetric_results, (9.0, 9.0))
-
-
 def test_statistics_estimates(symmetric_results):
-    stats = estimate_statistics(symmetric_results)
-    assert stats.provenance == "simulated"
+    quantities = _quantities(symmetric_results)
     m = marginal_aoi_moments(SYMMETRIC, 0)
     for k in range(2):
-        assert abs(stats.mean[k] - m.mean) < Z_GATE * stats.mean_stderr[k]
-        assert abs(stats.variance[k] - m.variance) < Z_GATE * stats.variance_stderr[k]
+        mean, var = quantities[f"aoi_mean[{k + 1}]"], quantities[f"aoi_variance[{k + 1}]"]
+        assert abs(mean.value - m.mean) < Z_GATE * mean.stderr
+        assert abs(var.value - m.variance) < Z_GATE * var.stderr
     truth_cc = aoi_correlation(SYMMETRIC)
-    assert abs(stats.correlation[0, 1] - truth_cc) < Z_GATE * stats.correlation_stderr[0, 1]
-    assert stats.correlation[0, 0] == 1.0
-    assert stats.covariance == pytest.approx(stats.covariance.T, rel=1e-12)
+    cc = quantities["aoi_correlation"]
+    assert abs(cc.value - truth_cc) < Z_GATE * cc.stderr
+    pooled_sums = simulator._run_sums(symmetric_results)[0]
+    assert analytics._age_correlation(pooled_sums, 0, 0) == pytest.approx(1.0, rel=1e-12)
+    assert analytics._age_covariance(pooled_sums, 0, 1) == pytest.approx(
+        analytics._age_covariance(pooled_sums, 1, 0), rel=1e-12
+    )
 
 
 def test_statistics_three_sources_are_finite(mixed3_results):
-    stats = estimate_statistics(mixed3_results)
-    assert np.all(np.isfinite(stats.correlation))
+    # three sources report no correlation row; its g still reads the sums
+    pooled_sums = simulator._run_sums(mixed3_results)[0]
     for j in range(3):
         for k in range(j + 1, 3):
-            assert -1.0 < stats.correlation[j, k] < 0.5
+            assert -1.0 < analytics._age_correlation(pooled_sums, j, k) < 0.5
+    quantities = _quantities(mixed3_results)
     for k in range(3):
         truth = marginal_aoi_moments(MIXED3, k)
-        assert abs(stats.mean[k] - truth.mean) < Z_GATE * stats.mean_stderr[k]
+        mean = quantities[f"aoi_mean[{k + 1}]"]
+        assert abs(mean.value - truth.mean) < Z_GATE * mean.stderr
 
 
 def pooled(values):
@@ -966,9 +984,9 @@ def pooled(values):
 
 
 def statistics_by_replication(results):
-    """`estimate_statistics` as a loop that recomputes every statistic one
+    """The age statistics as a loop that recomputes every statistic one
     replication at a time, reading the integrals of A_k^2 from the cross
-    diagonal: the reference for its form over a replication axis."""
+    diagonal: the reference for their g over a replication axis."""
 
     def stats_from(accs):
         T = pooled([a.elapsed for a in accs])
@@ -999,23 +1017,37 @@ def statistics_by_replication(results):
 def test_statistics_match_the_per_replication_loop(symmetric_results, mixed3_results):
     single = SystemSpec(rates=(2.0,), services=(Exponential(4.0),))
     for results in (symmetric_results, mixed3_results, run_replications(single, 2e3, 50.0, 8, 17, ())):
-        stats = estimate_statistics(results)
+        quantities = _quantities(results)
         want = statistics_by_replication(results)
-        assert len(want) == 9 and stats.provenance == "simulated"
-        for name, value in want.items():
-            got = getattr(stats, name)
-            assert got.shape == value.shape and np.array_equal(got, value, equal_nan=True), name
+        assert len(want) == 9
+        K = len(want["mean"])
+        for k in range(K):
+            for name, field in (("aoi_mean", "mean"), ("aoi_variance", "variance")):
+                est = quantities[f"{name}[{k + 1}]"]
+                assert (est.value, est.stderr) == (want[field][k], want[f"{field}_stderr"][k]), (name, k)
+        if K == 2:
+            est = quantities["aoi_correlation"]
+            assert (est.value, est.stderr) == (want["correlation"][0, 1], want["correlation_stderr"][0, 1])
+        # every pair's g, reported or not, over the pooled and the stacked sums
+        pooled_sums, stacked_sums = simulator._run_sums(results)
+        for j in range(K):
+            for k in range(K):
+                for g, field in ((analytics._age_covariance, "covariance"), (analytics._age_correlation, "correlation")):
+                    if field == "correlation" and j == k:
+                        continue  # the loop sets the diagonal to 1
+                    assert g(pooled_sums, j, k) == want[field][j, k], (field, j, k)
+                    assert simulator._stderr(g(stacked_sums, j, k)) == want[f"{field}_stderr"][j, k], (field, j, k)
 
 
 def test_throughput_estimates(symmetric_results):
-    palm = estimate_palm(symmetric_results)
+    palm = _quantities(symmetric_results)
     dep, push = palm["departure_rate"], palm["pushout_rate"]
     assert abs(zscore(dep, departure_rate(SYMMETRIC))) < Z_GATE
     assert abs(zscore(push, pushout_rate(SYMMETRIC))) < Z_GATE
 
 
 def test_palm_estimates(mixed3_results):
-    palm = estimate_palm(mixed3_results)
+    palm = _quantities(mixed3_results)
     shares = [palm[f"update_share[{k + 1}]"].value for k in range(3)]
     assert math.fsum(shares) == pytest.approx(1.0, abs=1e-12)
     rate_total = math.fsum(palm[f"update_rate[{k + 1}]"].value for k in range(3))
@@ -1035,7 +1067,7 @@ def test_single_source_palm_and_transform():
     spec = SystemSpec(rates=(2.0,), services=(Exponential(4.0),))
     results = run_replications(spec, 5e3, 50.0, 8, 17, ((1.5,),))
     truth = 8.0 / ((1.5 + 2.0) * (1.5 + 4.0))  # marginal transform closed form
-    ta = estimate_joint_laplace(results, (1.5,))
+    ta = _quantities(results)["joint_laplace(1.5)"]
     assert abs(zscore(ta, truth)) < Z_GATE
 
 
@@ -1076,8 +1108,8 @@ def test_stderr_shrinks_with_horizon():
     # roughly 1/sqrt(2); the seed is fixed so the ratio is reproducible
     short = run_replications(SYMMETRIC, 4e3, 100.0, 16, 23, ((1.0, 1.0),))
     long = run_replications(SYMMETRIC, 7.9e3, 100.0, 16, 23, ((1.0, 1.0),))
-    se_short = estimate_joint_laplace(short, (1.0, 1.0)).stderr
-    se_long = estimate_joint_laplace(long, (1.0, 1.0)).stderr
+    se_short = _quantities(short)["joint_laplace(1,1)"].stderr
+    se_long = _quantities(long)["joint_laplace(1,1)"].stderr
     ratio = se_long / se_short
     assert 0.45 < ratio < 1.05
 
@@ -1086,8 +1118,7 @@ def test_every_rate_and_transform_is_a_pooled_ratio(symmetric_results):
     # the value sums numerators over denominators; the stderr is the spread
     # of the per-replication ratios
     accs = [r.accumulator for r in symmetric_results]
-    palm = estimate_palm(symmetric_results)
-    assert list(palm)[:2] == ["departure_rate", "pushout_rate"]
+    palm = _quantities(symmetric_results)
     cases = [
         (palm["departure_rate"], [r.counts.window_departures for r in symmetric_results]),
         (palm["pushout_rate"], [r.counts.window_pushouts for r in symmetric_results]),
@@ -1098,7 +1129,7 @@ def test_every_rate_and_transform_is_a_pooled_ratio(symmetric_results):
         assert est.value == float(np.sum(nums) / np.sum(spans)) and est.batches == len(spans)
         assert est.stderr == float(per.std(ddof=1) / math.sqrt(per.size))
     for j, s in enumerate(default_s_grid(2)):
-        est = estimate_joint_laplace(symmetric_results, s)
+        est = palm[joint_laplace_label(s)]
         nums, dens = np.array([a.exp_integrals[j] for a in accs]), np.array([a.elapsed for a in accs])
         assert est.value == float(nums.sum() / dens.sum())
         assert est.stderr == float((nums / dens).std(ddof=1) / math.sqrt(len(accs)))
@@ -1106,6 +1137,7 @@ def test_every_rate_and_transform_is_a_pooled_ratio(symmetric_results):
     # with the spread of g per replication as its stderr; simulate runs the
     # fixture's replications again
     report = simulate(SYMMETRIC, 1e4, 100.0, 16, 7).quantities
+    assert list(report) == list(palm)
     T = np.array([a.elapsed for a in accs])
     age, cross = np.array([a.age_integrals for a in accs]), np.array([a.cross_integrals for a in accs])
 
@@ -1144,12 +1176,7 @@ def test_estimators_reject_replications_of_different_runs():
     two = reps(SYMMETRIC, 0, (1.0, 1.0))
     slower = reps(SystemSpec(rates=(3.0, 2.0), services=SYMMETRIC.services), 0, (1.0, 1.0), 1)
     three = reps(MIXED3, 0, (1.0, 1.0, 1.0), 1)
-    estimators = [
-        estimate_statistics,
-        estimate_palm,
-        lambda results: estimate_joint_laplace(results, (1.0, 1.0)),
-        lambda results: estimate_marginal_cdf(results, 0),
-    ]
+    estimators = [_quantities, lambda results: estimate_marginal_cdf(results, 0)]
     for mixed, message in [
         (two + three, "run on different systems, of 2 and 3 sources"),
         (three + two, "run on different systems, of 3 and 2 sources"),
@@ -1162,7 +1189,7 @@ def test_estimators_reject_replications_of_different_runs():
     # one system, another argument grid: the message names the grid
     other_row = reps(SYMMETRIC, 0, (2.0, 2.0), 1)
     with pytest.raises(ValueError, match="replications were run with different argument grids"):
-        estimate_joint_laplace(two + other_row, (1.0, 1.0))
+        _quantities(two + other_row)
 
 
 def test_too_few_replications_rejected():
@@ -1170,7 +1197,7 @@ def test_too_few_replications_rejected():
         run_replications(SYMMETRIC, 100.0, 1.0, 1, 0, ())
     r = run_replication(SYMMETRIC, 100.0, 1.0, 0, 0, ())
     with pytest.raises(ValueError):
-        estimate_statistics([r])
+        _quantities([r])
 
 
 # --- full driver -------------------------------------------------------------
