@@ -352,8 +352,9 @@ class _Quantity(NamedTuple):
     "system" one row; "pair" one row for two sources; "s_row" a row per
     s-row, labelled name(s_1,...,s_K).  The closed form is f(spec, index),
     calling public functions by name so that a wrapper on one sees the
-    call; the estimate is g(sums, index) of a run's pooled or stacked sums,
-    which simulator._quantities turns into the row's Estimate by
+    call; the estimate is g(sums, index), reading a run's window sums,
+    pooled or stacked, by `simulator.PathAccumulator` field name, which
+    simulator._quantities turns into the row's Estimate by
     simulator._estimate, the one rule.
     `lacks` names what a replication without a finite g lacks, {} standing
     for a source row's 1-based source.  A row with no estimate is
@@ -375,10 +376,9 @@ class _Quantity(NamedTuple):
 
 
 def _age_covariance(t, j, k):
-    """Cov(A_j, A_k) over the time of path sums `t`, read by
-    PathAccumulator field name: a replication's, or a run's pooled or
-    stacked along a last axis, over which it broadcasts.  Its j = k entry
-    is the variance of A_j."""
+    """Cov(A_j, A_k) over the window of the sums `t`, a PathAccumulator:
+    a replication's, or a run's pooled or stacked along a last axis, over
+    which it broadcasts.  Its j = k entry is the variance of A_j."""
     T = t.elapsed
     return t.cross_integrals[j, k] / T - (t.age_integrals[j] / T) * (t.age_integrals[k] / T)
 
@@ -407,11 +407,11 @@ _QUANTITIES = (
     _Quantity("aoi_correlation", "pair", lambda spec, _: aoi_correlation(spec),
               lambda t, jk: _age_correlation(t, *jk)),
     _Quantity("departure_rate", "system", lambda spec, _: departure_rate(spec),
-              lambda t, _: t.window_departures / t.window_span),
+              lambda t, _: t.source_sums[0].sum(axis=0) / t.window_span),
     _Quantity("pushout_rate", "system", lambda spec, _: pushout_rate(spec),
               lambda t, _: t.window_pushouts / t.window_span),
     _Quantity("update_share", "source", lambda spec, k: source_update_share(spec, k),
-              lambda t, k: t.source_sums[0, k] / t.window_departures, "deliveries"),
+              lambda t, k: t.source_sums[0, k] / t.source_sums[0].sum(axis=0), "deliveries"),
     _Quantity("update_rate", "source", lambda spec, k: palm_means(spec, k).update_rate,
               lambda t, k: t.source_sums[0, k] / t.window_span, "deliveries for source {}"),
     _Quantity("delay_mean", "source", lambda spec, k: palm_means(spec, k).delay_mean,
@@ -561,7 +561,7 @@ def marginal_aoi_cdf(spec: SystemSpec, k: int, x):
             if residual > INVERSION_RESIDUAL_TOL:
                 warnings.warn(
                     f"CDF inversion residual {residual:.3e} above {INVERSION_RESIDUAL_TOL:g} "
-                    f"at x={xi:g} for source {k}",
+                    f"at x={xi:g} for source {k + 1}",
                     InversionAccuracyWarning,
                     stacklevel=2,
                 )

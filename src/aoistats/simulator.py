@@ -48,13 +48,13 @@ n-th packet of a source gets the same service however blocks split.
 
 Every simulated number of a run is a row of the report table, and
 `_quantities`, which `simulate` calls, estimates them all by one rule:
-each sum of a replication is pooled over the run by np.sum, and every
-row, a time average, a rate or a delivery mean, is a function g of the
-pooled sums.  Its standard error is the sample standard deviation of
-g per replication, over those where g is finite, divided by the square
-root of their count; a replication where g is not finite is flagged.
-The empirical CDF (`estimate_marginal_cdf`) pools occupancy the same
-way, with no standard error.
+each window sum of a replication, a field of its `PathAccumulator`, is
+pooled over the run by np.sum, and every row, a time average, a rate or
+a delivery mean, is a function g of the pooled sums.  Its standard
+error is the sample standard deviation of g per replication, over those
+where g is finite, divided by the square root of their count; a
+replication where g is not finite is flagged.  The empirical CDF
+(`estimate_marginal_cdf`) pools occupancy the same way, with no stderr.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ import csv
 import heapq
 import logging
 import math
-import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import NamedTuple
 
@@ -151,18 +150,21 @@ def default_burn_in(spec: SystemSpec) -> float:
 
 @dataclass
 class PathAccumulator:
-    """Closed-form path integrals over one or more replications.
+    """Every sum an estimate reads, over the window (burn_in, horizon] of
+    one replication or of a run (see `_run_sums`): the `init=False` fields.
 
-    Tracks, per argument vector (each checked by `analytics._s_row`,
-    with no rate), the integral of exp(-s . A(t)); per source the
-    integral of A_k; all pairwise integrals of A_j A_k, whose diagonal
-    holds those of A_k^2; optionally, per source, the occupancy time
-    below each level of `cdf_grid` (a nonempty 1-D array of finite
-    levels, in any order, whose span is finite too), sorted once into a
-    `_SortedGrid`.  `add_segments` adds the joint path, one segment per
-    stretch between two departures of any source; `add_ramps` adds one
-    source's occupancy from its age ramps, one per stretch between two of
-    its own updates, which must cover the same time.
+    `add_segments` adds the path integrals in closed form, one segment per
+    stretch between two departures of any source: the time (`elapsed`);
+    per argument vector (each checked by `analytics._s_row`, with no rate)
+    the integral of exp(-s . A(t)); per source that of A_k; all pairwise
+    integrals of A_j A_k, whose diagonal holds those of A_k^2.
+    `add_ramps` adds, per source, the occupancy time below each level of
+    the optional `cdf_grid` (a nonempty 1-D array of finite levels, in any
+    order, whose span is finite too, sorted once into a `_SortedGrid`)
+    from its age ramps, one per stretch between two of its own updates.
+    The run adds the delivery sums: `source_sums` (4, K), per source the
+    deliveries, their delay sum and the sum and count of their finite
+    peaks; the pushouts; and the window's span, horizon - burn_in.
     """
 
     s_grid: tuple[tuple[float, ...], ...]
@@ -173,6 +175,9 @@ class PathAccumulator:
     age_integrals: np.ndarray = field(init=False)
     cross_integrals: np.ndarray = field(init=False)
     cdf_occupancy: np.ndarray | None = field(init=False)
+    source_sums: np.ndarray = field(init=False)
+    window_pushouts: int = field(init=False, default=0)
+    window_span: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         K = self.num_sources
@@ -180,6 +185,7 @@ class PathAccumulator:
         self.exp_integrals = np.zeros(len(self.s_grid))
         self.age_integrals = np.zeros(K)
         self.cross_integrals = np.zeros((K, K))
+        self.source_sums = np.zeros((4, K))
         if self.cdf_grid is not None:
             x = np.asarray(self.cdf_grid, dtype=float)
             if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
@@ -398,8 +404,8 @@ class PalmRecords:
 
 @dataclass(frozen=True)
 class ReplicationCounts:
-    """Event counts; `arrivals/departures/pushouts` cover the whole run
-    (0, horizon] while the `window_*` fields cover (burn_in, horizon].
+    """Event counts of the whole run (0, horizon], burn-in included; the
+    window's are sums of the accumulator.
 
     Conservation holds exactly:
     arrivals == departures + pushouts + in_flight.
@@ -409,23 +415,19 @@ class ReplicationCounts:
     departures: int
     pushouts: int
     in_flight: int
-    window_arrivals: int
-    window_departures: int
-    window_pushouts: int
 
 
 @dataclass
 class ReplicationResult:
     """One replication, reduced where it ran to fixed-size sums.
 
-    The estimators read `accumulator`, `counts`, the window and
-    `source_sums`, of shape (4, K): per source the window deliveries,
-    their delay sum, and the sum and count of their finite peaks.
-    `spec`, `seed` and `rep_index` name the path.  `records`, the
-    per-delivery arrays for event-level checks, are not built by the run:
-    the first read regenerates the path, block by block, from its Philox
-    streams, builds them bit for bit and keeps them; they are the only
-    part that grows with the horizon.  Pickling drops kept records.
+    Every estimate reads `accumulator`, which holds the window's sums;
+    `counts` cover the whole run.  `spec`, `seed` and `rep_index` name
+    the path.  `records`, the per-delivery arrays for event-level checks,
+    are not built by the run: the first read regenerates the path, block
+    by block, from its Philox streams, builds them bit for bit and keeps
+    them; they are the only part that grows with the horizon.  Pickling
+    drops kept records.
     """
 
     spec: SystemSpec
@@ -436,7 +438,6 @@ class ReplicationResult:
     horizon: float
     burn_in: float
     late_sources: tuple[int, ...]
-    source_sums: np.ndarray
     _records: PalmRecords | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
@@ -470,10 +471,6 @@ class ReplicationResult:
                 covered=np.arange(b, n_dep) >= max(first),  # from the last first delivery on
             )
         return self._records
-
-    @property
-    def window_span(self) -> float:
-        return self.horizon - self.burn_in
 
 
 class _Block(NamedTuple):
@@ -591,14 +588,13 @@ class _Reduction:
     def __init__(self, horizon: float, burn_in: float, accumulator: PathAccumulator):
         K = accumulator.num_sources
         self.K, self.horizon, self.burn_in, self.accumulator = K, horizon, burn_in, accumulator
+        accumulator.window_span += horizon - burn_in
         # each source's last update (epoch, delay), from the artificial start state
         self.update = np.zeros(K)
         self.delay = np.zeros(K)
         self.first = np.full(K, math.inf)  # each source's first delivery
         self.segment = burn_in  # start of the open segment
-        self.source_sums = np.zeros((4, K))
-        # arrivals, departures, pushouts, and each of them in the window
-        self.tally = np.zeros(6, dtype=np.int64)
+        self.tally = np.zeros(3, dtype=np.int64)  # arrivals, departures, pushouts
         # room for a block's table of each source's age at each closed
         # segment's start (a block closes at most _BLOCK + 1 segments),
         # twice over.  The table is freed when the replication ends, and
@@ -614,14 +610,8 @@ class _Reduction:
         dep_epoch, dep_src, dep_delay = blk.departure, blk.dep_source, blk.delay
         b = int(np.searchsorted(dep_epoch, burn_in, side="right"))  # the window is a slice
         pushouts = blk.pushouts(horizon)
-        self.tally += (
-            blk.arrival.size,
-            dep_epoch.size,
-            pushouts,
-            blk.arrival.size - np.searchsorted(blk.arrival, burn_in, side="right"),
-            dep_epoch.size - b,
-            pushouts - blk.pushouts(burn_in),
-        )
+        self.tally += (blk.arrival.size, dep_epoch.size, pushouts)
+        acc.window_pushouts += pushouts - blk.pushouts(burn_in)
         # segments start at the open one's start and at each window departure
         # of the block before the horizon; every segment but the last ends at
         # the next start, the last at the horizon or in a later block
@@ -645,7 +635,7 @@ class _Reduction:
                 peaks -= w == 1
                 self.first[k] = Uk[1]
             at = own[w - 1 :] - b  # window positions of its window deliveries
-            self.source_sums[:, k] += (Uk.size - w, Dk[w:].sum(), pk[w - 1 :].sum(), peaks)
+            acc.source_sums[:, k] += (Uk.size - w, Dk[w:].sum(), pk[w - 1 :].sum(), peaks)
             # its last update is Uk[w - 1] up to its first window delivery,
             # then each of those in turn: one run of points per update
             runs = np.diff(np.concatenate([[0], np.minimum(at + 1, n_rows), [n_rows]]))
@@ -668,16 +658,13 @@ class _Reduction:
         self.segment = points[-1]
 
     def counts(self) -> ReplicationCounts:
-        arrivals, departures, pushouts, w_arrivals, w_departures, w_pushouts = (int(v) for v in self.tally)
+        arrivals, departures, pushouts = (int(v) for v in self.tally)
         return ReplicationCounts(
             arrivals=arrivals,
             departures=departures,
             pushouts=pushouts,
             # the newest packet, if it has not left by the horizon
             in_flight=arrivals - departures - pushouts,
-            window_arrivals=w_arrivals,
-            window_departures=w_departures,
-            window_pushouts=w_pushouts,
         )
 
 
@@ -755,7 +742,6 @@ def run_replication(
         burn_in=burn_in,
         # no delivery up to burn-in: the start state until its first
         late_sources=tuple(int(k) for k in np.flatnonzero(reduction.first > burn_in)),
-        source_sums=reduction.source_sums,
     )
 
 
@@ -773,12 +759,8 @@ class Estimate:
     flag: str | None = None
 
 
-# each sum of a replication that an estimate reads, by its path from the
-# ReplicationResult; a run's sums name it by the path's last part
-_SUMS = (
-    "accumulator.elapsed", "accumulator.exp_integrals", "accumulator.age_integrals", "accumulator.cross_integrals",
-    "accumulator.cdf_occupancy", "source_sums", "counts.window_departures", "counts.window_pushouts", "window_span",
-)
+# every sum an estimate reads, by name: the accumulator's init=False fields
+_SUMS = tuple(f.name for f in fields(PathAccumulator) if not f.init)
 
 
 def _run_sums(results) -> tuple[PathAccumulator, PathAccumulator]:
@@ -803,10 +785,9 @@ def _run_sums(results) -> tuple[PathAccumulator, PathAccumulator]:
         if not np.array_equal(r.accumulator.cdf_grid, first.accumulator.cdf_grid):
             raise ValueError("replications were run with different CDF grids")
     pooled, stacked = copy.copy(first.accumulator), copy.copy(first.accumulator)
-    for path, values in zip(_SUMS, zip(*map(operator.attrgetter(*_SUMS), results))):
-        if values[0] is not None:  # no occupancy without a CDF grid
-            per = np.stack(values, axis=-1)
-            name = path.rpartition(".")[2]
+    for name in _SUMS:
+        if getattr(first.accumulator, name) is not None:  # no occupancy without a CDF grid
+            per = np.stack([getattr(r.accumulator, name) for r in results], axis=-1)
             setattr(stacked, name, per)
             setattr(pooled, name, per.sum(axis=-1))
     return pooled, stacked

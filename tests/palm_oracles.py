@@ -1,7 +1,7 @@
 """Delivery (Palm) estimators computed from the per-delivery records.
 
 A replication reduces its window departures to per-source delivery sums
-where it runs (ReplicationResult.source_sums), and the library's
+where it runs (PathAccumulator.source_sums), and the library's
 estimators read only those.  palm_from_records is the record-walking form
 they replace, pooled by ratio_estimate, a ratio rule of its own;
 warm_up_note reads the records' coverage of the start-up.
@@ -53,12 +53,12 @@ def warm_up_note(results) -> str | None:
 
 def palm_from_records(results) -> dict[str, Estimate]:
     """The delivery rows of simulator._quantities, from the records;
-    pushouts leave no record, so the pushout rate reads the counts."""
+    pushouts leave no record, so the pushout rate reads the window pushouts."""
     results = list(results)
     K = results[0].accumulator.num_sources
     totals = np.array([len(r.records) for r in results], dtype=float)
-    spans = np.array([r.window_span for r in results])
-    pushouts = np.array([r.counts.window_pushouts for r in results], dtype=float)
+    spans = np.array([r.accumulator.window_span for r in results])
+    pushouts = np.array([r.accumulator.window_pushouts for r in results], dtype=float)
     out: dict[str, Estimate] = {
         "departure_rate": ratio_estimate(totals, spans, "window time"),
         "pushout_rate": ratio_estimate(pushouts, spans, "window time"),

@@ -174,9 +174,6 @@ def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(
         departures=int(dep_epoch.size),
         pushouts=int((push_epochs <= horizon).sum()),
         in_flight=in_flight,
-        window_arrivals=int((epochs[:-1] > burn_in).sum()),
-        window_departures=int((dep_epoch > burn_in).sum()),
-        window_pushouts=int(((push_epochs > burn_in) & (push_epochs <= horizon)).sum()),
     )
 
     own_U, own_D, own_w = [], [], []
@@ -210,6 +207,9 @@ def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(
     starts = points[starts_at]
     lengths = np.append(starts[1:], horizon) - starts
     accumulator = PathAccumulator(s_grid=s_grid, num_sources=K, cdf_grid=cdf_grid)
+    accumulator.source_sums = source_sums
+    accumulator.window_pushouts = int(((push_epochs > burn_in) & (push_epochs <= horizon)).sum())
+    accumulator.window_span = horizon - burn_in
     seg_ages = np.ascontiguousarray(ages[:, starts_at])  # a (K, n) table, as the run's
     for lo in range(0, lengths.size, _SEGMENT_ROWS):
         accumulator.add_segments(seg_ages[:, lo : lo + _SEGMENT_ROWS].T, lengths[lo : lo + _SEGMENT_ROWS])
@@ -237,6 +237,5 @@ def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(
         horizon=horizon,
         burn_in=burn_in,
         late_sources=late,
-        source_sums=source_sums,
         _records=records,
     )

@@ -167,7 +167,7 @@ def test_acceptance_6_peak_delay_identity(anchor_run, mixed3_run):
                 diffs.append(
                     float(np.nanmean(r.records.peak[mask]))
                     - float(r.records.delay[mask].mean())
-                    - r.window_span / count
+                    - r.accumulator.window_span / count
                 )
             diffs = np.asarray(diffs)
             se = diffs.std(ddof=1) / math.sqrt(diffs.size)
@@ -313,7 +313,7 @@ def test_acceptance_9_inverted_cdf_vs_empirical():
         warnings.simplefilter("ignore", InversionAccuracyWarning)
         inverted = marginal_aoi_cdf(spec, 0, grid)
     results = run_replications(spec, 63_000.0, 50.0, 16, 4242, (), cdf_grid=grid)
-    total_time = sum(r.window_span for r in results)
+    total_time = sum(r.accumulator.window_span for r in results)
     _, empirical = estimate_marginal_cdf(results, 0)
     distance = float(np.max(np.abs(inverted - empirical)))
     ok = total_time >= 1e6 and distance <= 0.005

@@ -685,7 +685,7 @@ def test_cdf_array_call_equals_scalar_calls(k):
     for message in messages:
         residual, x, source = WARNING_RE.fullmatch(message).groups()
         assert float(residual) > INVERSION_RESIDUAL_TOL
-        assert float(x) > CDF_LONG.services[k].support_min and int(source) == k
+        assert float(x) > CDF_LONG.services[k].support_min and int(source) == k + 1  # counted from 1
 
 
 def talbot_cdf_on_the_scaled_contour(spec, k, x, nodes):

@@ -36,6 +36,31 @@ def test_every_entry_has_an_estimator_or_the_analytic_only_mark():
             assert np.ndim(q.estimate(pooled, i)) == 0, q.label(i)
 
 
+class ReadNames:
+    """A run's sums that record the name of every attribute read from them."""
+
+    def __init__(self, sums):
+        self.sums, self.names = sums, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.sums, name)
+
+
+def test_every_estimate_reads_only_the_accumulator_sums():
+    # a row's g reads the run's window sums, each a field of the
+    # accumulator and so in _SUMS, and the s-grid that indexes them; a sum
+    # kept anywhere else would not be pooled and stacked by _run_sums
+    spec = SystemSpec(rates=(1.0, 2.0), services=(Gamma(2.0, 12.0), Deterministic(0.1)))
+    rows = analytics.s_rows(spec)
+    pooled, _ = simulator._run_sums(run_replications(spec, 200.0, 10.0, 3, 5, rows))
+    for q, i in analytics._report_rows(analytics._QUANTITIES, spec.num_sources, rows):
+        if q.estimate is not None:
+            sums = ReadNames(pooled)
+            q.estimate(sums, i)
+            assert sums.names and sums.names <= {*simulator._SUMS, "s_grid"}, (q.label(i), sums.names)
+
+
 def test_each_label_name_is_written_once_in_the_source():
     names = [q.name for q in analytics._QUANTITIES]
     assert len(set(names)) == len(names)
