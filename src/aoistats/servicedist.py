@@ -107,9 +107,20 @@ class ServiceTimeModel:
         """Smallest possible service time, the lower end of the support."""
         return 0.0
 
+    # independent generators that `draw` reads
+    streams = 1
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """`size` exact draws as a float ndarray."""
+        """`size` exact draws as a float ndarray, all from the one
+        generator `rng`: `draw` itself for a family of one stream."""
         raise NotImplementedError
+
+    def draw(self, rngs, size: int) -> np.ndarray:
+        """`size` exact draws from the `streams` generators `rngs`, which
+        every family must make prefix-consistent: n draws and then m give
+        the n + m draws of one call.  So a source's n-th requirement does
+        not depend on how the simulator splits its path into blocks."""
+        return self.sample(rngs[0], size)
 
     def _laplace_array(self, z: np.ndarray):
         # elementwise over a real or complex array, with no domain check
@@ -236,14 +247,22 @@ class Mixture(ServiceTimeModel):
     def support_min(self):
         return min(c.support_min for c in self.components)
 
-    def sample(self, rng, size):
-        idx = categorical(rng.random(size), np.cumsum(self.weights))
+    @property
+    def streams(self):
+        return 1 + len(self.components)
+
+    def draw(self, rngs, size):
+        # the choices from stream 0, component i's values from stream 1 + i
+        idx = categorical(rngs[0].random(size), np.cumsum(self.weights))
         out = np.empty(size)
-        for i, comp in enumerate(self.components):
+        for i, (comp, rng) in enumerate(zip(self.components, rngs[1:])):
             pick = np.flatnonzero(idx == i)
-            if pick.size:
-                out[pick] = comp.sample(rng, pick.size)
+            out[pick] = comp.sample(rng, pick.size)
         return out
+
+    def sample(self, rng, size):
+        # not prefix-consistent: the components read `rng` after the choices
+        return self.draw([rng] * self.streams, size)
 
 
 # ---------------------------------------------------------------------------

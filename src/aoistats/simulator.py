@@ -41,10 +41,11 @@ Randomness uses counter-based Philox streams keyed by
 (seed, replication index, stream role), so any replication can be
 regenerated independently and bit-identically.  Interarrival times and
 source uniforms are drawn in order from their own streams, and epochs
-are one running sum over the whole path.  Each source draws its service
-requirements from its own stream, the service-role stream jumped
-k * 2^128 draws ahead for source k, in chunks of _SERVICE_CHUNK, so the
-n-th packet of a source gets the same service however blocks split.
+are one running sum over the whole path.  Source k draws its service
+requirements by `ServiceTimeModel.draw` from its own service-role
+streams (k, j), one per component of a mixture beside its choices;
+every family's draws are prefix-consistent, so the n-th packet of a
+source gets the same service however blocks split.
 
 Every simulated number of a run is a row of the report table, and
 `_quantities`, which `simulate` calls, estimates them all by one rule:
@@ -116,9 +117,6 @@ _SEGMENT_ROWS = 4096
 # of the first K sources of the `gate-k8-par` benchmark system, grouping
 # was slower up to K = 5 and faster from K = 6 on
 _GROUP_SOURCES = 6
-# service draws per refill of a source's stream: part of the stream
-# layout, so changing it changes the draws of a mixture
-_SERVICE_CHUNK = 4096
 # the largest spacing of float epochs at the horizon, relative to the
 # mean interarrival time, at which a path still resolves its gaps
 _CLOCK_RESOLUTION = 2.0**-20
@@ -126,20 +124,22 @@ _CLOCK_RESOLUTION = 2.0**-20
 _log = logging.getLogger("aoistats")
 
 
-def replication_rng(seed: int, rep_index: int, role: int) -> np.random.Generator:
-    """Counter-based generator for one (replication, stream role) pair.
+def replication_rng(seed: int, rep_index: int, role: int, stream: tuple[int, int] = (0, 0)) -> np.random.Generator:
+    """Counter-based generator for one (replication, stream role) pair,
+    and its stream (k, j), which in the service role is source k's j-th.
 
-    Philox keyed on (seed, rep_index, role); streams for different pairs
-    never overlap and any pair can be reconstructed on its own.  The
-    index shares a 64-bit key word with one byte of role, so it lies below
-    2^56; any other seed or index would alias a key and raises ValueError.
+    Philox keyed on (seed, rep_index, role), from counter [0, 0, k, j];
+    no two streams overlap and any one can be reconstructed on its own.
+    The index shares a 64-bit key word with one byte of role, so it lies
+    below 2^56; any other seed or index would alias a key and raises
+    ValueError.
     """
     if not 0 <= seed <= MAX_SEED:
         raise ValueError(f"seed must lie in [0, {MAX_SEED}], got {seed}")
     if not 0 <= rep_index < 2**56:
         raise ValueError(f"replication index must lie in [0, 2**56), got {rep_index}")
     key = np.array([int(seed), (int(rep_index) << 8) | int(role)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(counter=[0, 0, *stream], key=key))
 
 
 def default_burn_in(spec: SystemSpec) -> float:
@@ -501,27 +501,6 @@ class _Block(NamedTuple):
         return upto - int(np.searchsorted(self.done, upto))
 
 
-class _ServiceDraws:
-    """One source's service requirements, in the order of its packets.
-
-    They are drawn from the source's own stream _SERVICE_CHUNK at a time,
-    so the n-th requirement does not depend on how many are taken at once.
-    """
-
-    def __init__(self, model, rng: np.random.Generator):
-        self.model = model
-        self.rng = rng
-        self.held = np.empty(0)
-
-    def take(self, n: int) -> np.ndarray:
-        short = n - self.held.size
-        if short > 0:
-            chunks = [self.model.sample(self.rng, _SERVICE_CHUNK) for _ in range(-(-short // _SERVICE_CHUNK))]
-            self.held = np.concatenate([self.held, *chunks])
-        out, self.held = self.held[:n], self.held[n:]
-        return out
-
-
 def _by_source(src: np.ndarray, K: int) -> list[np.ndarray]:
     """Each source's positions in `src`, in order: np.flatnonzero(src == k)
     for k in range(K).  Below _GROUP_SOURCES sources that is what runs;
@@ -543,9 +522,9 @@ def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
     rng_arr = replication_rng(seed, rep_index, _ROLE_INTERARRIVAL)
     rng_src = replication_rng(seed, rep_index, _ROLE_SOURCE)
     shares = np.cumsum(np.array(spec.rates) / spec.total_rate)
-    service_bits = replication_rng(seed, rep_index, _ROLE_SERVICE).bit_generator
-    services = [
-        _ServiceDraws(model, np.random.Generator(service_bits.jumped(k))) for k, model in enumerate(spec.services)
+    streams = [
+        [replication_rng(seed, rep_index, _ROLE_SERVICE, (k, j)) for j in range(model.streams)]
+        for k, model in enumerate(spec.services)
     ]
     # epochs[0] is the clock: time 0 in the first block, then the newest
     # arrival of the block before, which this block settles
@@ -563,8 +542,8 @@ def _path(spec: SystemSpec, horizon: float, seed: int, rep_index: int):
         epoch, following = epochs[first:stop], epochs[first + 1 : stop + 1]
         src = categorical(rng_src.random(epoch.size), shares)
         svc = np.empty(epoch.size)
-        for draws, own in zip(services, _by_source(src, len(services))):
-            svc[own] = draws.take(own.size)
+        for model, rngs, own in zip(spec.services, streams, _by_source(src, len(streams))):
+            svc[own] = model.draw(rngs, own.size)
         done = np.flatnonzero(svc <= following - epoch)  # a tie still departs
         delay = svc[done]
         departure = epoch[done] + delay

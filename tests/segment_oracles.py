@@ -22,7 +22,6 @@ from aoistats.simulator import (
     _ROLE_SERVICE,
     _ROLE_SOURCE,
     _SEGMENT_ROWS,
-    _SERVICE_CHUNK,
     PalmRecords,
     PathAccumulator,
     ReplicationCounts,
@@ -119,12 +118,10 @@ def arrival_epochs(lam, horizon, seed, rep_index):
 
 
 def service_draws(model, seed, rep_index, k, n):
-    """Source k's first n service requirements: its stream is the
-    service-role stream jumped k * 2^128 draws ahead, drawn in chunks of
-    _SERVICE_CHUNK."""
-    rng = np.random.Generator(replication_rng(seed, rep_index, _ROLE_SERVICE).bit_generator.jumped(k))
-    chunks = [model.sample(rng, _SERVICE_CHUNK) for _ in range(-(-n // _SERVICE_CHUNK))]
-    return np.concatenate([np.empty(0), *chunks])[:n]
+    """Source k's first n service requirements, drawn at once from its
+    service-role streams (k, j)."""
+    rngs = [replication_rng(seed, rep_index, _ROLE_SERVICE, (k, j)) for j in range(model.streams)]
+    return model.draw(rngs, n)
 
 
 def mask_thinned_replication(spec, horizon, burn_in, seed, rep_index=0, s_grid=(), cdf_grid=None):

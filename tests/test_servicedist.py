@@ -26,6 +26,7 @@ from aoistats.servicedist import (
     format_service,
     parse_service,
 )
+from aoistats.simulator import _ROLE_SERVICE, replication_rng
 
 SERVICEDIST = Path(servicedist.__file__)
 FD_REL_TOL = 1e-6
@@ -358,6 +359,52 @@ def test_mixture_sample_matches_searchsorted_draws(terms, seed, size):
     got = model.sample(np.random.default_rng(seed), size)
     want = searchsorted_mixture_sample(model, np.random.default_rng(seed), size)
     assert np.array_equal(got, want)
+
+
+def mixtures():
+    terms = st.lists(st.tuples(st.floats(0.05, 1.0), models()), min_size=1, max_size=4)
+    return terms.map(
+        lambda t: Mixture(tuple(w / math.fsum(w for w, _ in t) for w, _ in t), tuple(c for _, c in t))
+    )
+
+
+def fresh_streams(model, seed):
+    """One new Philox generator per stream of `model`, as the simulator
+    gives a source: the service-role streams (0, j) of replication 0."""
+    return [replication_rng(seed, 0, _ROLE_SERVICE, (0, j)) for j in range(model.streams)]
+
+
+@given(st.one_of(models(), mixtures()), st.integers(0, 2**32), st.integers(0, 300), st.integers(0, 300))
+@example(Mixture((0.4, 0.6), (Gamma(0.5, 3.0), Exponential(3.0))), 7, 5, 40)
+@example(Mixture((0.5, 0.5), (Exponential(10.0), Deterministic(0.1))), 3, 0, 9)
+@settings(max_examples=80)
+def test_draws_are_prefix_consistent(model, seed, n, m):
+    # n draws and then m give the n + m draws of one call
+    rngs = fresh_streams(model, seed)
+    split = np.concatenate([model.draw(rngs, n), model.draw(rngs, m)])
+    assert np.array_equal(split, model.draw(fresh_streams(model, seed), n + m))
+
+
+def one_generator_mixture_sample(model, rng, size):
+    """Mixture.sample as it read one generator for everything: the
+    choices first, then each component's values in turn."""
+    idx = categorical(rng.random(size), np.cumsum(model.weights))
+    out = np.empty(size)
+    for i, comp in enumerate(model.components):
+        pick = np.flatnonzero(idx == i)
+        if pick.size:
+            out[pick] = comp.sample(rng, pick.size)
+    return out
+
+
+@given(mixtures(), st.integers(0, 2**32), st.integers(0, 300))
+@example(Mixture((0.4, 0.6), (Gamma(0.5, 3.0), Exponential(3.0))), 7, 45)
+@settings(max_examples=60)
+def test_mixture_sample_reads_one_generator_as_before(model, seed, size):
+    # the same values, and the generator left where the oracle leaves it
+    rng, want_rng = replication_rng(seed, 0, _ROLE_SERVICE), replication_rng(seed, 0, _ROLE_SERVICE)
+    assert np.array_equal(model.sample(rng, size), one_generator_mixture_sample(model, want_rng, size))
+    assert rng.random() == want_rng.random()
 
 
 def test_sample_scalar_and_deterministic():
