@@ -3,117 +3,31 @@
 Closed forms for the stationary age process of each source sharing a
 single bufferless server with pushout, a vectorized event simulator
 with batch-means error bars, and sweep/comparison drivers.
+
+A name is public at the package root exactly when it is public in its
+module: the root re-exports each library module's `__all__`, in the order
+below.  `simulator.run_replications` is the one addition; its module
+leaves it out of `__all__` so that the benchmark tracer, which wraps what
+it finds there, wraps it only once, on its own.  The command line
+(`aoistats.cli`) is not imported here, so `import aoistats` does not load
+argparse.
 """
 
-from .analytics import (
-    AoIStatistics,
-    InversionAccuracyWarning,
-    MarginalMoments,
-    SourcePalmMeans,
-    SystemSpec,
-    aoi_correlation,
-    aoi_covariance,
-    aoi_statistics,
-    cc_lower_bound,
-    default_s_grid,
-    departure_rate,
-    joint_aoi_laplace,
-    marginal_aoi_cdf,
-    marginal_aoi_laplace,
-    marginal_aoi_moments,
-    palm_means,
-    pushout_rate,
-    source_update_share,
-)
-from .config import ConfigError, RunConfig, parse_config, render_config
-from .experiments import (
-    ComparisonRow,
-    SweepPoint,
-    compare,
-    compare_with_retry,
-    comparison_passed,
-    family_model,
-    sweep_cc_vs_lambda2,
-    sweep_cc_vs_service_rate,
-    write_comparison_csv,
-    write_sweep_csv,
-)
-from .servicedist import (
-    Deterministic,
-    Exponential,
-    Gamma,
-    Mixture,
-    ServiceTimeModel,
-    format_service,
-    parse_service,
-)
-from .simulator import (
-    DEFAULT_REPLICATIONS,
-    DEFAULT_SEED,
-    Estimate,
-    PathAccumulator,
-    ReplicationResult,
-    SimulationReport,
-    default_burn_in,
-    estimate_marginal_cdf,
-    replication_rng,
-    run_replication,
-    run_replications,
-    simulate,
-)
+from . import analytics, config, experiments, servicedist, simulator
+from .servicedist import *
+from .analytics import *
+from .simulator import *
+from .simulator import run_replications
+from .experiments import *
+from .config import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AoIStatistics",
-    "ComparisonRow",
-    "ConfigError",
-    "DEFAULT_REPLICATIONS",
-    "DEFAULT_SEED",
-    "Deterministic",
-    "Estimate",
-    "Exponential",
-    "Gamma",
-    "InversionAccuracyWarning",
-    "MarginalMoments",
-    "Mixture",
-    "PathAccumulator",
-    "ReplicationResult",
-    "RunConfig",
-    "ServiceTimeModel",
-    "SimulationReport",
-    "SourcePalmMeans",
-    "SweepPoint",
-    "SystemSpec",
-    "aoi_correlation",
-    "aoi_covariance",
-    "aoi_statistics",
-    "cc_lower_bound",
-    "compare",
-    "compare_with_retry",
-    "comparison_passed",
-    "default_burn_in",
-    "default_s_grid",
-    "departure_rate",
-    "estimate_marginal_cdf",
-    "family_model",
-    "format_service",
-    "joint_aoi_laplace",
-    "marginal_aoi_cdf",
-    "marginal_aoi_laplace",
-    "marginal_aoi_moments",
-    "palm_means",
-    "parse_config",
-    "parse_service",
-    "pushout_rate",
-    "render_config",
-    "replication_rng",
-    "run_replication",
+    *servicedist.__all__,
+    *analytics.__all__,
+    *simulator.__all__,
+    *experiments.__all__,
+    *config.__all__,
     "run_replications",
-    "simulate",
-    "source_update_share",
-    "sweep_cc_vs_lambda2",
-    "sweep_cc_vs_service_rate",
-    "write_comparison_csv",
-    "write_sweep_csv",
 ]

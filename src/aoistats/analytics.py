@@ -62,7 +62,7 @@ class InversionAccuracyWarning(UserWarning):
     """Numerical CDF inversion residual exceeded the accuracy target."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemSpec:
     """Arrival rates and service-time models, one entry per source.
 
@@ -71,15 +71,16 @@ class SystemSpec:
     probability L_k(lambda) at the aggregate rate (a packet must be able to
     beat the next arrival, otherwise no update ever happens and no
     stationary age exists; the check also rejects specs whose completion
-    probability underflows to zero in float64).
+    probability underflows to zero in float64).  A spec is frozen, so it
+    stays valid once built, and equal specs hash equal.
     """
 
     rates: tuple[float, ...]
     services: tuple[ServiceTimeModel, ...]
 
     def __post_init__(self):
-        self.rates = tuple(float(r) for r in self.rates)
-        self.services = tuple(self.services)
+        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
+        object.__setattr__(self, "services", tuple(self.services))
         if len(self.rates) == 0:
             raise ValueError("at least one source is required")
         if len(self.rates) != len(self.services):

@@ -98,10 +98,6 @@ class ServiceTimeModel:
         """
         return self._laplace_array(np.asarray(z, dtype=complex))
 
-    def mean(self) -> float:
-        """Exact E[S]; in every family it is -L'(0), minus the exact transform derivative at 0."""
-        return -self.laplace_derivative(0.0)
-
     @property
     def support_min(self) -> float:
         """Smallest possible service time, the lower end of the support."""

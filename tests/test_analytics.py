@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -88,6 +89,18 @@ def test_spec_validation():
     # mean interarrival gap never beats the next arrival in float64
     with pytest.raises(ValueError):
         SystemSpec(rates=(100.0,), services=(Deterministic(10.0),))
+
+
+def test_spec_is_frozen_and_hashes_by_value():
+    spec = SystemSpec([1, 2], [Exponential(3)] * 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.rates = (-1.0,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.services = ()
+    assert spec.rates == (1.0, 2.0)
+    twin = SystemSpec(rates=(1.0, 2.0), services=(Exponential(3.0), Exponential(3.0)))
+    assert spec == twin and hash(spec) == hash(twin)
+    assert len({spec, twin}) == 1
 
 
 def test_moments_out_of_float64_range_name_the_source():

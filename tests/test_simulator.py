@@ -39,6 +39,7 @@ from aoistats.simulator import (
     run_replications,
     simulate,
 )
+import float_hex_probe
 from palm_oracles import palm_from_records, warm_up_note
 from segment_oracles import (
     AoISnapshot,
@@ -1254,6 +1255,14 @@ def test_worker_count_does_not_change_occupancy():
     parallel = run_replications(MIXED3, 1e3, 20.0, 3, 5, (), cdf_grid=grid, workers=2)
     for a, b in zip(serial, parallel, strict=True):
         assert np.array_equal(a.accumulator.cdf_occupancy, b.accumulator.cdf_occupancy)
+
+
+def test_float_hex_probe_repeats_at_any_worker_count():
+    # the byte-identity probe of tests/float_hex_probe.py, at a short horizon
+    lines = float_hex_probe.probe(horizon=300.0, burn_in=30.0)
+    assert [line for line in lines if line.startswith("#")] == ["# readme", "# gate-k8-par"]
+    assert float_hex_probe.probe(horizon=300.0, burn_in=30.0) == lines
+    assert float_hex_probe.probe(horizon=300.0, burn_in=30.0, workers=2) == lines
 
 
 ZERO_SERVICE = SystemSpec(rates=(2.0, 2.0), services=(Deterministic(0.0), Deterministic(0.0)))
