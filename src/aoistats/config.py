@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytics import SystemSpec, aoi_statistics, s_rows
 from .experiments import _SWEEPS, _check_grid, family_model
-from .servicedist import Exponential, Gamma, format_service, parse_service
+from .servicedist import Exponential, Gamma, _split_args, format_service, parse_service
 from .simulator import DEFAULT_REPLICATIONS, DEFAULT_SEED, MAX_SEED
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "render_config"]
@@ -155,7 +155,7 @@ def _output_path(text: str) -> str:
 
 def _families(text: str) -> tuple[str, ...]:
     families = {}  # each distinct service law: the first text that gives it
-    for family in filter(None, map(str.strip, text.split(","))):
+    for family in filter(None, map(str.strip, _split_args(text))):
         model = family_model(family, 1.0)
         if isinstance(model, Gamma) and model.shape == 1.0:  # the exponential law
             model = Exponential(model.rate)

@@ -194,8 +194,13 @@ class Deterministic(ServiceTimeModel):
     def support_min(self):
         return self.value
 
+    streams = 0  # a point mass reads no generator
+
     def sample(self, rng, size):
         return np.full(size, self.value)
+
+    def draw(self, rngs, size):
+        return self.sample(None, size)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,9 @@ regenerated independently and bit-identically.  Interarrival times and
 source uniforms are drawn in order from their own streams, and epochs
 are one running sum over the whole path.  Source k draws its service
 requirements by `ServiceTimeModel.draw` from its own service-role
-streams (k, j), one per component of a mixture beside its choices;
-every family's draws are prefix-consistent, so the n-th packet of a
-source gets the same service however blocks split.
+streams (k, j), one per component of a mixture beside its choices and
+none for a point mass; every family's draws are prefix-consistent, so
+the n-th packet of a source gets the same service however blocks split.
 
 Every simulated number of a run is a row of the report table, and
 `_quantities`, which `simulate` calls, estimates them all by one rule:
@@ -255,7 +255,8 @@ class PathAccumulator:
         two of its own updates a source's age is one ramp, however many
         other sources deliver meanwhile, so n_k ramps cover the source on
         a whole path.  Every start and length must be finite.  Costs
-        O(n_k + m) for m levels (see `_occupancy`), never an n_k-by-m array.
+        O(n_k + m) for m levels (see `_occupancy`), never an n_k-by-m array,
+        and n_k parts in one grid cell drift by up to about n_k roundings.
         """
         if self.cdf_grid is None:
             raise ValueError("accumulator has no CDF grid")
@@ -345,9 +346,12 @@ def _occupancy(grid: _SortedGrid, starts: np.ndarray, lengths: np.ndarray) -> np
     is the cell of its start), and the whole cells between, counted with
     a difference array.  Every increment is a sum of nonnegative terms,
     so the result never decreases along the sorted grid, and it is zero
-    exactly where every clip term is.  Costs O(n + m) for n ranges and m
-    grid points, plus a binary search for each start or end whose bucket
-    holds two or more levels (see `_SortedGrid`).
+    exactly where every clip term is.  A cell adds its parts one after
+    another, so n equal ones (a deterministic source's ramps all start at
+    the same age) drift by up to about n roundings; the simulator passes
+    one block, at most _BLOCK + 1 ramps, per call.  Costs O(n + m) for n
+    ranges and m grid points, plus a binary search for each start or end
+    whose bucket holds two or more levels (see `_SortedGrid`).
     """
     xs = grid.xs
     m, n = xs.size, starts.size
@@ -359,18 +363,8 @@ def _occupancy(grid: _SortedGrid, starts: np.ndarray, lengths: np.ndarray) -> np
     spans = last > first  # some grid point lies in (a_i, a_i + L_i)
     head = np.subtract(np.take(xs, first, mode="clip"), starts, out=lengths.copy(), where=spans)
     tail = np.subtract(ends, np.take(xs, last - 1, mode="clip"), out=np.zeros(n), where=spans)
-
-    # bincount adds a cell's values one after another, so many equal ones
-    # (a deterministic source's ramps all start at the same age) drift
-    # by up to one rounding each.  Summing runs of about m consecutive
-    # ranges apart and then the runs pairwise keeps that drift to about m
-    # roundings, in a table of about n + m entries for each kind of part
-    # (a whole range, a start part, an end part); the kinds are added last.
-    runs = max(1, n // (m + 1))
-    run = np.arange(n) * runs // max(n, 1)
-    cells = np.concatenate([(3 * first + spans) * runs + run, (3 * last + 2) * runs + run])
-    table = np.bincount(cells, np.concatenate([head, tail]), minlength=(m + 1) * 3 * runs)
-    inc = table.reshape(m + 1, 3, runs).sum(axis=2, dtype=float).sum(axis=1)  # a bincount of nothing is integer
+    # a bincount of nothing is integer
+    inc = np.add(np.bincount(first, head, m + 1), np.bincount(last, tail, m + 1), dtype=float)
     # ranges covering cell j whole: first < j < last
     whole = np.bincount(first + 1, minlength=m + 2) - np.bincount(np.maximum(last, first + 1), minlength=m + 2)
     inc[1:m] += np.cumsum(whole)[1:m] * np.diff(xs)

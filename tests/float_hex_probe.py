@@ -7,9 +7,17 @@ printed as one line,
 
     label value.hex() stderr.hex() batches flag
 
-after a line naming the system.  Two checkouts print the same text
-exactly when every simulated value, stderr, batch count and flag is the
-same.  Run it from the repository root in each checkout and compare:
+after a line naming the system.  For the benchmark's `cdf-long` system,
+`run_replications` runs with its config's settings on the workload's
+200-level CDF grid, and each replication r prints its elapsed window time
+and then each source k's occupancy row, every number as float hex:
+
+    elapsed[r] hex
+    cdf_occupancy[r,k] hex hex ...
+
+Two checkouts print the same text exactly when every simulated value,
+stderr, batch count, flag and occupancy sum is the same.  Run it from
+the repository root in each checkout and compare:
 
     PYTHONPATH=src python tests/float_hex_probe.py > probe.txt
 
@@ -37,14 +45,19 @@ def readme_config() -> str:
     return text.split("cat > system.cfg <<'EOT'\n", 1)[1].split("EOT\n", 1)[0]
 
 
-def gate_k8_config() -> str:
-    """The `gate-k8-par` config, built by perfbench/workloads.py."""
+def perfbench_workloads():
+    """perfbench/workloads.py, imported from its file."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     # a dataclass looks its module up in sys.modules while it is defined
     sys.modules[spec.name] = workloads
     spec.loader.exec_module(workloads)
-    return workloads.config_text("gate-k8-par")
+    return workloads
+
+
+def gate_k8_config() -> str:
+    """The `gate-k8-par` config, built by perfbench/workloads.py."""
+    return perfbench_workloads().config_text("gate-k8-par")
 
 
 SYSTEMS = {"readme": readme_config, "gate-k8-par": gate_k8_config}
@@ -66,6 +79,24 @@ def probe(horizon: float | None = None, burn_in: float | None = None, workers: i
         )
         lines.append(f"# {name}")
         lines += [f"{label} {e.value.hex()} {e.stderr.hex()} {e.batches} {e.flag}" for label, e in report.quantities.items()]
+    # the benchmark's op, for its config and its CDF grid
+    op = perfbench_workloads().setup("cdf-long")
+    cfg = op.cfg
+    results = simulator.run_replications(
+        cfg.spec,
+        cfg.horizon if horizon is None else horizon,
+        cfg.burn_in if burn_in is None else burn_in,
+        cfg.replications,
+        cfg.seed,
+        (),
+        cdf_grid=op.grid,
+        workers=workers,
+    )
+    lines.append("# cdf-long")
+    for r, result in enumerate(results):
+        acc = result.accumulator
+        lines.append(f"elapsed[{r}] {acc.elapsed.hex()}")
+        lines += [f"cdf_occupancy[{r},{k}] " + " ".join(map(float.hex, row.tolist())) for k, row in enumerate(acc.cdf_occupancy)]
     return lines
 
 

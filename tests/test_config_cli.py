@@ -147,6 +147,15 @@ def test_invalid_horizon_is_the_only_error(horizon):
             SWEEP_CONFIG.replace("exponential, deterministic", ","),
             "sweep_families: needs at least one family",
         ),
+        # a comma inside parentheses does not end an entry
+        (
+            SWEEP_CONFIG.replace("exponential, deterministic", "gamma(2, 4)"),
+            "sweep_families: bad gamma shape in family tag 'gamma(2, 4)'",
+        ),
+        (
+            SWEEP_CONFIG.replace("exponential, deterministic", "exponential, gamma(2, 4), deterministic"),
+            "sweep_families: bad gamma shape in family tag 'gamma(2, 4)'",
+        ),
         ("source = 1 exp(2)\noutput =\n", "output: needs a path"),
         (
             SWEEP_CONFIG.replace("logspace(0.5, 50, 9)", "logspace(0.5, 50, 10001)"),

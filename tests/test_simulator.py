@@ -396,6 +396,69 @@ def test_occupancy_on_degenerate_grids_matches_clip_sum(case, data):
     np.testing.assert_allclose(acc.cdf_occupancy, want, rtol=1e-12, atol=0.0)
 
 
+# the `cdf-long` benchmark system: gamma(2, 8) and det(0.2) services, and
+# the benchmark's CDF grid
+CDF_LONG = SystemSpec(rates=(2.0, 1.0), services=(Gamma(2.0, 8.0), Deterministic(0.2)))
+CDF_LONG_GRID = np.linspace(0.05, 6.0, 200)
+
+
+def long_double_clip_occupancy(grid, starts, lengths, rows=4096):
+    """sum_i clip(x - starts[i], 0, lengths[i]) at every x in `grid`, in
+    long double, a few thousand ramps at a time."""
+    x = np.asarray(grid, dtype=np.longdouble)
+    total = np.zeros(x.size, dtype=np.longdouble)
+    for lo in range(0, starts.size, rows):
+        a = starts[lo : lo + rows].astype(np.longdouble)[:, None]
+        L = lengths[lo : lo + rows].astype(np.longdouble)[:, None]
+        total += np.clip(x[None, :] - a, 0, L).sum(axis=0)
+    return total
+
+
+@pytest.mark.parametrize("starts", ["all at 0.2", "half gamma"])
+@pytest.mark.parametrize("lengths", ["exponential", "constant"])
+def test_occupancy_of_a_full_block_drifts_within_its_bound(starts, lengths):
+    # n equal parts in one cell drift by up to about n roundings, and a
+    # call adds one block of ramps: det(0.2)'s all start in one cell
+    n = simulator._BLOCK
+    rng = np.random.default_rng(17)
+    a = np.full(n, 0.2)
+    if starts == "half gamma":
+        a[n // 2 :] = rng.gamma(2.0, 1.0 / 8.0, n - n // 2)
+    L = rng.exponential(1.0, n) if lengths == "exponential" else np.ones(n)
+    acc = PathAccumulator(s_grid=(), num_sources=1, cdf_grid=CDF_LONG_GRID)
+    acc.add_ramps(0, a, L)
+    got, want = acc.cdf_occupancy[0], long_double_clip_occupancy(CDF_LONG_GRID, a, L)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    live = want != 0.0
+    assert float(np.abs((got[live] - want[live]) / want[live]).max()) <= 1e-12
+    assert np.all(np.diff(got) >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec, full",
+    # with zero service every packet departs, so a block is full of ramps
+    [(CDF_LONG, False), (SystemSpec(rates=(3.0,), services=(Deterministic(0.0),)), True)],
+    ids=["cdf-long", "zero-service"],
+)
+def test_replication_adds_at_most_one_block_of_ramps_per_call(spec, full, monkeypatch):
+    # the bound the drift test above rests on: each call adds one block's
+    # window deliveries of a source, one per packet it settles at most,
+    # and the last block also the ramp open at the horizon
+    sizes = []
+
+    def occupancy(grid, starts, lengths):
+        sizes.append(starts.size)
+        return original(grid, starts, lengths)
+
+    original = simulator._occupancy
+    monkeypatch.setattr(simulator, "_occupancy", occupancy)
+    r = run_replication(spec, 3e4, 50.0, 3, 0, (), cdf_grid=CDF_LONG_GRID)
+    assert r.counts.arrivals > 2 * simulator._BLOCK
+    assert len(sizes) == 3 * spec.num_sources  # each source in each of three blocks
+    assert max(sizes) <= simulator._BLOCK + 1
+    assert max(sizes) >= (simulator._BLOCK if full else simulator._BLOCK // 4)
+
+
 # --- single replication ------------------------------------------------------
 
 
@@ -622,6 +685,22 @@ def test_sources_split_as_one_scan_each(K, n, monkeypatch):
         got = simulator._by_source(src, K)
         assert len(got) == K
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_path_builds_service_streams_only_for_sources_that_draw(monkeypatch):
+    # a point mass draws nothing, and a mixture keeps a stream for each
+    # component, its point mass included
+    built = []
+
+    def rng(seed, rep_index, role, stream=(0, 0)):
+        if role == simulator._ROLE_SERVICE:
+            built.append(stream)
+        return replication_rng(seed, rep_index, role, stream)
+
+    monkeypatch.setattr(simulator, "replication_rng", rng)
+    (blk,) = simulator._path(FAMILIES, 100.0, 3, 0)
+    assert built == [(0, 0), (1, 0), (3, 0), (3, 1), (3, 2)]
+    assert np.all(blk.service[blk.source == 2] == 0.15)
 
 
 @pytest.mark.parametrize("burn_in", [5.0, 10.0], ids=["first-in-window", "first-before-burn-in"])
@@ -1260,7 +1339,7 @@ def test_worker_count_does_not_change_occupancy():
 def test_float_hex_probe_repeats_at_any_worker_count():
     # the byte-identity probe of tests/float_hex_probe.py, at a short horizon
     lines = float_hex_probe.probe(horizon=300.0, burn_in=30.0)
-    assert [line for line in lines if line.startswith("#")] == ["# readme", "# gate-k8-par"]
+    assert [line for line in lines if line.startswith("#")] == ["# readme", "# gate-k8-par", "# cdf-long"]
     assert float_hex_probe.probe(horizon=300.0, burn_in=30.0) == lines
     assert float_hex_probe.probe(horizon=300.0, burn_in=30.0, workers=2) == lines
 
